@@ -2,7 +2,8 @@
 
 Subcommands: enumerate, moment-graph, nbhd, lattice, qbg, verify.  Output
 is byte-deterministic for fixed flags.  Exit codes: 0 success, 1 a
-verification failed, 2 usage error.
+verification failed, 2 usage error (including an ``--out`` file that
+cannot be written).
 """
 
 from __future__ import annotations
@@ -39,9 +40,12 @@ def _parse_degree(text: str) -> Degree:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _json_text(obj: dict) -> str:
@@ -214,11 +218,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose values may begin with "-": a barred first letter ("-2|1")
+# or a negative degree, which argparse would otherwise take for an option.
+_DASH_VALUE_OPTIONS = ("--w", "--d")
+
+
+def _attach_dash_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--w -2|1`` as ``--w=-2|1`` (likewise for ``--d``)."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _DASH_VALUE_OPTIONS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    n = getattr(args, "n", None) or getattr(args, "n_max", None)
-    if n is None or n < 2:
+    args = parser.parse_args(
+        _attach_dash_values(sys.argv[1:] if argv is None else argv)
+    )
+    n = args.n_max if args.command == "verify" else args.n
+    if n < 2:
         sys.stderr.write(f"oddflag: rank must be at least 2, got {n}\n")
         return USAGE_ERROR
     try:

@@ -9,10 +9,13 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict, deque
 
+from oddflag.moment import Degree, build_moment_graph
+from oddflag.neighborhoods import maximal_union
 from oddflag.weyl import (
     SignedPermutation,
     all_positive_roots,
     all_signed_permutations,
+    down_set,
 )
 
 
@@ -118,6 +121,38 @@ def oracle_min_coset_member(members):
     lens = sorted(members, key=lambda p: p.coxeter_length())
     assert len(lens) == 1 or lens[0].coxeter_length() < lens[1].coxeter_length()
     return lens[0]
+
+
+def reference_gamma_bfs(w, d, graph=None):
+    """Curve neighborhood of X(w) by a fresh search on label objects.
+
+    Independent of the package's integer-indexed search: states are
+    (label, spent Degree), seeded from ``down_set(w)`` at zero spend, and
+    a state is pruned only when the same label was already reached with a
+    componentwise-smaller spend.  It searches at exactly d, from scratch
+    for every (w, d) cell, keeps nothing between calls and takes the
+    maxima with ``maximal_union``.
+    """
+    g = build_moment_graph(w.n) if graph is None else graph
+    spent = {}
+    queue = deque()
+    zero = Degree(0, 0)
+    for u in down_set(w):
+        spent[u] = [zero]
+        queue.append((u, zero))
+    while queue:
+        v, used = queue.popleft()
+        for x, edeg, _root in g.neighbors[v]:
+            nxt = used + edeg
+            if not nxt <= d:
+                continue
+            pareto = spent.setdefault(x, [])
+            if any(old <= nxt for old in pareto):
+                continue
+            pareto[:] = [old for old in pareto if not nxt <= old]
+            pareto.append(nxt)
+            queue.append((x, nxt))
+    return maximal_union(spent.keys())
 
 
 def reference_qbg_oracle():

@@ -131,3 +131,39 @@ def test_usage_error_without_command():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_barred_first_letter_in_space_separated_form(capsys):
+    code, out, _ = run(capsys, "nbhd", "--n", "2", "--w", "-2|1", "--d", "1,1")
+    assert code == 0 and out.strip() == "-2|-3"
+    code, out, _ = run(
+        capsys, "nbhd", "--n", "3", "--w", "-3|2", "--d", "0,1", "--oracle"
+    )
+    assert code == 0 and out.strip() == "-3|-2"
+    code, same, _ = run(capsys, "nbhd", "--n", "3", "--w=-3|2", "--d=0,1")
+    assert code == 0 and same == out
+    code, out, _ = run(
+        capsys, "lattice", "--n", "2", "--w", "-3|2", "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["base"] == "-3|2"
+
+
+def test_negative_degree_is_a_domain_error(capsys):
+    code, _, err = run(capsys, "nbhd", "--n", "2", "--w", "1|2", "--d", "-1,0")
+    assert code == 2 and "nonnegative" in err and "expected one argument" not in err
+
+
+def test_small_rank_reports_the_given_value(capsys):
+    code, _, err = run(capsys, "enumerate", "--n", "0")
+    assert code == 2 and "got 0" in err
+    code, _, err = run(capsys, "verify", "--n-max", "0")
+    assert code == 2 and "got 0" in err
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "labels.txt"
+    code, out, err = run(capsys, "enumerate", "--n", "2", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == f"oddflag: cannot write {target}: No such file or directory\n"
+    code, _, err = run(capsys, "moment-graph", "--n", "2", "--out", str(tmp_path))
+    assert code == 2 and err.startswith(f"oddflag: cannot write {tmp_path}:")

@@ -1,7 +1,12 @@
+import functools
 import itertools
+import sys
+import threading
 
 import pytest
 
+from helpers import reference_gamma_bfs
+from oddflag import neighborhoods
 from oddflag.errors import DomainError
 from oddflag.moment import Degree, build_moment_graph
 from oddflag.neighborhoods import (
@@ -206,3 +211,99 @@ def test_outputs_are_antichains_everywhere():
             for d in degree_grid(Degree(2, 2)):
                 gamma_closed_form(w, d)
                 gamma_bfs(w, d)
+
+
+GRID_33 = degree_grid(Degree(3, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_cells(n):
+    g = build_moment_graph(n)
+    return {(w, d): reference_gamma_bfs(w, d, g) for w in g.vertices for d in GRID_33}
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts the searches gamma_bfs runs, as opposed to memo reads."""
+    count = [0]
+    search = neighborhoods._SearchIndex._search
+
+    def counted(self, *args):
+        count[0] += 1
+        return search(self, *args)
+
+    monkeypatch.setattr(neighborhoods._SearchIndex, "_search", counted)
+    return count
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_search_matches_reference_cold(n, searches):
+    g = build_moment_graph(n)
+    want = _reference_cells(n)
+    neighborhoods._search_index(g).memo = None
+    # Consecutive calls change base, so each one searches at its own d.
+    for d in GRID_33:
+        for w in g.vertices:
+            assert gamma_bfs(w, d, g) == want[w, d], (w, d)
+    assert searches[0] == len(want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_search_matches_reference_after_priming(n, searches):
+    g = build_moment_graph(n)
+    want = _reference_cells(n)
+    assert cross_check(n, Degree(3, 3)).ok
+    primed = searches[0]
+    assert primed == len(g.vertices)
+    last = g.vertices[-1]
+    for d in GRID_33:
+        assert gamma_bfs(last, d, g) == want[last, d], (last, d)
+    assert searches[0] == primed
+    for w in g.vertices:
+        gamma_bfs(w, Degree(3, 3), g)
+        for d in GRID_33:
+            assert gamma_bfs(w, d, g) == want[w, d], (w, d)
+    assert searches[0] == primed + len(g.vertices)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_search_matches_reference_beyond_primed_budget(n, searches):
+    g = build_moment_graph(n)
+    want = _reference_cells(n)
+    for w in g.vertices:
+        before = searches[0]
+        assert gamma_bfs(w, Degree(1, 1), g) == want[w, Degree(1, 1)]
+        assert gamma_bfs(w, Degree(3, 1), g) == want[w, Degree(3, 1)]
+        assert gamma_bfs(w, Degree(1, 3), g) == want[w, Degree(1, 3)]
+        # (1,1), then the joins (3,1) and (3,3); the rest is read off.
+        assert searches[0] == before + 3
+        for d in GRID_33:
+            assert gamma_bfs(w, d, g) == want[w, d], (w, d)
+        assert searches[0] == before + 3
+
+
+def test_threads_sharing_the_kept_front_get_every_cell_right():
+    g = build_moment_graph(2)
+    want = _reference_cells(2)
+    cells = list(want)
+    wrong = []
+
+    def worker(k):
+        # Each thread walks the cells from its own offset, so the threads
+        # keep replacing one another's front.
+        for w, d in (cells[k:] + cells[:k]) * 3:
+            if gamma_bfs(w, d, g) != want[w, d]:
+                wrong.append((w, d))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(17 * k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
