@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence, TypeVar
 
 from .errors import DomainError, VerificationError
-from .moment import Degree, build_moment_graph
+from .moment import EDGE_COLORS, Degree, build_moment_graph
 from .neighborhoods import gamma_closed_form
 from .weyl import (
     FlagLabel,
@@ -106,10 +106,6 @@ class QBGraph:
                 adj[e.u].append(e.v)
         return {v: tuple(xs) for v, xs in adj.items()}
 
-    @functools.cached_property
-    def edge_set(self) -> frozenset[tuple[FlagLabel, FlagLabel, Degree | None]]:
-        return frozenset((e.u, e.v, e.degree) for e in self.edges)
-
     def has_edge(self, u: FlagLabel, v: FlagLabel) -> bool:
         """Some edge u -> v of any kind."""
         return v in self.successors.get(u, ())
@@ -134,8 +130,18 @@ def _quantum_degrees(n: int, lmax: int) -> list[Degree]:
     return sorted(out, key=lambda d: d.key)
 
 
-@functools.lru_cache(maxsize=None)
 def build_qbg(n: int, strict: bool = False) -> QBGraph:
+    """The quantum Bruhat graph of rank n, built once per (n, strict).
+
+    ``build_qbg(n)`` and ``build_qbg(n, strict=False)`` share one cached
+    graph: the cache sits on ``_build_qbg``, which is always called with
+    positional arguments.
+    """
+    return _build_qbg(n, strict)
+
+
+@functools.lru_cache(maxsize=None)
+def _build_qbg(n: int, strict: bool) -> QBGraph:
     vertices = enumerate_labels(n)
     index = {v: i for i, v in enumerate(vertices)}
     by_length: dict[int, list[FlagLabel]] = {}
@@ -298,9 +304,6 @@ def moment_discrepancies(n: int) -> tuple[tuple[FlagLabel, FlagLabel, Degree], .
     return tuple(out)
 
 
-_QUANTUM_COLORS = {(1, 0): "green", (0, 1): "orange", (1, 1): "blue"}
-
-
 def to_dot(g: QBGraph) -> str:
     """Directed DOT text; classical edges black, quantum by degree class."""
     lines = [f"digraph qbg_n{g.n} {{", "  node [shape=plaintext];"]
@@ -309,7 +312,7 @@ def to_dot(g: QBGraph) -> str:
         if e.degree is None:
             style = "color=black"
         else:
-            color = _QUANTUM_COLORS.get(e.degree.key, "purple")
+            color = EDGE_COLORS.get(e.degree, "purple")
             style = f'color={color}, label="{e.degree}"'
         lines.append(f'  "{e.u}" -> "{e.v}" [{style}];')
     lines.append("}")

@@ -12,6 +12,10 @@ letters, unbarred, in increasing order.  The Schubert cells of the odd
 symplectic partial flag manifold IF(1,2;C^(2n+1)) are indexed by the
 "odd" labels: those in which the letter -1 never appears.
 
+Bruhat order on labels has a closed form in the alphabet ranks of a and b
+alone (see ``bruhat_leq``): only the first one and the first two values
+of the minimal representatives are ever compared.
+
 Everything in this module is an immutable value; all operations are pure
 functions and safe to share across threads.
 """
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Literal, Union
@@ -235,12 +238,6 @@ class SignedPermutation:
                 vals[i], vals[j] = vals[j].bar(), vals[i].bar()
         return SignedPermutation(tuple(vals))
 
-    def doubled_word(self) -> tuple[int, ...]:
-        """Image in the symmetric group on the 2n+2 alphabet ranks."""
-        n = self.n
-        ranks = [v.rank(n) for v in self.values]
-        return tuple(ranks + [2 * n + 3 - r for r in reversed(ranks)])
-
     def first_two(self) -> tuple[BarValue, BarValue]:
         return self.values[0], self.values[1]
 
@@ -328,11 +325,6 @@ def length(w: FlagLabel) -> int:
     return minimal_representative(w).coxeter_length()
 
 
-def _trailing_letters(w: FlagLabel) -> tuple[BarValue, ...]:
-    used = {w.a.letter, w.b.letter}
-    return tuple(BarValue(k) for k in range(1, w.n + 2) if k not in used)
-
-
 def reflect(w: FlagLabel, root: Root) -> ReflectResult:
     """The coset of (minimal representative of w) times the reflection.
 
@@ -351,7 +343,7 @@ def reflect(w: FlagLabel, root: Root) -> ReflectResult:
     elif root.j == 2:  # i == 1
         new = (b, a) if root.kind == "diff" else (b.bar(), a.bar())
     else:
-        h = _trailing_letters(w)[root.j - 3]  # type: ignore[operator]
+        h = minimal_representative(w).values[root.j - 1]  # type: ignore[operator]
         if root.kind == "sum":
             h = h.bar()
         new = (h, b) if root.i == 1 else (a, h)
@@ -361,32 +353,35 @@ def reflect(w: FlagLabel, root: Root) -> ReflectResult:
     return FIXED if out == w else out
 
 
-def _prefix_dominates(uw: tuple[int, ...], vw: tuple[int, ...]) -> bool:
-    """Sorted-prefix test: every u-prefix is entrywise <= the v-prefix."""
-    us: list[int] = []
-    vs: list[int] = []
-    for x, y in zip(uw, vw):
-        insort(us, x)
-        insort(vs, y)
-        if any(p > q for p, q in zip(us, vs)):
-            return False
-    return True
-
-
 @functools.lru_cache(maxsize=None)
 def bruhat_leq(u: FlagLabel, v: FlagLabel) -> bool:
-    """Bruhat order on labels.
+    """Bruhat order on labels, in closed form.
 
-    The minimal representatives are doubled into permutations of the
-    2n+2 alphabet ranks, where the symmetric-group prefix criterion
-    decides the comparison.
+    With r the alphabet rank (``BarValue.rank``),
+
+        u <= v  iff  r(a_u) <= r(a_v),
+                     min(r(a_u), r(b_u)) <= min(r(a_v), r(b_v)) and
+                     max(r(a_u), r(b_u)) <= max(r(a_v), r(b_v)).
+
+    Why: type-C Bruhat order is the order induced on doubled words, the
+    one-line ranks r_1 .. r_(n+1) followed by 2n+3 - r_(n+1) .. 2n+3 - r_1,
+    inside the symmetric group on the 2n+2 ranks (Bjorner-Brenti,
+    Cor. 8.1.9), and on cosets it is the order of the minimal
+    representatives.  For permutations, u <= v iff for every right
+    descent k of u the sorted first k entries of u lie entrywise below
+    those of v (Thm. 2.6.3).  The minimal representative is (a, b) then
+    the unused letters unbarred and increasing, so its doubled word
+    ascends everywhere except possibly at positions 1, 2, 2n and 2n+1.
+    The doubled word is centrally symmetric, so the prefix test at k is
+    the test at 2n+2-k, and only the prefixes of length 1 and 2 remain:
+    {r(a)} and the sorted pair {r(a), r(b)}.
     """
     if u.n != v.n:
         raise DomainError(f"rank mismatch: {u.n} vs {v.n}")
-    return _prefix_dominates(
-        minimal_representative(u).doubled_word(),
-        minimal_representative(v).doubled_word(),
-    )
+    n = u.n
+    au, bu = u.a.rank(n), u.b.rank(n)
+    av, bv = v.a.rank(n), v.b.rank(n)
+    return au <= av and min(au, bu) <= min(av, bv) and max(au, bu) <= max(av, bv)
 
 
 @functools.lru_cache(maxsize=None)

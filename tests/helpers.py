@@ -7,6 +7,7 @@ of the package's production code paths, so that agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from collections import defaultdict, deque
 
 from oddflag.moment import Degree, build_moment_graph
@@ -16,6 +17,7 @@ from oddflag.weyl import (
     all_positive_roots,
     all_signed_permutations,
     down_set,
+    minimal_representative,
 )
 
 
@@ -52,6 +54,44 @@ def closure_oracle(n):
 
     def leq(u: SignedPermutation, v: SignedPermutation) -> bool:
         return idx[v] in reach[idx[u]]  # type: ignore[operator]
+
+    return leq
+
+
+def doubled_word(p):
+    """Image of a signed permutation in the symmetric group on 2n+2 ranks.
+
+    The window's alphabet ranks, followed by their mirror images
+    2n+3 - r in reverse order.
+    """
+    n = p.n
+    ranks = [v.rank(n) for v in p.values]
+    return tuple(ranks + [2 * n + 3 - r for r in reversed(ranks)])
+
+
+def prefix_dominates(uw, vw):
+    """Sorted-prefix test: every sorted u-prefix is entrywise <= the v-prefix."""
+    us: list[int] = []
+    vs: list[int] = []
+    for x, y in zip(uw, vw):
+        insort(us, x)
+        insort(vs, y)
+        if any(p > q for p, q in zip(us, vs)):
+            return False
+    return True
+
+
+def doubled_word_oracle(labels):
+    """Bruhat order on labels by the symmetric-group prefix criterion.
+
+    Every label's minimal representative is doubled once; a pair is
+    compared on all 2n+2 sorted prefixes, with no use of descents or of
+    the central symmetry.  Returns a predicate on pairs of labels.
+    """
+    words = {w: doubled_word(minimal_representative(w)) for w in labels}
+
+    def leq(u, v):
+        return prefix_dominates(words[u], words[v])
 
     return leq
 

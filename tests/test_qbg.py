@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from oddflag import qbg
+from oddflag.cli import main
 from oddflag.errors import DomainError
 from oddflag.moment import Degree, build_moment_graph
 from oddflag.qbg import (
@@ -18,7 +20,7 @@ from oddflag.qbg import (
     to_json_dict,
     witness_cycles,
 )
-from oddflag.verify import KNOWN_EXTRA_QBG_EDGE, load_golden
+from oddflag.verify import KNOWN_EXTRA_QBG_EDGE, load_golden, run_suite
 from oddflag.weyl import covers, enumerate_labels, label, length
 from helpers import reference_qbg_oracle, simple_cycle_lengths
 
@@ -53,6 +55,38 @@ def test_edge_counts_at_rank_two():
     # One more (0,1) edge than the reference figure: 2|1 -> 1|-2 follows
     # from the two-component (0,1)-neighborhood of X(2|1).
     assert counts == {"classical": 29, "(1,0)": 8, "(0,1)": 7, "(1,1)": 4}
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_edge_counts_fit_closed_formulas(n):
+    # Observed formulas, checked here rank by rank; not proved.
+    assert build_qbg(n).counts() == {
+        "classical": 10 * n * n - 4 * n - 3,
+        "(1,0)": 2 * n * n,
+        "(0,1)": 2 * n + 3,
+        "(1,1)": 2 * n,
+    }
+    assert len(build_qbg(n).edges) == 12 * n * n
+
+
+def test_one_build_per_rank_whatever_the_spelling(tmp_path):
+    # The CLI asks for build_qbg(n, strict=False) and the verdict for
+    # build_qbg(n); both must land on one cached graph.
+    qbg._build_qbg.cache_clear()
+    out = str(tmp_path / "g.json")
+    assert main(["qbg", "--n", "3", "--format", "json", "--out", out]) == 0
+    info = qbg._build_qbg.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert build_qbg(3) is build_qbg(3, strict=False) is qbg._build_qbg(3, False)
+    assert qbg._build_qbg.cache_info().misses == 1
+
+    qbg._build_qbg.cache_clear()
+    run_suite(3)
+    info = qbg._build_qbg.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    for n in (2, 3):
+        assert build_qbg(n) is build_qbg(n, strict=False)
+    assert qbg._build_qbg.cache_info().misses == 2
 
 
 def test_named_edges_present():

@@ -7,12 +7,13 @@ package instead.
 """
 
 import importlib
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-from oddflag import Degree, cross_check, neighborhoods
+from oddflag import Degree, cross_check, neighborhoods, qbg, weyl
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,3 +52,36 @@ def test_cross_check_calls_gamma_bfs_once_per_cell(monkeypatch):
     monkeypatch.setattr(neighborhoods, "gamma_bfs", counted)
     report = cross_check(2, Degree(2, 2))
     assert report.ok and report.cells == 144 and len(calls) == 144
+
+
+def test_hot_call_gate_holds_after_build_qbg(monkeypatch):
+    # The tracer's gate: each hot wrapper's call count equals its cache's
+    # hits plus misses.  Install the real tracer (every attribute it
+    # replaces is restored afterwards), build a graph cold, and read the
+    # gate as a traced run would.
+    targets = TRACED.SPAN_FUNCTIONS + TRACED.HOT_FUNCTIONS
+    originals = {
+        id(getattr(importlib.import_module(f"oddflag.{m}"), f)) for m, f in targets
+    }
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "oddflag" or name.startswith("oddflag.")):
+            for attr, value in list(vars(module).items()):
+                if id(value) in originals:
+                    monkeypatch.setattr(module, attr, value)
+    caches = {f"weyl.{f}": getattr(weyl, f) for _m, f in TRACED.HOT_FUNCTIONS}
+    for fn in caches.values():
+        fn.cache_clear()
+    qbg._build_qbg.cache_clear()
+
+    tracer = TRACED.Tracer()
+    tracer.install()
+    g = qbg.build_qbg(3)
+    for v in g.vertices:
+        weyl.down_set(v)
+
+    summary = tracer.summary(caches)
+    assert TRACED.check_summary(summary) == []
+    for name, fn in caches.items():
+        info = fn.cache_info()
+        assert summary["hot"][name]["calls"] == info.hits + info.misses > 0
+    assert summary["counters"]["qbg.edges"] == len(g.edges)

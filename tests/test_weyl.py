@@ -26,7 +26,13 @@ from oddflag.weyl import (
     reflect,
     top_label,
 )
-from helpers import brute_cosets, closure_oracle, oracle_min_coset_member
+from helpers import (
+    brute_cosets,
+    closure_oracle,
+    doubled_word,
+    doubled_word_oracle,
+    oracle_min_coset_member,
+)
 
 
 def test_alphabet_order_and_rank():
@@ -216,6 +222,18 @@ def test_bruhat_matches_reflection_closure_oracle():
             assert bruhat_leq(u, v) == leq(reps[u], reps[v]), (u, v)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bruhat_matches_doubled_word_oracle(n):
+    # Every pair against the full sorted-prefix test on doubled words.
+    # The uncached body is swept, so the 4n^2 x 4n^2 pairs leave no
+    # entries in the shared cache.
+    labs = enumerate_labels(n)
+    leq = doubled_word_oracle(labs)
+    closed = bruhat_leq.__wrapped__
+    for u, v in itertools.product(labs, repeat=2):
+        assert closed(u, v) == leq(u, v), (u, v)
+
+
 def test_top_is_unique_maximum():
     for n in range(2, 7):
         top = top_label(n)
@@ -269,7 +287,7 @@ def test_signed_permutation_validation():
 def test_doubled_word_is_a_permutation():
     for n in (2, 3):
         for p in all_signed_permutations(n):
-            word = p.doubled_word()
+            word = doubled_word(p)
             assert sorted(word) == list(range(1, 2 * n + 3))
 
 
