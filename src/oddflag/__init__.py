@@ -16,7 +16,6 @@ from .weyl import (
     Root,
     SignedPermutation,
     EVEN_ONLY,
-    FIXED,
     bruhat_leq,
     covers,
     down_set,
@@ -64,7 +63,6 @@ __all__ = [
     "Degree",
     "DomainError",
     "EVEN_ONLY",
-    "FIXED",
     "FlagLabel",
     "MomentGraph",
     "QBGraph",

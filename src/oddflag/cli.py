@@ -25,6 +25,11 @@ from .weyl import enumerate_labels, length, parse_label
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
+# Largest rank --n and --n-max accept.  Rank n does about n**6 Bruhat work
+# (qbg --n 12 takes about 1 s), so a larger rank is refused up front
+# rather than left to run for an unbounded time.
+MAX_RANK = 16
+
 
 def _parse_degree(text: str) -> Degree:
     parts = text.split(",")
@@ -242,6 +247,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     n = args.n_max if args.command == "verify" else args.n
     if n < 2:
         sys.stderr.write(f"oddflag: rank must be at least 2, got {n}\n")
+        return USAGE_ERROR
+    if n > MAX_RANK:
+        sys.stderr.write(f"oddflag: rank must be at most {MAX_RANK}, got {n}\n")
         return USAGE_ERROR
     try:
         return args.func(args)

@@ -7,6 +7,13 @@ at most five elements.  ``is_distributive`` evaluates the distributive law
 over all triples and, independently, hunts for five-element sublattices
 shaped like the diamond M3 or the pentagon N5, and insists the two verdicts
 agree.
+
+Joins and meets are read off bitmasks.  With ``up[k]`` and ``down[k]`` the
+up-set and down-set of element k as ints, the upper bounds of a and b are
+``up[a] & up[b]``, and k is their least upper bound exactly when ``up[k]``
+equals that set (see ``_bound_tables``).  ``is_distributive`` builds these
+tables once and hands them to the lattice test, the triple law and the
+sublattice hunt.
 """
 
 from __future__ import annotations
@@ -156,46 +163,50 @@ def build_cn_lattice(w: FlagLabel) -> CNLattice:
     return CNLattice(w, tuple(elements), order, tuple(witnesses))
 
 
-def _bound_tables(order: OrderMatrix) -> tuple[list[list[int | None]], list[list[int | None]]]:
-    """Least-upper-bound and greatest-lower-bound tables, None where missing."""
+BoundTable = list[list[int | None]]
+
+
+def _bound_tables(order: OrderMatrix) -> tuple[BoundTable, BoundTable]:
+    """Least-upper-bound and greatest-lower-bound tables, None where missing.
+
+    Let ``up[k]`` and ``down[k]`` be the up-set and down-set of k as
+    bitmasks.  The upper bounds of a and b form the set U = up[a] & up[b].
+    An element k is their least upper bound iff up[k] == U.  If k is
+    least, every member of U lies above k, so U is inside up[k]; and k lies
+    in U, which is an up-set (an intersection of up-sets), so up[k] is
+    inside U.  Conversely up[k] == U puts k in U, below every member of U.
+    Antisymmetry makes k unique (up[k] == up[k'] gives k <= k' <= k), so
+    the join is ``by_up.get(U)`` and the meet is the same with down-sets.
+    """
     size = len(order)
-    join: list[list[int | None]] = [[None] * size for _ in range(size)]
-    meet: list[list[int | None]] = [[None] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(size):
-            ubs = [k for k in range(size) if order[a][k] and order[b][k]]
-            least = [k for k in ubs if all(order[k][m] for m in ubs)]
-            if len(least) == 1:
-                join[a][b] = least[0]
-            lbs = [k for k in range(size) if order[k][a] and order[k][b]]
-            greatest = [k for k in lbs if all(order[m][k] for m in lbs)]
-            if len(greatest) == 1:
-                meet[a][b] = greatest[0]
+    up = [sum(1 << k for k in range(size) if order[i][k]) for i in range(size)]
+    down = [sum(1 << k for k in range(size) if order[k][i]) for i in range(size)]
+    by_up = {mask: k for k, mask in enumerate(up)}
+    by_down = {mask: k for k, mask in enumerate(down)}
+    join = [[by_up.get(ua & ub) for ub in up] for ua in up]
+    meet = [[by_down.get(da & db) for db in down] for da in down]
     return join, meet
+
+
+def _complete(join: BoundTable, meet: BoundTable) -> bool:
+    return all(None not in row for row in join) and all(None not in row for row in meet)
 
 
 def is_lattice(lat: CNLattice | FinitePoset) -> bool:
     """Every pair has a unique least upper and greatest lower bound."""
-    join, meet = _bound_tables(lat.order)
-    return all(
-        join[a][b] is not None and meet[a][b] is not None
-        for a in range(len(lat.order))
-        for b in range(len(lat.order))
-    )
+    return _complete(*_bound_tables(lat.order))
 
 
-def _violates_triple_law(order: OrderMatrix) -> bool:
-    join, meet = _bound_tables(order)
-    size = len(order)
+def _violates_triple_law(join: BoundTable, meet: BoundTable) -> bool:
+    size = len(join)
     for a, b, c in itertools.product(range(size), repeat=3):
         if join[a][meet[b][c]] != meet[join[a][b]][join[a][c]]:  # type: ignore[index]
             return True
     return False
 
 
-def _sublattice_shapes(order: OrderMatrix) -> bool:
+def _sublattice_shapes(order: OrderMatrix, join: BoundTable, meet: BoundTable) -> bool:
     """True iff some 5-element subset closed under join/meet is M3 or N5."""
-    join, meet = _bound_tables(order)
     size = len(order)
     for sub in itertools.combinations(range(size), 5):
         inside = set(sub)
@@ -222,13 +233,15 @@ def _sublattice_shapes(order: OrderMatrix) -> bool:
 def is_distributive(lat: CNLattice | FinitePoset) -> bool:
     """Distributivity, decided twice: triple law and forbidden sublattices.
 
-    The two routes must agree; disagreement indicates a bug in one of
-    them, not a property of the input.
+    The join and meet tables are built once and serve the lattice test
+    and both routes.  The two routes must agree; disagreement indicates a
+    bug in one of them, not a property of the input.
     """
-    if not is_lattice(lat):
+    join, meet = _bound_tables(lat.order)
+    if not _complete(join, meet):
         raise DomainError("distributivity is only defined for lattices")
-    by_law = not _violates_triple_law(lat.order)
-    by_shape = not _sublattice_shapes(lat.order)
+    by_law = not _violates_triple_law(join, meet)
+    by_shape = not _sublattice_shapes(lat.order, join, meet)
     if by_law != by_shape:
         raise VerificationError(
             f"distributivity verdicts disagree: triple law {by_law}, "

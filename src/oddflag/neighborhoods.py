@@ -225,6 +225,11 @@ def gamma_bfs(
     return index.neighborhood(index.index[w], d.d1, d.d2)
 
 
+# The rank-independent letters the closed form names: 1, 2, -2 and -3.
+# gamma_bfs does not read them; the two routes share no helper.
+_ONE, _TWO, _BAR_TWO, _BAR_THREE = (bar_value(k) for k in (1, 2, -2, -3))
+
+
 def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
     """Closed-form curve neighborhood of X(w) in degree d.
 
@@ -245,7 +250,6 @@ def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
     """
     n = w.n
     a, b = w.a, w.b
-    one, two, btwo, bthree = bar_value(1), bar_value(2), bar_value(-2), bar_value(-3)
     reg = (min(d.d1, 1), min(d.d2, 2))
     if reg == (0, 0):
         return SchubertUnion((w,))
@@ -254,20 +258,20 @@ def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
             return SchubertUnion((w,))
         return SchubertUnion((FlagLabel(b, a, n),))
     if reg[0] == 0:  # (0, d2 >= 1)
-        if a == two:
+        if a == _TWO:
             return SchubertUnion(
-                (FlagLabel(two, bthree, n), FlagLabel(one, btwo, n))
+                (FlagLabel(_TWO, _BAR_THREE, n), FlagLabel(_ONE, _BAR_TWO, n))
             )
-        target = bthree if a == btwo else btwo
+        target = _BAR_THREE if a == _BAR_TWO else _BAR_TWO
         return SchubertUnion((FlagLabel(a, target, n),))
     if reg == (1, 1):
-        if {a, b} == {one, two}:
+        if {a, b} == {_ONE, _TWO}:
             return SchubertUnion(
-                (FlagLabel(bthree, two, n), FlagLabel(btwo, one, n))
+                (FlagLabel(_BAR_THREE, _TWO, n), FlagLabel(_BAR_TWO, _ONE, n))
             )
-        if btwo in (a, b):
+        if _BAR_TWO in (a, b):
             return SchubertUnion((top_label(n),))
-        return SchubertUnion((FlagLabel(btwo, max(a, b), n),))
+        return SchubertUnion((FlagLabel(_BAR_TWO, max(a, b), n),))
     return SchubertUnion((top_label(n),))  # (d1 >= 1, d2 >= 2)
 
 

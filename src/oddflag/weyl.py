@@ -37,14 +37,12 @@ __all__ = [
     "Root",
     "ReflectOutcome",
     "EVEN_ONLY",
-    "FIXED",
     "bar_value",
     "alphabet",
     "odd_letters",
     "label",
     "top_label",
     "parse_label",
-    "format_label",
     "enumerate_labels",
     "minimal_representative",
     "length",
@@ -178,11 +176,6 @@ def parse_label(text: str, n: int) -> FlagLabel:
     return label(a, b, n)
 
 
-def format_label(w: FlagLabel) -> str:
-    """Inverse of parse_label."""
-    return str(w)
-
-
 @dataclass(frozen=True)
 class SignedPermutation:
     """One-line notation on positions 1..n+1.
@@ -303,11 +296,9 @@ class ReflectOutcome(Enum):
     """Non-label results of reflecting a coset."""
 
     EVEN_ONLY = "even-only"
-    FIXED = "fixed"
 
 
 EVEN_ONLY = ReflectOutcome.EVEN_ONLY
-FIXED = ReflectOutcome.FIXED
 
 ReflectResult = Union[FlagLabel, ReflectOutcome]
 
@@ -329,9 +320,8 @@ def reflect(w: FlagLabel, root: Root) -> ReflectResult:
     """The coset of (minimal representative of w) times the reflection.
 
     Returns EVEN_ONLY when the resulting coset leaves the odd index set
-    (its label would contain -1) and FIXED when the coset is unchanged;
-    the latter cannot occur for roots outside the parabolic subsystem and
-    is kept for contract completeness.
+    (its label would contain -1).  The coset always changes: every root
+    outside the parabolic subsystem moves a letter of (a|b).
     """
     if _in_parabolic(root):
         raise DomainError(f"root {root} lies in the parabolic subsystem")
@@ -349,8 +339,7 @@ def reflect(w: FlagLabel, root: Root) -> ReflectResult:
         new = (h, b) if root.i == 1 else (a, h)
     if any(v.letter == 1 and v.barred for v in new):
         return EVEN_ONLY
-    out = FlagLabel(new[0], new[1], w.n)
-    return FIXED if out == w else out
+    return FlagLabel(new[0], new[1], w.n)
 
 
 @functools.lru_cache(maxsize=None)

@@ -195,6 +195,29 @@ def reference_gamma_bfs(w, d, graph=None):
     return maximal_union(spent.keys())
 
 
+def bound_tables_oracle(order):
+    """Join and meet tables of an order matrix by list scans, None where missing.
+
+    For every pair it lists the upper (lower) bounds and keeps those below
+    (above) all the others; a pair gets a join (meet) only when exactly one
+    such bound exists.
+    """
+    size = len(order)
+    join = [[None] * size for _ in range(size)]
+    meet = [[None] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(size):
+            ubs = [k for k in range(size) if order[a][k] and order[b][k]]
+            least = [k for k in ubs if all(order[k][m] for m in ubs)]
+            if len(least) == 1:
+                join[a][b] = least[0]
+            lbs = [k for k in range(size) if order[k][a] and order[k][b]]
+            greatest = [k for k in lbs if all(order[m][k] for m in lbs)]
+            if len(greatest) == 1:
+                meet[a][b] = greatest[0]
+    return join, meet
+
+
 def reference_qbg_oracle():
     """The rank-2 quantum Bruhat graph rebuilt from the shipped references.
 

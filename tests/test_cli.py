@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from oddflag.cli import main
+from oddflag.cli import MAX_RANK, main
+from oddflag.weyl import enumerate_labels
 
 
 def run(capsys, *args):
@@ -167,3 +168,21 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert err == f"oddflag: cannot write {target}: No such file or directory\n"
     code, _, err = run(capsys, "moment-graph", "--n", "2", "--out", str(tmp_path))
     assert code == 2 and err.startswith(f"oddflag: cannot write {tmp_path}:")
+
+
+@pytest.mark.parametrize("rank", [MAX_RANK + 1, 10**9])
+@pytest.mark.parametrize("command", ["enumerate", "qbg", "verify"])
+def test_rank_above_the_ceiling_fails_before_any_work(capsys, command, rank):
+    before = enumerate_labels.cache_info()
+    flag = "--n-max" if command == "verify" else "--n"
+    code, out, err = run(capsys, command, flag, str(rank))
+    assert code == 2 and out == ""
+    assert err == f"oddflag: rank must be at most {MAX_RANK}, got {rank}\n"
+    assert enumerate_labels.cache_info() == before
+
+
+def test_ceiling_admits_the_documented_ranks(capsys):
+    # The README times qbg --n 12 and the benchmark builds rank 12.
+    assert MAX_RANK >= 12
+    code, out, _ = run(capsys, "enumerate", "--n", str(MAX_RANK))
+    assert code == 0 and len(out.splitlines()) == 4 * MAX_RANK**2

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from oddflag.errors import DomainError
+from oddflag.errors import DomainError, VerificationError
+from oddflag import lattice
 from oddflag.lattice import (
     REPRESENTATIVE_DEGREES,
     build_cn_lattice,
@@ -22,6 +23,7 @@ from oddflag.moment import Degree
 from oddflag.neighborhoods import SchubertUnion, degree_grid, gamma_closed_form, union_leq
 from oddflag.verify import load_golden
 from oddflag.weyl import enumerate_labels, label, top_label
+from helpers import bound_tables_oracle
 
 
 def test_build_examples():
@@ -63,6 +65,26 @@ def test_witnesses_are_minimal_producers():
                 assert not any(d != witness and d <= witness for d in producers)
 
 
+def _closures(size):
+    """Every poset on range(size) that is the closure of some pairs i < j."""
+    pairs = list(itertools.combinations(range(size), 2))
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        yield poset_from_covers(size, [p for p, c in zip(pairs, chosen) if c])
+
+
+def test_bound_tables_match_the_list_scan_oracle():
+    posets = [p for size in range(1, 6) for p in _closures(size)]
+    assert len(posets) == 1 + 2 + 2**3 + 2**6 + 2**10
+    posets += [m3_poset(), n5_poset()]
+    posets += [build_cn_lattice(w) for n in (2, 3, 4) for w in enumerate_labels(n)]
+    incomplete = 0
+    for p in posets:
+        join, meet = lattice._bound_tables(p.order)
+        assert (join, meet) == bound_tables_oracle(p.order)
+        incomplete += not is_lattice(p)
+    assert incomplete > 0  # the sweep includes non-lattices, so None entries
+
+
 def test_is_lattice_on_chains_and_all_bases():
     for size in (1, 2, 3, 4):
         chain = poset_from_covers(size, [(i, i + 1) for i in range(size - 1)])
@@ -96,6 +118,41 @@ def test_forbidden_sublattice_inside_a_larger_lattice():
     )
     assert is_lattice(p)
     assert not is_distributive(p)
+
+
+def test_each_route_decides_on_its_own():
+    # is_distributive insists the routes agree, so check each one alone.
+    pentagon_plus_atom = poset_from_covers(
+        6, [(5, 0), (0, 2), (2, 3), (3, 4), (0, 1), (1, 4)]
+    )
+    bad = [m3_poset(), n5_poset(), pentagon_plus_atom]
+    good = [build_cn_lattice(w) for n in (2, 3) for w in enumerate_labels(n)]
+    for p in bad + good:
+        join, meet = lattice._bound_tables(p.order)
+        expected = p in bad
+        assert lattice._violates_triple_law(join, meet) is expected
+        assert lattice._sublattice_shapes(p.order, join, meet) is expected
+
+
+@pytest.mark.parametrize("route", ["_violates_triple_law", "_sublattice_shapes"])
+def test_is_distributive_consults_both_routes(monkeypatch, route):
+    monkeypatch.setattr(lattice, route, lambda *tables: True)
+    with pytest.raises(VerificationError):
+        is_distributive(build_cn_lattice(label(1, 2, 2)))
+
+
+def test_is_distributive_builds_the_tables_once(monkeypatch):
+    calls = []
+    build = lattice._bound_tables
+
+    def counted(order):
+        calls.append(order)
+        return build(order)
+
+    monkeypatch.setattr(lattice, "_bound_tables", counted)
+    for p in (build_cn_lattice(label(1, 2, 2)), m3_poset(), n5_poset()):
+        is_distributive(p)
+    assert len(calls) == 3
 
 
 def test_classify_shape_examples():
