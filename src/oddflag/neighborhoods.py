@@ -6,19 +6,35 @@ maxima of everything reached.  ``gamma_closed_form`` evaluates the closed
 expressions directly.  ``cross_check`` asserts the two agree cell by cell;
 they are deliberately kept independent of each other and share no helper.
 
-The search works on integers.  Each moment graph gets, on first use, an
-index that numbers the labels by their position in ``g.vertices`` and
-holds the Bruhat lower and upper sets as bitmasks and the edges as
-``(j, d1, d2)`` tuples.  A search from one base records, per label, the
-Pareto front of minimal degree spends within its budget; every smaller
-degree is read off that front (see ``gamma_bfs`` for why this is exact),
-so ``cross_check`` runs one search per base for its whole degree grid.
+The search works on integers, labels numbered by their position in
+``g.vertices`` and sets held as bitmasks.  Every moment edge has a nonzero
+degree class c, one of (1,0), (0,1), (1,1), (1,2).  Write R[d] for the
+labels reached from w within budget d, and N_c(S) for the labels joined to
+some label of S by a class-c edge.  Then
+
+    R[d] = below[w]  |  OR over classes c <= d of  N_c(R[d - c]).
+
+Proof, by induction on walk length: a walk of no edges ends in below[w];
+a longer walk within d ends in one edge of some class c, and the walk
+before that edge fits in d - c.  Conversely every label on the right ends
+a walk within d.  Each d - c precedes d in (d1, d2) order, so the grid of
+R fills in that order.
+
+Huge degrees need no full grid.  Let m be the componentwise largest class
+((1,2)) and write min for the componentwise minimum.  Window lemma: if
+R[e] = R[min(e, k)] for every e <= min(d, k + m), then R[d] = R[min(d, k)].
+Proof, by induction on e <= d: for e outside the window put
+e' = min(e, k + m).  In each coordinate where e and e' differ, e exceeds
+k + m >= k + c, so c <= e iff c <= e', and e - c, e' - c both lie at or
+above k there, hence min(e - c, k) = min(e' - c, k).  The recursion and
+the induction hypothesis give R[e] = R[e'], and R[e'] = R[min(e', k)] =
+R[min(e, k)] by the window.  So ``_SearchIndex.reached`` tests the first
+window, k = min(d, m), and widens k to min(d, k + m) while the test fails.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -87,18 +103,16 @@ def union_leq(lhs: SchubertUnion, rhs: SchubertUnion) -> bool:
     return all(any(bruhat_leq(u, v) for v in rhs) for u in lhs)
 
 
-# Minimal degree spend -> bitmask of the labels whose Pareto front holds it.
-_Front = dict[tuple[int, int], int]
-
-
 class _SearchIndex:
     """Integer view of one moment graph, built once for the search.
 
     Labels are numbered by their position in ``g.vertices``.  ``below[i]``
     and ``above[i]`` are the Bruhat lower and upper sets of label i as
-    bitmasks (both include i), ``adj[i]`` lists ``(j, d1, d2)`` for every
-    edge i -- j of degree (d1, d2), and ``memo`` is ``(base, b1, b2,
-    front)`` for the last base searched.
+    bitmasks (both include i).  ``steps`` pairs each degree class (c1, c2)
+    of the graph's edges with its neighbour masks: bit j of ``masks[i]``
+    is set iff some edge i -- j has that class.  ``reach`` is the
+    componentwise largest class, (1, 2) for every moment graph.  No
+    attribute changes after ``__init__``, so threads may share the index.
     """
 
     def __init__(self, g: MomentGraph) -> None:
@@ -114,65 +128,50 @@ class _SearchIndex:
                 if weyl.bruhat_leq(labels[i], v):
                     self.below[j] |= 1 << i
                     self.above[i] |= 1 << j
-        self.adj = [
-            tuple({(self.index[x], deg.d1, deg.d2) for x, deg, _root in g.neighbors[v]})
-            for v in labels
-        ]
-        self.memo: tuple[int, int, int, _Front] | None = None
+        steps: dict[tuple[int, int], list[int]] = {}
+        for e in g.edges:
+            masks = steps.setdefault(e.degree.key, [0] * len(labels))
+            i, j = self.index[e.u], self.index[e.v]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        self.steps = tuple(sorted(steps.items()))
+        classes = [c for c, _masks in self.steps]
+        self.reach = (max(c1 for c1, _ in classes), max(c2 for _, c2 in classes))
 
-    def front(self, w: int, b1: int, b2: int) -> _Front:
-        """The front of base w within a budget that covers (b1, b2).
+    def reached(self, w: int, d1: int, d2: int) -> int:
+        """Bitmask of the labels reached from base w within (d1, d2).
 
-        Served from ``memo`` when it holds w at a budget that covers
-        (b1, b2); otherwise searched again at the join of both budgets.
+        Fills R on the window below min(d, k + m), with m = ``reach`` and
+        k = min(d, m) at first, and stops once R[e] = R[min(e, k)] on the
+        whole window; otherwise k widens to min(d, k + m).  At k = d the
+        test holds trivially, so the loop ends.  See the module docstring
+        for the recursion and for why the test is exact.
         """
-        memo = self.memo
-        if memo is not None and memo[0] == w:
-            if b1 <= memo[1] and b2 <= memo[2]:
-                return memo[3]
-            b1, b2 = max(b1, memo[1]), max(b2, memo[2])
-        front = self._search(w, b1, b2)
-        self.memo = (w, b1, b2, front)
-        return front
+        m1, m2 = self.reach
+        k1, k2 = min(d1, m1), min(d2, m2)
+        grid: dict[tuple[int, int], int] = {}
+        while True:
+            t1, t2 = min(d1, k1 + m1), min(d2, k2 + m2)
+            for e1 in range(t1 + 1):
+                for e2 in range(t2 + 1):
+                    if (e1, e2) not in grid:
+                        grid[e1, e2] = self._cell(grid, w, e1, e2)
+            if all(r == grid[min(e1, k1), min(e2, k2)] for (e1, e2), r in grid.items()):
+                return grid[k1, k2]
+            k1, k2 = t1, t2
 
-    def _search(self, w: int, b1: int, b2: int) -> _Front:
-        """The minimal spends of every label reachable within (b1, b2).
-
-        Spends are two-dimensional, so a state (label, spend) is dropped
-        only when the label already holds a componentwise-smaller spend,
-        and a queued state is skipped once a smaller spend has replaced it.
-        """
-        fronts: list[list[tuple[int, int]]] = [[] for _ in self.labels]
-        queue: deque[tuple[int, int, int]] = deque()
-        for u in _bits(self.below[w]):
-            fronts[u].append((0, 0))
-            queue.append((u, 0, 0))
-        while queue:
-            v, s1, s2 = queue.popleft()
-            if (s1, s2) not in fronts[v]:
-                continue
-            for x, e1, e2 in self.adj[v]:
-                t1, t2 = s1 + e1, s2 + e2
-                if t1 > b1 or t2 > b2:
-                    continue
-                pareto = fronts[x]
-                if any(o1 <= t1 and o2 <= t2 for o1, o2 in pareto):
-                    continue
-                pareto[:] = [(o1, o2) for o1, o2 in pareto if not (t1 <= o1 and t2 <= o2)]
-                pareto.append((t1, t2))
-                queue.append((x, t1, t2))
-        front: _Front = {}
-        for x, pareto in enumerate(fronts):
-            for spend in pareto:
-                front[spend] = front.get(spend, 0) | 1 << x
-        return front
+    def _cell(self, grid: dict[tuple[int, int], int], w: int, e1: int, e2: int) -> int:
+        """R[e] from the cells e - c of every class c <= e, already in grid."""
+        reached = self.below[w]
+        for (c1, c2), masks in self.steps:
+            if c1 <= e1 and c2 <= e2:
+                for x in _bits(grid[e1 - c1, e2 - c2]):
+                    reached |= masks[x]
+        return reached
 
     def neighborhood(self, w: int, d1: int, d2: int) -> SchubertUnion:
         """Bruhat maxima of the labels reached from base w within (d1, d2)."""
-        reached = 0
-        for (s1, s2), mask in self.front(w, d1, d2).items():
-            if s1 <= d1 and s2 <= d2:
-                reached |= mask
+        reached = self.reached(w, d1, d2)
         return SchubertUnion(
             tuple(
                 self.labels[x]
@@ -194,7 +193,8 @@ def _search_index(g: MomentGraph) -> _SearchIndex:
     """The search index of ``g``, built on first use and kept on the graph.
 
     ``MomentGraph`` is a frozen dataclass, so the index goes straight into
-    the instance dict, as ``functools.cached_property`` does.
+    the instance dict, as ``functools.cached_property`` does.  Two threads
+    may both build it; either copy is complete and never changes.
     """
     index = g.__dict__.get("_search_index")
     if index is None:
@@ -209,18 +209,14 @@ def gamma_bfs(
 
     Walks the moment graph from the lower set of w, spending edge degrees
     against the budget d componentwise, and returns the Bruhat maxima of
-    every label reached.
-
-    The walk is run once per base, at some budget b >= d, and keeps for
-    every label x the Pareto front of its minimal spends within b.  Reading
-    d off that front is exact: x is reached within d iff some walk to x
-    spends s <= d, and such an s is within b, so it lies above a minimal
-    spend s' <= s <= d in the front; conversely every front spend is the
-    spend of a walk.  The graph's index keeps the last base's front, so a
-    call searches again only for a new base or for a d beyond the kept
-    budget, and then at the join of d and that budget.
+    every label reached.  The reached set comes from the degree-graded
+    recursion of the module docstring, filled afresh on each call in
+    (d1, d2) order up to the first window that passes the stability test;
+    nothing is kept between calls.
     """
     g = build_moment_graph(w.n) if graph is None else graph
+    if g.n != w.n:
+        raise DomainError(f"rank mismatch: label of rank {w.n}, graph of rank {g.n}")
     index = _search_index(g)
     return index.neighborhood(index.index[w], d.d1, d.d2)
 
@@ -311,17 +307,13 @@ class CrossCheckReport:
 def cross_check(n: int, dmax: Degree) -> CrossCheckReport:
     """Compare gamma_bfs with gamma_closed_form everywhere below dmax.
 
-    Before a base's cells, its search runs once at the budget dmax.  The
-    gamma_bfs call of each cell then reads the answer off that front,
-    which is exact for every d <= dmax (see gamma_bfs), so the whole grid
-    of a base costs one search.
+    Each cell is one gamma_bfs call, made through the module attribute,
+    and one closed-form evaluation; the two share no helper.
     """
     g = build_moment_graph(n)
-    index = _search_index(g)
     mismatches = []
     cells = 0
     for w in g.vertices:
-        index.front(index.index[w], dmax.d1, dmax.d2)
         for d in degree_grid(dmax):
             cells += 1
             found = gamma_bfs(w, d, g)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from oddflag.cli import MAX_RANK, main
-from oddflag.weyl import enumerate_labels
+from oddflag.weyl import enumerate_labels, top_label
 
 
 def run(capsys, *args):
@@ -53,6 +53,15 @@ def test_nbhd_oracle_json(capsys):
     payload = json.loads(out)
     assert payload["components"] == ["1|-2", "2|-3"]
     assert payload["oracle"] == payload["components"]
+
+
+def test_nbhd_oracle_at_a_huge_degree(capsys):
+    # The search stops at its first window however large the degree is,
+    # and agrees with the closed form on the top cell.
+    code, out, _ = run(
+        capsys, "nbhd", "--n", "3", "--w", "2|1", "--d", "1000000,1000000", "--oracle"
+    )
+    assert code == 0 and out.strip() == str(top_label(3))
 
 
 def test_nbhd_bad_inputs(capsys):

@@ -8,7 +8,7 @@ import pytest
 from helpers import reference_gamma_bfs
 from oddflag import neighborhoods
 from oddflag.errors import DomainError
-from oddflag.moment import Degree, build_moment_graph
+from oddflag.moment import Degree, MomentEdge, MomentGraph, build_moment_graph
 from oddflag.neighborhoods import (
     SchubertUnion,
     cross_check,
@@ -213,84 +213,108 @@ def test_outputs_are_antichains_everywhere():
                 gamma_bfs(w, d)
 
 
-GRID_33 = degree_grid(Degree(3, 3))
+# The (3,5) grid, plus huge degrees that only the window cut-off can reach.
+ORACLE_DEGREES = degree_grid(Degree(3, 5)) + (
+    Degree(10**6, 10**6),
+    Degree(0, 10**6),
+    Degree(10**6, 1),
+)
 
 
 @functools.lru_cache(maxsize=None)
 def _reference_cells(n):
     g = build_moment_graph(n)
-    return {(w, d): reference_gamma_bfs(w, d, g) for w in g.vertices for d in GRID_33}
+    return {
+        (w, d): reference_gamma_bfs(w, d, g) for w in g.vertices for d in ORACLE_DEGREES
+    }
 
 
-@pytest.fixture
-def searches(monkeypatch):
-    """Counts the searches gamma_bfs runs, as opposed to memo reads."""
-    count = [0]
-    search = neighborhoods._SearchIndex._search
-
-    def counted(self, *args):
-        count[0] += 1
-        return search(self, *args)
-
-    monkeypatch.setattr(neighborhoods._SearchIndex, "_search", counted)
-    return count
+def _fresh_graph(n):
+    """An equal copy of the rank-n graph whose search index is not built yet."""
+    g = build_moment_graph(n)
+    return MomentGraph(g.n, g.vertices, g.edges)
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_search_matches_reference_cold(n, searches):
-    g = build_moment_graph(n)
+def test_search_matches_reference_cold_and_after_cross_check(n):
     want = _reference_cells(n)
-    neighborhoods._search_index(g).memo = None
-    # Consecutive calls change base, so each one searches at its own d.
-    for d in GRID_33:
-        for w in g.vertices:
-            assert gamma_bfs(w, d, g) == want[w, d], (w, d)
-    assert searches[0] == len(want)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_search_matches_reference_after_priming(n, searches):
+    cold = _fresh_graph(n)
+    for w, d in want:
+        assert gamma_bfs(w, d, cold) == want[w, d], (w, d)
+    assert cross_check(n, Degree(3, 5)).ok
     g = build_moment_graph(n)
-    want = _reference_cells(n)
-    assert cross_check(n, Degree(3, 3)).ok
-    primed = searches[0]
-    assert primed == len(g.vertices)
-    last = g.vertices[-1]
-    for d in GRID_33:
-        assert gamma_bfs(last, d, g) == want[last, d], (last, d)
-    assert searches[0] == primed
-    for w in g.vertices:
-        gamma_bfs(w, Degree(3, 3), g)
-        for d in GRID_33:
-            assert gamma_bfs(w, d, g) == want[w, d], (w, d)
-    assert searches[0] == primed + len(g.vertices)
+    for w, d in want:
+        assert gamma_bfs(w, d, g) == want[w, d], (w, d)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_search_matches_reference_beyond_primed_budget(n, searches):
-    g = build_moment_graph(n)
-    want = _reference_cells(n)
-    for w in g.vertices:
-        before = searches[0]
-        assert gamma_bfs(w, Degree(1, 1), g) == want[w, Degree(1, 1)]
-        assert gamma_bfs(w, Degree(3, 1), g) == want[w, Degree(3, 1)]
-        assert gamma_bfs(w, Degree(1, 3), g) == want[w, Degree(1, 3)]
-        # (1,1), then the joins (3,1) and (3,3); the rest is read off.
-        assert searches[0] == before + 3
-        for d in GRID_33:
-            assert gamma_bfs(w, d, g) == want[w, d], (w, d)
-        assert searches[0] == before + 3
+def test_rank_mismatch_is_a_domain_error():
+    with pytest.raises(DomainError, match="rank mismatch"):
+        gamma_bfs(label(1, 2, 3), Degree(1, 1), build_moment_graph(2))
 
 
-def test_threads_sharing_the_kept_front_get_every_cell_right():
-    g = build_moment_graph(2)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_reached_sets_are_stable_beyond_degree_one_two(n, monkeypatch):
+    # The finite certificate: on every base, R[e] = R[min(e, (1,2))] for
+    # every e <= (2,4), the first window of the cut-off at k = (1,2).  By
+    # the window lemma (module docstring) R[d] = R[min(d, (1,2))] then
+    # holds at every degree d, which extends
+    # test_regime_stability_via_search to all degrees for these ranks.
+    index = neighborhoods._search_index(build_moment_graph(n))
+    for w in range(len(index.labels)):
+        for e in degree_grid(Degree(2, 4)):
+            stable = index.reached(w, min(e.d1, 1), min(e.d2, 2))
+            assert index.reached(w, e.d1, e.d2) == stable, (index.labels[w], e)
+    # So the cut-off stops at its first window, the 3 x 5 cells below (2,4).
+    filled = []
+    fill = neighborhoods._SearchIndex._cell
+
+    def counted(self, grid, w, e1, e2):
+        filled.append((e1, e2))
+        return fill(self, grid, w, e1, e2)
+
+    monkeypatch.setattr(neighborhoods._SearchIndex, "_cell", counted)
+    for w in range(len(index.labels)):
+        filled.clear()
+        index.reached(w, 10**6, 10**6)
+        assert filled == [d.key for d in degree_grid(Degree(2, 4))]
+
+
+def test_window_widens_while_the_reached_sets_grow():
+    # On the moment graphs the first window always passes, so the widening
+    # branch needs a graph built for it: every other rank-3 label joined in
+    # one path whose edge classes cycle, so the reached sets keep growing
+    # for many windows.  The path's edges are stored in alternating
+    # orientation, so a search that walks edges one way only stops early.
+    g = build_moment_graph(3)
+    path = g.vertices[::2]
+    classes = (Degree(1, 0), Degree(0, 1), Degree(1, 2), Degree(1, 1))
+    root = g.edges[0].root
+    edges = tuple(
+        MomentEdge(*((u, v) if k % 2 else (v, u)), classes[k % len(classes)], root)
+        for k, (u, v) in enumerate(zip(path, path[1:]))
+    )
+    chain = MomentGraph(3, g.vertices, edges)
+    degrees = degree_grid(Degree(3, 5)) + (
+        Degree(10**6, 10**6),
+        Degree(1, 10**6),
+        Degree(10**6, 2),
+        Degree(7, 10**6),
+    )
+    for w in path[:4]:
+        for d in degrees:
+            assert gamma_bfs(w, d, chain) == reference_gamma_bfs(w, d, chain), (w, d)
+
+
+def test_threads_sharing_a_lazily_built_index_get_every_cell_right():
+    g = _fresh_graph(2)
     want = _reference_cells(2)
     cells = list(want)
     wrong = []
 
     def worker(k):
-        # Each thread walks the cells from its own offset, so the threads
-        # keep replacing one another's front.
+        # The graph starts without its search index, so the first calls
+        # race to build it; each thread walks the cells from its own
+        # offset while the others read the index.
         for w, d in (cells[k:] + cells[:k]) * 3:
             if gamma_bfs(w, d, g) != want[w, d]:
                 wrong.append((w, d))
