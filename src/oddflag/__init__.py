@@ -14,20 +14,17 @@ from .weyl import (
     BarValue,
     FlagLabel,
     Root,
-    SignedPermutation,
-    EVEN_ONLY,
     bruhat_leq,
     covers,
     down_set,
     enumerate_labels,
     label,
     length,
-    minimal_representative,
     parse_label,
     reflect,
     top_label,
 )
-from .moment import Degree, MomentGraph, build_moment_graph, chain_degree, degree_of_root
+from .moment import Degree, MomentGraph, build_moment_graph, degree_of_root
 from .neighborhoods import (
     SchubertUnion,
     cross_check,
@@ -62,19 +59,16 @@ __all__ = [
     "ChernData",
     "Degree",
     "DomainError",
-    "EVEN_ONLY",
     "FlagLabel",
     "MomentGraph",
     "QBGraph",
     "Root",
     "SchubertUnion",
-    "SignedPermutation",
     "VerificationError",
     "bruhat_leq",
     "build_cn_lattice",
     "build_moment_graph",
     "build_qbg",
-    "chain_degree",
     "chern_data",
     "classify_shape",
     "covers",
@@ -90,7 +84,6 @@ __all__ = [
     "is_strongly_connected",
     "label",
     "length",
-    "minimal_representative",
     "moment_discrepancies",
     "parse_label",
     "property_o_verdict",

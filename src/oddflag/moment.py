@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .errors import DomainError
 from .weyl import (
     FlagLabel,
-    ReflectOutcome,
     Root,
     enumerate_labels,
     moment_roots,
@@ -28,7 +27,6 @@ __all__ = [
     "MomentGraph",
     "degree_of_root",
     "build_moment_graph",
-    "chain_degree",
     "to_dot",
     "to_json_dict",
     "EDGE_COLORS",
@@ -144,28 +142,12 @@ def build_moment_graph(n: int) -> MomentGraph:
     for w in vertices:
         for root in moment_roots(n):
             r = reflect(w, root)
-            if isinstance(r, ReflectOutcome):
+            if r is None:
                 continue
             if index[w] < index[r]:
                 edges.append(MomentEdge(w, r, degree_of_root(root), root))
     edges.sort(key=lambda e: (index[e.u], index[e.v], e.degree.key, str(e.root)))
     return MomentGraph(n, vertices, tuple(edges))
-
-
-def chain_degree(roots: Sequence[Root] | Iterable[Root]) -> Degree:
-    """Total degree of a chain, from the class counts of its edge roots."""
-    c10 = c01 = c11 = c12 = 0
-    for root in roots:
-        d = degree_of_root(root)
-        if d == Degree(1, 0):
-            c10 += 1
-        elif d == Degree(0, 1):
-            c01 += 1
-        elif d == Degree(1, 1):
-            c11 += 1
-        else:
-            c12 += 1
-    return Degree(c10 + c11 + c12, c01 + c11 + 2 * c12)
 
 
 def to_dot(g: MomentGraph, degree: Degree | None = None) -> str:

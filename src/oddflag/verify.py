@@ -192,8 +192,17 @@ def _check_lattices(n: int) -> CheckResult:
 
 
 def _edge_key_set(g) -> set[tuple[str, str, tuple[int, int] | None]]:
+    """Each quantum-graph edge as (u, v, degree key or None if classical)."""
     return {
         (str(e.u), str(e.v), e.degree.key if e.degree else None) for e in g.edges
+    }
+
+
+def _golden_edge_keys() -> set[tuple[str, str, tuple[int, int] | None]]:
+    """The rank-2 reference figure's edges, keyed like ``_edge_key_set``."""
+    return {
+        (e["u"], e["v"], tuple(e["deg"]) if "deg" in e else None)
+        for e in load_golden("qbg_n2.json")["edges"]
     }
 
 
@@ -202,11 +211,7 @@ def _check_qbg(n: int, strict: bool) -> list[CheckResult]:
     g = build_qbg(n, strict=strict)
     name = "qbg-strict" if strict else "qbg"
     if n == 2:
-        gold = load_golden("qbg_n2.json")
-        want = {
-            (e["u"], e["v"], tuple(e["deg"]) if "deg" in e else None)
-            for e in gold["edges"]
-        }
+        want = _golden_edge_keys()
         got = _edge_key_set(g)
         extra, missing = got - want, want - got
         if strict:

@@ -1,4 +1,4 @@
-"""Signed-permutation combinatorics for the odd symplectic flag family.
+"""Schubert labels (a|b) of the odd symplectic flag family.
 
 The hyperoctahedral group of rank n+1 (Weyl group of type C) permutes the
 alphabet
@@ -7,14 +7,18 @@ alphabet
 
 where ``-k`` is the barred letter k.  Cosets of the parabolic subgroup that
 fixes the first two positions are identified by the first two one-line
-values, written ``(a|b)``; the trailing positions always hold the unused
-letters, unbarred, in increasing order.  The Schubert cells of the odd
-symplectic partial flag manifold IF(1,2;C^(2n+1)) are indexed by the
-"odd" labels: those in which the letter -1 never appears.
+values, written ``(a|b)``; the trailing positions of the minimal
+representative always hold the unused letters, unbarred, in increasing
+order.  The Schubert cells of the odd symplectic partial flag manifold
+IF(1,2;C^(2n+1)) are indexed by the "odd" labels: those in which the
+letter -1 never appears.
 
-Bruhat order on labels has a closed form in the alphabet ranks of a and b
-alone (see ``bruhat_leq``): only the first one and the first two values
-of the minimal representatives are ever compared.
+This module knows only the labels and their alphabet ranks.  Length
+(``length``), the reflection of a label by a moment root (``reflect``) and
+Bruhat order (``bruhat_leq``) are closed forms in the two letters of
+(a|b); each docstring derives its formula from the group.  The group
+itself, signed permutations with their root counts and reflections, lives
+only in the test oracles that check these formulas.
 
 Everything in this module is an immutable value; all operations are pure
 functions and safe to share across threads.
@@ -23,20 +27,15 @@ functions and safe to share across threads.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterator, Literal, Union
+from typing import Literal
 
 from .errors import DomainError
 
 __all__ = [
     "BarValue",
     "FlagLabel",
-    "SignedPermutation",
     "Root",
-    "ReflectOutcome",
-    "EVEN_ONLY",
     "bar_value",
     "alphabet",
     "odd_letters",
@@ -44,15 +43,12 @@ __all__ = [
     "top_label",
     "parse_label",
     "enumerate_labels",
-    "minimal_representative",
     "length",
     "reflect",
     "bruhat_leq",
     "down_set",
     "covers",
     "moment_roots",
-    "all_positive_roots",
-    "all_signed_permutations",
 ]
 
 
@@ -176,65 +172,6 @@ def parse_label(text: str, n: int) -> FlagLabel:
     return label(a, b, n)
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    """One-line notation on positions 1..n+1.
-
-    Only the window is stored; the bar symmetry w(-i) = -w(i) is implied.
-    The underlying letters must be a permutation of 1..n+1.
-    """
-
-    values: tuple[BarValue, ...]
-
-    def __post_init__(self) -> None:
-        letters = sorted(v.letter for v in self.values)
-        if letters != list(range(1, len(self.values) + 1)):
-            raise DomainError(f"values {self.values} are not a signed permutation")
-
-    @property
-    def n(self) -> int:
-        return len(self.values) - 1
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(v) for v in self.values) + ")"
-
-    def coxeter_length(self) -> int:
-        """Number of positive roots sent to negative roots.
-
-        With r(i) the alphabet rank of the i-th value, a root t_i - t_j
-        (i < j) goes negative iff r(i) > r(j); a root t_i + t_j iff
-        r(i) + r(j) > 2n+3; a root 2t_i iff the i-th value is barred.
-        """
-        n = self.n
-        ranks = [v.rank(n) for v in self.values]
-        mid = 2 * n + 3
-        inv = 0
-        big = 0
-        for i, j in itertools.combinations(range(n + 1), 2):
-            if ranks[i] > ranks[j]:
-                inv += 1
-            if ranks[i] + ranks[j] > mid:
-                big += 1
-        return inv + big + sum(v.barred for v in self.values)
-
-    def apply_reflection(self, root: Root) -> SignedPermutation:
-        """Right multiplication by the reflection of ``root``."""
-        vals = list(self.values)
-        i = root.i - 1
-        if root.kind == "long":
-            vals[i] = vals[i].bar()
-        else:
-            j = root.j - 1  # type: ignore[operator]
-            if root.kind == "diff":
-                vals[i], vals[j] = vals[j], vals[i]
-            else:
-                vals[i], vals[j] = vals[j].bar(), vals[i].bar()
-        return SignedPermutation(tuple(vals))
-
-    def first_two(self) -> tuple[BarValue, BarValue]:
-        return self.values[0], self.values[1]
-
-
 RootKind = Literal["diff", "sum", "long"]
 
 
@@ -276,54 +213,55 @@ def moment_roots(n: int) -> tuple[Root, ...]:
     return tuple(roots)
 
 
-def all_positive_roots(n: int) -> tuple[Root, ...]:
-    """All (n+1)^2 positive roots of the rank-(n+1) type C system."""
-    _check_rank(n)
-    roots: list[Root] = []
-    for i in range(1, n + 2):
-        roots.append(Root("long", i))
-        for j in range(i + 1, n + 2):
-            roots.append(Root("diff", i, j))
-            roots.append(Root("sum", i, j))
-    return tuple(roots)
+def _unused_inversions(x: BarValue, other: BarValue, n: int) -> int:
+    """Count of t_x - t_u, t_x + t_u (u unused) and 2t_x sent negative."""
+    k, k2 = x.letter, other.letter
+    if x.barred:
+        return 2 * n + 1 - k - (k2 > k)
+    return k - 1 - (k2 < k)
 
 
-def _in_parabolic(root: Root) -> bool:
-    return root.i > 2
-
-
-class ReflectOutcome(Enum):
-    """Non-label results of reflecting a coset."""
-
-    EVEN_ONLY = "even-only"
-
-
-EVEN_ONLY = ReflectOutcome.EVEN_ONLY
-
-ReflectResult = Union[FlagLabel, ReflectOutcome]
-
-
-def minimal_representative(w: FlagLabel) -> SignedPermutation:
-    """The shortest coset member: a, b, then the rest unbarred increasing."""
-    used = {w.a.letter, w.b.letter}
-    trailing = tuple(BarValue(k) for k in range(1, w.n + 2) if k not in used)
-    return SignedPermutation((w.a, w.b) + trailing)
-
-
-@functools.lru_cache(maxsize=None)
 def length(w: FlagLabel) -> int:
-    """Coxeter length of the minimal coset representative."""
-    return minimal_representative(w).coxeter_length()
+    """Coxeter length of the minimal coset representative, in closed form.
+
+    The minimal representative is (a, b, u_1, ..., u_(n-1)) with the
+    unused letters u unbarred and increasing, so r(u_i) = u_i <= n+1.
+    Its length counts the positive roots it sends negative: t_i - t_j
+    (i < j) iff r_i > r_j, t_i + t_j iff r_i + r_j > 2n+3, and 2t_i iff
+    the i-th value is barred.  The unused letters alone contribute
+    nothing: they ascend, no two ranks sum past 2n+1, and none is barred.
+    The pair (a, b) contributes [r(a) > r(b)] + [r(a) + r(b) > 2n+3].
+    A value x with letter k, the other value having letter k', meets each
+    unused letter u once:
+
+    * x unbarred, r(x) = k: t_x - t_u counts for the k - 1 - [k' < k]
+      unused letters below k; t_x + t_u never does (k + u <= 2n+2).
+    * x barred, r(x) = 2n+3-k > n+1: t_x - t_u counts for all n - 1 unused
+      letters, t_x + t_u for the n + 1 - k - [k' > k] unused letters
+      above k, and 2t_x once; together 2n + 1 - k - [k' > k].
+
+    The tests check this against the root count itself.
+    """
+    n = w.n
+    ra, rb = w.a.rank(n), w.b.rank(n)
+    return (
+        _unused_inversions(w.a, w.b, n)
+        + _unused_inversions(w.b, w.a, n)
+        + (ra > rb)
+        + (ra + rb > 2 * n + 3)
+    )
 
 
-def reflect(w: FlagLabel, root: Root) -> ReflectResult:
+def reflect(w: FlagLabel, root: Root) -> FlagLabel | None:
     """The coset of (minimal representative of w) times the reflection.
 
-    Returns EVEN_ONLY when the resulting coset leaves the odd index set
-    (its label would contain -1).  The coset always changes: every root
-    outside the parabolic subsystem moves a letter of (a|b).
+    Returns None when the resulting coset leaves the odd index set (its
+    label would contain -1).  The coset always changes: every root
+    outside the parabolic subsystem moves a letter of (a|b).  A root with
+    j >= 3 brings in the j-th value of the minimal representative, the
+    (j-2)-th unused letter, barred for t_i + t_j.
     """
-    if _in_parabolic(root):
+    if root.i > 2:
         raise DomainError(f"root {root} lies in the parabolic subsystem")
     if root.j is not None and root.j > w.n + 1:
         raise DomainError(f"root {root} exceeds rank {w.n}")
@@ -333,12 +271,11 @@ def reflect(w: FlagLabel, root: Root) -> ReflectResult:
     elif root.j == 2:  # i == 1
         new = (b, a) if root.kind == "diff" else (b.bar(), a.bar())
     else:
-        h = minimal_representative(w).values[root.j - 1]  # type: ignore[operator]
-        if root.kind == "sum":
-            h = h.bar()
+        unused = [k for k in range(1, w.n + 2) if k != a.letter and k != b.letter]
+        h = BarValue(unused[root.j - 3], root.kind == "sum")  # type: ignore[operator]
         new = (h, b) if root.i == 1 else (a, h)
     if any(v.letter == 1 and v.barred for v in new):
-        return EVEN_ONLY
+        return None
     return FlagLabel(new[0], new[1], w.n)
 
 
@@ -399,13 +336,3 @@ def covers(v: FlagLabel) -> tuple[FlagLabel, ...]:
     return tuple(
         u for u in enumerate_labels(v.n) if length(u) == lv - 1 and bruhat_leq(u, v)
     )
-
-
-def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
-    """The full hyperoctahedral group of rank n+1, 2^(n+1) (n+1)! elements."""
-    _check_rank(n)
-    for perm in itertools.permutations(range(1, n + 2)):
-        for bars in itertools.product((False, True), repeat=n + 1):
-            yield SignedPermutation(
-                tuple(BarValue(k, m) for k, m in zip(perm, bars))
-            )

@@ -2,6 +2,9 @@
 
 Everything here recomputes structures from first principles, independently
 of the package's production code paths, so that agreement is meaningful.
+The hyperoctahedral group (``SignedPermutation`` and its enumerators)
+lives only here: the package computes length, reflection and Bruhat
+order in closed form on the labels (a|b), and these oracles check them.
 """
 
 from __future__ import annotations
@@ -9,16 +12,99 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from collections import defaultdict, deque
+from dataclasses import dataclass
+from typing import Iterator
 
+from oddflag.errors import DomainError
 from oddflag.moment import Degree, build_moment_graph
 from oddflag.neighborhoods import maximal_union
-from oddflag.weyl import (
-    SignedPermutation,
-    all_positive_roots,
-    all_signed_permutations,
-    down_set,
-    minimal_representative,
-)
+from oddflag.weyl import BarValue, FlagLabel, Root, down_set
+
+
+@dataclass(frozen=True)
+class SignedPermutation:
+    """One-line notation on positions 1..n+1.
+
+    Only the window is stored; the bar symmetry w(-i) = -w(i) is implied.
+    The underlying letters must be a permutation of 1..n+1.
+    """
+
+    values: tuple[BarValue, ...]
+
+    def __post_init__(self) -> None:
+        letters = sorted(v.letter for v in self.values)
+        if letters != list(range(1, len(self.values) + 1)):
+            raise DomainError(f"values {self.values} are not a signed permutation")
+
+    @property
+    def n(self) -> int:
+        return len(self.values) - 1
+
+    def __str__(self) -> str:
+        return "(" + ",".join(str(v) for v in self.values) + ")"
+
+    def coxeter_length(self) -> int:
+        """Number of positive roots sent to negative roots.
+
+        With r(i) the alphabet rank of the i-th value, a root t_i - t_j
+        (i < j) goes negative iff r(i) > r(j); a root t_i + t_j iff
+        r(i) + r(j) > 2n+3; a root 2t_i iff the i-th value is barred.
+        """
+        n = self.n
+        ranks = [v.rank(n) for v in self.values]
+        mid = 2 * n + 3
+        inv = 0
+        big = 0
+        for i, j in itertools.combinations(range(n + 1), 2):
+            if ranks[i] > ranks[j]:
+                inv += 1
+            if ranks[i] + ranks[j] > mid:
+                big += 1
+        return inv + big + sum(v.barred for v in self.values)
+
+    def apply_reflection(self, root: Root) -> SignedPermutation:
+        """Right multiplication by the reflection of ``root``."""
+        vals = list(self.values)
+        i = root.i - 1
+        if root.kind == "long":
+            vals[i] = vals[i].bar()
+        else:
+            j = root.j - 1  # type: ignore[operator]
+            if root.kind == "diff":
+                vals[i], vals[j] = vals[j], vals[i]
+            else:
+                vals[i], vals[j] = vals[j].bar(), vals[i].bar()
+        return SignedPermutation(tuple(vals))
+
+    def first_two(self) -> tuple[BarValue, BarValue]:
+        return self.values[0], self.values[1]
+
+
+def minimal_representative(w: FlagLabel) -> SignedPermutation:
+    """The shortest coset member: a, b, then the rest unbarred increasing."""
+    used = {w.a.letter, w.b.letter}
+    trailing = tuple(BarValue(k) for k in range(1, w.n + 2) if k not in used)
+    return SignedPermutation((w.a, w.b) + trailing)
+
+
+def all_positive_roots(n: int) -> tuple[Root, ...]:
+    """All (n+1)^2 positive roots of the rank-(n+1) type C system."""
+    roots: list[Root] = []
+    for i in range(1, n + 2):
+        roots.append(Root("long", i))
+        for j in range(i + 1, n + 2):
+            roots.append(Root("diff", i, j))
+            roots.append(Root("sum", i, j))
+    return tuple(roots)
+
+
+def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
+    """The full hyperoctahedral group of rank n+1, 2^(n+1) (n+1)! elements."""
+    for perm in itertools.permutations(range(1, n + 2)):
+        for bars in itertools.product((False, True), repeat=n + 1):
+            yield SignedPermutation(
+                tuple(BarValue(k, m) for k, m in zip(perm, bars))
+            )
 
 
 def closure_oracle(n):
@@ -112,7 +198,7 @@ def even_moment_edges(n):
     the new coset off the first two values.  Returns frozensets
     {(a, b), (a', b')} paired with the root, without any odd filtering.
     """
-    from oddflag.weyl import BarValue, alphabet, moment_roots
+    from oddflag.weyl import alphabet, moment_roots
 
     edges = set()
     letters = alphabet(n)

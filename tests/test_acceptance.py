@@ -21,16 +21,9 @@ from oddflag.moment import Degree, build_moment_graph
 from oddflag.neighborhoods import cross_check, gamma_closed_form
 from oddflag.lattice import build_cn_lattice, classify_shape, figure_shape_predicate, is_distributive, is_lattice
 from oddflag.qbg import build_qbg, chern_data, moment_discrepancies, property_o_verdict
-from oddflag.verify import load_golden, run_suite
-from oddflag.weyl import (
-    bruhat_leq,
-    enumerate_labels,
-    length,
-    minimal_representative,
-    parse_label,
-    top_label,
-)
-from helpers import closure_oracle, reference_qbg_oracle
+from oddflag.verify import _edge_key_set, _golden_edge_keys, load_golden, run_suite
+from oddflag.weyl import bruhat_leq, enumerate_labels, length, parse_label, top_label
+from helpers import closure_oracle, minimal_representative, reference_qbg_oracle
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -107,13 +100,8 @@ def test_criterion_5_qbg_matches_reference_figure():
     figure; the repository cannot tell whether the printed figure omits
     the edge or the paper's rule differs, so that one edge is named here.
     """
-    gold = load_golden("qbg_n2.json")
-    want = {
-        (e["u"], e["v"], tuple(e["deg"]) if "deg" in e else None)
-        for e in gold["edges"]
-    }
-    g = build_qbg(2)
-    got = {(str(e.u), str(e.v), e.degree.key if e.degree else None) for e in g.edges}
+    want = _golden_edge_keys()
+    got = _edge_key_set(build_qbg(2))
     oracle = reference_qbg_oracle()
     named_present = ("1|2", "-2|1", (1, 1)) in got and ("1|2", "1|-3", (0, 1)) in got
     missing, extra = sorted(want - got), sorted(got - want)
@@ -138,15 +126,8 @@ def test_criterion_5_qbg_matches_reference_figure():
 
 
 def test_criterion_5_strict_mode_negative_control():
-    gold = load_golden("qbg_n2.json")
-    want = {
-        (e["u"], e["v"], tuple(e["deg"]) if "deg" in e else None)
-        for e in gold["edges"]
-    }
-    got = {
-        (str(e.u), str(e.v), e.degree.key if e.degree else None)
-        for e in build_qbg(2, strict=True).edges
-    }
+    want = _golden_edge_keys()
+    got = _edge_key_set(build_qbg(2, strict=True))
     ok = got != want
     report(5, ok, "strict-component mode fails the reference golden, as required")
     assert ok

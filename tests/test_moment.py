@@ -1,4 +1,3 @@
-import itertools
 import json
 from collections import Counter
 
@@ -8,7 +7,6 @@ from oddflag.errors import DomainError
 from oddflag.moment import (
     Degree,
     build_moment_graph,
-    chain_degree,
     degree_of_root,
     to_dot,
     to_json_dict,
@@ -112,20 +110,6 @@ def test_edges_come_from_their_roots():
                 and degree_of_root(other) == e.degree
                 for other in moment_roots(n)
             )
-
-
-def test_chain_degree_examples():
-    assert chain_degree([]) == Degree(0, 0)
-    assert chain_degree([Root("diff", 1, 2), Root("long", 2)]) == Degree(1, 1)
-    assert chain_degree([Root("sum", 1, 2)]) == Degree(1, 2)
-
-
-def test_chain_degree_matches_edge_sum_and_is_additive():
-    roots = moment_roots(3)
-    for r1, r2 in itertools.product(roots, repeat=2):
-        total = chain_degree([r1, r2])
-        assert total == degree_of_root(r1) + degree_of_root(r2)
-        assert total == chain_degree([r1]) + chain_degree([r2])
 
 
 def test_restricting_even_graph_gives_odd_graph():

@@ -20,21 +20,15 @@ from oddflag.qbg import (
     to_json_dict,
     witness_cycles,
 )
-from oddflag.verify import KNOWN_EXTRA_QBG_EDGE, load_golden, run_suite
+from oddflag.verify import (
+    KNOWN_EXTRA_QBG_EDGE,
+    _edge_key_set,
+    _golden_edge_keys,
+    load_golden,
+    run_suite,
+)
 from oddflag.weyl import covers, enumerate_labels, label, length
 from helpers import reference_qbg_oracle, simple_cycle_lengths
-
-
-def edge_keys(g):
-    return {(str(e.u), str(e.v), e.degree.key if e.degree else None) for e in g.edges}
-
-
-def golden_keys():
-    gold = load_golden("qbg_n2.json")
-    return {
-        (e["u"], e["v"], tuple(e["deg"]) if "deg" in e else None)
-        for e in gold["edges"]
-    }
 
 
 def test_chern_data_examples():
@@ -93,8 +87,8 @@ def test_named_edges_present():
     g = build_qbg(2)
     assert g.has_edge(label(1, 2, 2), label(-2, 1, 2))
     assert g.has_edge(label(1, 2, 2), label(1, -3, 2))
-    assert (str(label(1, 2, 2)), str(label(-2, 1, 2)), (1, 1)) in edge_keys(g)
-    assert (str(label(1, 2, 2)), str(label(1, -3, 2)), (0, 1)) in edge_keys(g)
+    assert (str(label(1, 2, 2)), str(label(-2, 1, 2)), (1, 1)) in _edge_key_set(g)
+    assert (str(label(1, 2, 2)), str(label(1, -3, 2)), (0, 1)) in _edge_key_set(g)
 
 
 def test_quantum_pair_without_moment_edge():
@@ -104,8 +98,8 @@ def test_quantum_pair_without_moment_edge():
 
 
 def test_graph_is_reference_figure_plus_one_edge():
-    got = edge_keys(build_qbg(2))
-    want = golden_keys()
+    got = _edge_key_set(build_qbg(2))
+    want = _golden_edge_keys()
     assert want <= got
     assert got - want == {KNOWN_EXTRA_QBG_EDGE}
     # the flagged edge is the one the references force, derived independently
@@ -113,8 +107,8 @@ def test_graph_is_reference_figure_plus_one_edge():
 
 
 def test_strict_mode_differs_from_reference_figure():
-    got = edge_keys(build_qbg(2, strict=True))
-    want = golden_keys()
+    got = _edge_key_set(build_qbg(2, strict=True))
+    want = _golden_edge_keys()
     assert got != want
     assert want - got == {("1|2", "1|-3", (0, 1))}
     assert got - want == {KNOWN_EXTRA_QBG_EDGE}
