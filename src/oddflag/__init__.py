@@ -11,7 +11,6 @@ oracles.
 
 from .errors import DomainError, VerificationError
 from .weyl import (
-    BarValue,
     FlagLabel,
     Root,
     bruhat_leq,
@@ -54,7 +53,6 @@ from .verify import run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarValue",
     "CNLattice",
     "ChernData",
     "Degree",

@@ -25,7 +25,7 @@ from typing import Sequence
 from .errors import DomainError, VerificationError
 from .moment import Degree
 from .neighborhoods import SchubertUnion, gamma_closed_form, union_leq
-from .weyl import FlagLabel, bar_value, top_label
+from .weyl import FlagLabel, letter_rank, top_label
 
 __all__ = [
     "REPRESENTATIVE_DEGREES",
@@ -257,21 +257,22 @@ def figure_shape_predicate(w: FlagLabel) -> str:
     trivial; a = -2 or (a|b) = (-3|-2) give a 2-chain; a = -3 a 3-chain
     through the (0,1) value; b = -2 a 3-chain through the (1,0) value;
     b = -3 a diamond; the remaining labels give a 4-chain when a > b and
-    a diamond plus a new top when a < b.
+    a diamond plus a new top when a < b, in the alphabet order.
     """
     a, b = w.a, w.b
-    btwo, bthree = bar_value(-2), bar_value(-3)
     if w == top_label(w.n):
         return "trivial"
-    if a == btwo or (a, b) == (bthree, btwo):
+    if a == -2 or (a, b) == (-3, -2):
         return "2-chain"
-    if a == bthree:
+    if a == -3:
         return "3-chain-via-(0,1)"
-    if b == btwo:
+    if b == -2:
         return "3-chain-via-(1,0)"
-    if b == bthree:
+    if b == -3:
         return "diamond"
-    return "4-chain" if a > b else "diamond-plus-top"
+    if letter_rank(a, w.n) > letter_rank(b, w.n):
+        return "4-chain"
+    return "diamond-plus-top"
 
 
 def _structural_shape(lat: CNLattice) -> str:

@@ -67,8 +67,6 @@ class Degree:
         return f"({self.d1},{self.d2})"
 
 
-ZERO = Degree(0, 0)
-
 # Edge style used by every DOT export, one color per degree class.
 EDGE_COLORS: Mapping[Degree, str] = {
     Degree(1, 0): "green",

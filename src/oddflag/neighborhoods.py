@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 from . import weyl
 from .errors import DomainError
 from .moment import Degree, MomentGraph, build_moment_graph
-from .weyl import FlagLabel, bar_value, bruhat_leq, top_label
+from .weyl import FlagLabel, bruhat_leq, letter_rank, top_label
 
 __all__ = [
     "SchubertUnion",
@@ -221,11 +221,6 @@ def gamma_bfs(
     return index.neighborhood(index.index[w], d.d1, d.d2)
 
 
-# The rank-independent letters the closed form names: 1, 2, -2 and -3.
-# gamma_bfs does not read them; the two routes share no helper.
-_ONE, _TWO, _BAR_TWO, _BAR_THREE = (bar_value(k) for k in (1, 2, -2, -3))
-
-
 def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
     """Closed-form curve neighborhood of X(w) in degree d.
 
@@ -243,6 +238,8 @@ def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
     * (d1>=1, 1): X(-3|2) u X(-2|1) for the two bottom labels (1|2) and
       (2|1); the top when -2 is among {a,b}; X(-2|max(a,b)) otherwise.
     * (d1>=1, d2>=2): the top.
+
+    Here > and max are the alphabet order, read through ``letter_rank``.
     """
     n = w.n
     a, b = w.a, w.b
@@ -250,24 +247,20 @@ def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
     if reg == (0, 0):
         return SchubertUnion((w,))
     if reg == (1, 0):
-        if a > b:
+        if letter_rank(a, n) > letter_rank(b, n):
             return SchubertUnion((w,))
         return SchubertUnion((FlagLabel(b, a, n),))
     if reg[0] == 0:  # (0, d2 >= 1)
-        if a == _TWO:
-            return SchubertUnion(
-                (FlagLabel(_TWO, _BAR_THREE, n), FlagLabel(_ONE, _BAR_TWO, n))
-            )
-        target = _BAR_THREE if a == _BAR_TWO else _BAR_TWO
-        return SchubertUnion((FlagLabel(a, target, n),))
+        if a == 2:
+            return SchubertUnion((FlagLabel(2, -3, n), FlagLabel(1, -2, n)))
+        return SchubertUnion((FlagLabel(a, -3 if a == -2 else -2, n),))
     if reg == (1, 1):
-        if {a, b} == {_ONE, _TWO}:
-            return SchubertUnion(
-                (FlagLabel(_BAR_THREE, _TWO, n), FlagLabel(_BAR_TWO, _ONE, n))
-            )
-        if _BAR_TWO in (a, b):
+        if {a, b} == {1, 2}:
+            return SchubertUnion((FlagLabel(-3, 2, n), FlagLabel(-2, 1, n)))
+        if -2 in (a, b):
             return SchubertUnion((top_label(n),))
-        return SchubertUnion((FlagLabel(_BAR_TWO, max(a, b), n),))
+        later = max(a, b, key=lambda k: letter_rank(k, n))
+        return SchubertUnion((FlagLabel(-2, later, n),))
     return SchubertUnion((top_label(n),))  # (d1 >= 1, d2 >= 2)
 
 

@@ -18,14 +18,7 @@ from .lattice import build_cn_lattice, classify_shape, is_distributive, is_latti
 from .moment import Degree, build_moment_graph, degree_of_root
 from .neighborhoods import cross_check, degree_grid, gamma_closed_form
 from .qbg import build_qbg, chern_data, moment_discrepancies, property_o_verdict
-from .weyl import (
-    bar_value,
-    enumerate_labels,
-    length,
-    moment_roots,
-    parse_label,
-    top_label,
-)
+from .weyl import enumerate_labels, length, moment_roots, parse_label, top_label
 from .errors import VerificationError
 
 __all__ = ["CheckResult", "run_suite", "suite_passed", "to_json_dict", "load_golden"]
@@ -124,14 +117,13 @@ def _check_second_component(n: int) -> CheckResult:
     is the reference-table form of the (0, d2 >= 1) regime; the true
     value carries the extra component X(1|-2) exactly when a = 2.
     """
-    two, btwo, bthree = bar_value(2), bar_value(-2), bar_value(-3)
     offending = []
     for w in enumerate_labels(n):
-        sweep = (w.a, bthree if w.a in (two, btwo) else btwo)
+        sweep = (w.a, -3 if w.a in (2, -2) else -2)
         got = gamma_closed_form(w, Degree(0, 1)).components
         extra = [c for c in got if (c.a, c.b) != sweep]
-        if w.a == two:
-            if [(c.a, c.b) for c in extra] != [(bar_value(1), btwo)]:
+        if w.a == 2:
+            if [(c.a, c.b) for c in extra] != [(1, -2)]:
                 return CheckResult(
                     "closed-form-second-component",
                     n,

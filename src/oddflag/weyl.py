@@ -13,12 +13,17 @@ order.  The Schubert cells of the odd symplectic partial flag manifold
 IF(1,2;C^(2n+1)) are indexed by the "odd" labels: those in which the
 letter -1 never appears.
 
-This module knows only the labels and their alphabet ranks.  Length
-(``length``), the reflection of a label by a moment root (``reflect``) and
-Bruhat order (``bruhat_leq``) are closed forms in the two letters of
-(a|b); each docstring derives its formula from the group.  The group
-itself, signed permutations with their root counts and reflections, lives
-only in the test oracles that check these formulas.
+A letter is a signed int, negative meaning barred, and a label is two of
+them plus the rank.  Letters compare in alphabet order through their rank
+``letter_rank``, never with ``<`` or ``max``: as ints 2 < -3 is False,
+yet 2 comes before -3 in the alphabet.
+
+This module knows only the labels and the alphabet ranks of their
+letters.  Length (``length``), the reflection of a label by a moment root
+(``reflect``) and Bruhat order (``bruhat_leq``) are closed forms in the
+two letters of (a|b); each docstring derives its formula from the group.
+The group itself, signed permutations with their root counts and
+reflections, lives only in the test oracles that check these formulas.
 
 Everything in this module is an immutable value; all operations are pure
 functions and safe to share across threads.
@@ -33,10 +38,9 @@ from typing import Literal
 from .errors import DomainError
 
 __all__ = [
-    "BarValue",
     "FlagLabel",
     "Root",
-    "bar_value",
+    "letter_rank",
     "alphabet",
     "odd_letters",
     "label",
@@ -52,66 +56,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=False)
-class BarValue:
-    """A letter of the alphabet, optionally barred.
+def letter_rank(k: int, n: int) -> int:
+    """Position of the signed letter k in the alphabet of rank n, from 1.
 
-    The total order is 1 < ... < n+1 < -(n+1) < ... < -1 and does not
-    depend on the rank, so values of different ranks compare consistently.
+    The alphabet order of letters is the order of these ranks.
     """
-
-    letter: int
-    barred: bool = False
-
-    def __post_init__(self) -> None:
-        if self.letter < 1:
-            raise DomainError(f"letter must be a positive integer, got {self.letter}")
-
-    def bar(self) -> BarValue:
-        """The bar involution: k <-> -k."""
-        return BarValue(self.letter, not self.barred)
-
-    def rank(self, n: int) -> int:
-        """Position in the alphabet of rank n, counted from 1."""
-        return 2 * n + 3 - self.letter if self.barred else self.letter
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (1, -self.letter) if self.barred else (0, self.letter)
-
-    def __lt__(self, other: BarValue) -> bool:
-        return self.sort_key < other.sort_key
-
-    def __le__(self, other: BarValue) -> bool:
-        return self.sort_key <= other.sort_key
-
-    def __gt__(self, other: BarValue) -> bool:
-        return other < self
-
-    def __ge__(self, other: BarValue) -> bool:
-        return other <= self
-
-    def __str__(self) -> str:
-        return f"-{self.letter}" if self.barred else str(self.letter)
+    return k if k > 0 else 2 * n + 3 + k
 
 
-def bar_value(k: int) -> BarValue:
-    """Build a BarValue from a signed integer; negative means barred."""
-    if k == 0:
-        raise DomainError("letters are nonzero")
-    return BarValue(abs(k), k < 0)
-
-
-def alphabet(n: int) -> tuple[BarValue, ...]:
+def alphabet(n: int) -> tuple[int, ...]:
     """All 2n+2 letters of rank n in increasing order."""
     _check_rank(n)
-    up = [BarValue(k) for k in range(1, n + 2)]
-    return tuple(up + [v.bar() for v in reversed(up)])
+    return tuple(range(1, n + 2)) + tuple(range(-n - 1, 0))
 
 
-def odd_letters(n: int) -> tuple[BarValue, ...]:
+def odd_letters(n: int) -> tuple[int, ...]:
     """The alphabet with -1 removed (letters allowed in odd labels)."""
-    return tuple(v for v in alphabet(n) if not (v.letter == 1 and v.barred))
+    return alphabet(n)[:-1]
 
 
 def _check_rank(n: int) -> None:
@@ -123,23 +84,24 @@ def _check_rank(n: int) -> None:
 class FlagLabel:
     """A coset label (a|b) of rank n, with the odd restriction.
 
-    Invariants: the letters of a and b are distinct, both lie in 1..n+1,
-    and neither value is -1.
+    a and b are signed letters, negative meaning barred.  Invariants: the
+    unsigned letters |a| and |b| are distinct, both lie in 1..n+1, and
+    neither value is -1.
     """
 
-    a: BarValue
-    b: BarValue
+    a: int
+    b: int
     n: int
 
     def __post_init__(self) -> None:
         _check_rank(self.n)
-        for v in (self.a, self.b):
-            if not 1 <= v.letter <= self.n + 1:
-                raise DomainError(f"letter {v} out of range for rank {self.n}")
-            if v.letter == 1 and v.barred:
+        for k in (self.a, self.b):
+            if not 1 <= abs(k) <= self.n + 1:
+                raise DomainError(f"letter {k} out of range for rank {self.n}")
+            if k == -1:
                 raise DomainError("odd labels may not contain -1")
-        if self.a.letter == self.b.letter:
-            raise DomainError(f"positions share the letter {self.a.letter}")
+        if abs(self.a) == abs(self.b):
+            raise DomainError(f"positions share the letter {abs(self.a)}")
 
     def __str__(self) -> str:
         return f"{self.a}|{self.b}"
@@ -147,12 +109,13 @@ class FlagLabel:
     @property
     def sort_key(self) -> tuple[int, int, int]:
         """Canonical enumeration key: (length, rank of a, rank of b)."""
-        return (length(self), self.a.rank(self.n), self.b.rank(self.n))
+        n = self.n
+        return (length(self), letter_rank(self.a, n), letter_rank(self.b, n))
 
 
 def label(a: int, b: int, n: int) -> FlagLabel:
     """Build a label from signed integers, e.g. label(-2, 1, n)."""
-    return FlagLabel(bar_value(a), bar_value(b), n)
+    return FlagLabel(a, b, n)
 
 
 def top_label(n: int) -> FlagLabel:
@@ -213,10 +176,10 @@ def moment_roots(n: int) -> tuple[Root, ...]:
     return tuple(roots)
 
 
-def _unused_inversions(x: BarValue, other: BarValue, n: int) -> int:
+def _unused_inversions(x: int, other: int, n: int) -> int:
     """Count of t_x - t_u, t_x + t_u (u unused) and 2t_x sent negative."""
-    k, k2 = x.letter, other.letter
-    if x.barred:
+    k, k2 = abs(x), abs(other)
+    if x < 0:
         return 2 * n + 1 - k - (k2 > k)
     return k - 1 - (k2 < k)
 
@@ -231,8 +194,8 @@ def length(w: FlagLabel) -> int:
     the i-th value is barred.  The unused letters alone contribute
     nothing: they ascend, no two ranks sum past 2n+1, and none is barred.
     The pair (a, b) contributes [r(a) > r(b)] + [r(a) + r(b) > 2n+3].
-    A value x with letter k, the other value having letter k', meets each
-    unused letter u once:
+    A value x with letter k = |x|, the other value having letter k', meets
+    each unused letter u once:
 
     * x unbarred, r(x) = k: t_x - t_u counts for the k - 1 - [k' < k]
       unused letters below k; t_x + t_u never does (k + u <= 2n+2).
@@ -243,7 +206,7 @@ def length(w: FlagLabel) -> int:
     The tests check this against the root count itself.
     """
     n = w.n
-    ra, rb = w.a.rank(n), w.b.rank(n)
+    ra, rb = letter_rank(w.a, n), letter_rank(w.b, n)
     return (
         _unused_inversions(w.a, w.b, n)
         + _unused_inversions(w.b, w.a, n)
@@ -267,14 +230,16 @@ def reflect(w: FlagLabel, root: Root) -> FlagLabel | None:
         raise DomainError(f"root {root} exceeds rank {w.n}")
     a, b = w.a, w.b
     if root.kind == "long":
-        new = (a.bar(), b) if root.i == 1 else (a, b.bar())
+        new = (-a, b) if root.i == 1 else (a, -b)
     elif root.j == 2:  # i == 1
-        new = (b, a) if root.kind == "diff" else (b.bar(), a.bar())
+        new = (b, a) if root.kind == "diff" else (-b, -a)
     else:
-        unused = [k for k in range(1, w.n + 2) if k != a.letter and k != b.letter]
-        h = BarValue(unused[root.j - 3], root.kind == "sum")  # type: ignore[operator]
+        unused = [k for k in range(1, w.n + 2) if k != abs(a) and k != abs(b)]
+        h = unused[root.j - 3]  # type: ignore[operator]
+        if root.kind == "sum":
+            h = -h
         new = (h, b) if root.i == 1 else (a, h)
-    if any(v.letter == 1 and v.barred for v in new):
+    if -1 in new:
         return None
     return FlagLabel(new[0], new[1], w.n)
 
@@ -283,7 +248,7 @@ def reflect(w: FlagLabel, root: Root) -> FlagLabel | None:
 def bruhat_leq(u: FlagLabel, v: FlagLabel) -> bool:
     """Bruhat order on labels, in closed form.
 
-    With r the alphabet rank (``BarValue.rank``),
+    With r the alphabet rank (``letter_rank``),
 
         u <= v  iff  r(a_u) <= r(a_v),
                      min(r(a_u), r(b_u)) <= min(r(a_v), r(b_v)) and
@@ -305,8 +270,8 @@ def bruhat_leq(u: FlagLabel, v: FlagLabel) -> bool:
     if u.n != v.n:
         raise DomainError(f"rank mismatch: {u.n} vs {v.n}")
     n = u.n
-    au, bu = u.a.rank(n), u.b.rank(n)
-    av, bv = v.a.rank(n), v.b.rank(n)
+    au, bu = letter_rank(u.a, n), letter_rank(u.b, n)
+    av, bv = letter_rank(v.a, n), letter_rank(v.b, n)
     return au <= av and min(au, bu) <= min(av, bv) and max(au, bu) <= max(av, bv)
 
 
@@ -318,7 +283,7 @@ def enumerate_labels(n: int) -> tuple[FlagLabel, ...]:
         FlagLabel(a, b, n)
         for a in odd_letters(n)
         for b in odd_letters(n)
-        if a.letter != b.letter
+        if abs(a) != abs(b)
     ]
     return tuple(sorted(out, key=lambda w: w.sort_key))
 

@@ -5,6 +5,8 @@ of the package's production code paths, so that agreement is meaningful.
 The hyperoctahedral group (``SignedPermutation`` and its enumerators)
 lives only here: the package computes length, reflection and Bruhat
 order in closed form on the labels (a|b), and these oracles check them.
+Letters are signed ints as in the package, negative meaning barred; they
+are compared in alphabet order through ``letter_rank``, never with ``<``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterator
 from oddflag.errors import DomainError
 from oddflag.moment import Degree, build_moment_graph
 from oddflag.neighborhoods import maximal_union
-from oddflag.weyl import BarValue, FlagLabel, Root, down_set
+from oddflag.weyl import FlagLabel, Root, down_set, letter_rank
 
 
 @dataclass(frozen=True)
@@ -29,10 +31,10 @@ class SignedPermutation:
     The underlying letters must be a permutation of 1..n+1.
     """
 
-    values: tuple[BarValue, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        letters = sorted(v.letter for v in self.values)
+        letters = sorted(abs(v) for v in self.values)
         if letters != list(range(1, len(self.values) + 1)):
             raise DomainError(f"values {self.values} are not a signed permutation")
 
@@ -51,7 +53,7 @@ class SignedPermutation:
         r(i) + r(j) > 2n+3; a root 2t_i iff the i-th value is barred.
         """
         n = self.n
-        ranks = [v.rank(n) for v in self.values]
+        ranks = [letter_rank(v, n) for v in self.values]
         mid = 2 * n + 3
         inv = 0
         big = 0
@@ -60,30 +62,30 @@ class SignedPermutation:
                 inv += 1
             if ranks[i] + ranks[j] > mid:
                 big += 1
-        return inv + big + sum(v.barred for v in self.values)
+        return inv + big + sum(v < 0 for v in self.values)
 
     def apply_reflection(self, root: Root) -> SignedPermutation:
         """Right multiplication by the reflection of ``root``."""
         vals = list(self.values)
         i = root.i - 1
         if root.kind == "long":
-            vals[i] = vals[i].bar()
+            vals[i] = -vals[i]
         else:
             j = root.j - 1  # type: ignore[operator]
             if root.kind == "diff":
                 vals[i], vals[j] = vals[j], vals[i]
             else:
-                vals[i], vals[j] = vals[j].bar(), vals[i].bar()
+                vals[i], vals[j] = -vals[j], -vals[i]
         return SignedPermutation(tuple(vals))
 
-    def first_two(self) -> tuple[BarValue, BarValue]:
+    def first_two(self) -> tuple[int, int]:
         return self.values[0], self.values[1]
 
 
 def minimal_representative(w: FlagLabel) -> SignedPermutation:
     """The shortest coset member: a, b, then the rest unbarred increasing."""
-    used = {w.a.letter, w.b.letter}
-    trailing = tuple(BarValue(k) for k in range(1, w.n + 2) if k not in used)
+    used = {abs(w.a), abs(w.b)}
+    trailing = tuple(k for k in range(1, w.n + 2) if k not in used)
     return SignedPermutation((w.a, w.b) + trailing)
 
 
@@ -103,7 +105,7 @@ def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
     for perm in itertools.permutations(range(1, n + 2)):
         for bars in itertools.product((False, True), repeat=n + 1):
             yield SignedPermutation(
-                tuple(BarValue(k, m) for k, m in zip(perm, bars))
+                tuple(-k if m else k for k, m in zip(perm, bars))
             )
 
 
@@ -151,7 +153,7 @@ def doubled_word(p):
     2n+3 - r in reverse order.
     """
     n = p.n
-    ranks = [v.rank(n) for v in p.values]
+    ranks = [letter_rank(v, n) for v in p.values]
     return tuple(ranks + [2 * n + 3 - r for r in reversed(ranks)])
 
 
@@ -204,12 +206,10 @@ def even_moment_edges(n):
     letters = alphabet(n)
     for a in letters:
         for b in letters:
-            if a.letter == b.letter:
+            if abs(a) == abs(b):
                 continue
-            used = {a.letter, b.letter}
-            trailing = tuple(
-                BarValue(k) for k in range(1, n + 2) if k not in used
-            )
+            used = {abs(a), abs(b)}
+            trailing = tuple(k for k in range(1, n + 2) if k not in used)
             rep = SignedPermutation((a, b) + trailing)
             for root in moment_roots(n):
                 product = rep.apply_reflection(root)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -195,3 +196,72 @@ def test_ceiling_admits_the_documented_ranks(capsys):
     assert MAX_RANK >= 12
     code, out, _ = run(capsys, "enumerate", "--n", str(MAX_RANK))
     assert code == 0 and len(out.splitlines()) == 4 * MAX_RANK**2
+
+
+# sha256 of stdout for fixed flags, recorded before letters became signed
+# ints.  The bases cover every letter type in both columns, so a comparison
+# of letters in integer order instead of alphabet order changes a digest.
+PINNED_STDOUT_SHA256 = {
+    "enumerate --n 9 --format json": "50b60f0745860a181703a7dd588fd9ddef7ccfa5d25bbc4fad4722d82ebca23d",
+    "moment-graph --n 4 --format json": "f64d02ee49ae2ce00122dda055f385741150bbf9ea083ded69b239839c37cd13",
+    "moment-graph --n 4 --format dot": "d649eb4aeb7fb94afc4612b573cee5c9b1855f3eb0c29bd0235397c8f3063763",
+    "nbhd --n 4 --w=1|2 --d 0,0 --oracle --format json": "31ee40b9183fcabae18c5290c51b2f0dbba8d2c752ba8a8377eed41ec8551466",
+    "nbhd --n 4 --w=1|2 --d 1,0 --oracle --format json": "32f017d4206e7e02c5522294224ded86da96a500e91d27b31452ffc5fd853c59",
+    "nbhd --n 4 --w=1|2 --d 0,1 --oracle --format json": "ad2681daac622f607d40767c7308a31f2aa24619a8861a3bfd1b94f01b563dc2",
+    "nbhd --n 4 --w=1|2 --d 1,1 --oracle --format json": "4fd4942178b298f5ad93f58b48f1fbcfbc0c0b4d2b520693314df9ee6e0ae5d5",
+    "nbhd --n 4 --w=1|2 --d 1,2 --oracle --format json": "4d503eff5ecfebf8accf0fbe77473d0587be257c2ba253636f74763fa53ce0bb",
+    "nbhd --n 4 --w=1|2 --d 3,5 --oracle --format json": "17183694f2fa3dd14e3b00fb182d2fd8faf1fe5155339a76e2c27cf2f888fe21",
+    "nbhd --n 4 --w=2|1 --d 0,0 --oracle --format json": "a8f5e4fa26147ba975abdd54a686be741a70295e39808b4310799e7f4d5f928d",
+    "nbhd --n 4 --w=2|1 --d 1,0 --oracle --format json": "6737f2b980e890257b20cfef750f99da0e4c8cd6c575430cc8b51b7d790e3556",
+    "nbhd --n 4 --w=2|1 --d 0,1 --oracle --format json": "f3b7d8a381c9955023b29d03116d06f90a7945e0e7952f74b1704fe609ac8131",
+    "nbhd --n 4 --w=2|1 --d 1,1 --oracle --format json": "f74144b2651d10b90481cff5acb9e4612db54987a1a145c31a9699d618350308",
+    "nbhd --n 4 --w=2|1 --d 1,2 --oracle --format json": "ed5ae97465858a6f8d0c2b184addf820358a54564bf1d89fb10b4f2969746840",
+    "nbhd --n 4 --w=2|1 --d 3,5 --oracle --format json": "19ea9ffc3953c5205309c27f69f2e31ae7c24caaac7a6389b47606f1e76dae31",
+    "nbhd --n 4 --w=-2|1 --d 0,0 --oracle --format json": "9f1e23a363959dea2cc121cf0853a7fe06ab59374142decc228aefee571cabdc",
+    "nbhd --n 4 --w=-2|1 --d 1,0 --oracle --format json": "aa9126fb5f0075d40b7e42dd5b750f57cfdbc4172472d8e8f950757a7e589fc5",
+    "nbhd --n 4 --w=-2|1 --d 0,1 --oracle --format json": "78758ec6c5ae8a466e0f3bbfcb1208d95d6c9556a336313cfc8ea8c128b7d792",
+    "nbhd --n 4 --w=-2|1 --d 1,1 --oracle --format json": "9b97c305f60fa4f6a3a2f9bca974a7aac9f7576310b3977ea81a7b384be47547",
+    "nbhd --n 4 --w=-2|1 --d 1,2 --oracle --format json": "e7649e6b82527093693a768d25eb1c1774af4b669a5aa7a03fb0143857281306",
+    "nbhd --n 4 --w=-2|1 --d 3,5 --oracle --format json": "0b956987e9a9a0699b6f42f6f62dddeb66b689337e72095e2b225f64a944c599",
+    "nbhd --n 4 --w=1|-3 --d 0,0 --oracle --format json": "8c4b3f1ae285697347c642b2310554c0727f9ba4d7a41f47b83e0c5d3d7aacc3",
+    "nbhd --n 4 --w=1|-3 --d 1,0 --oracle --format json": "0d2eef473cdb03f21237c5ed4bad0bc944a407478cad1a767f8c8175295b0327",
+    "nbhd --n 4 --w=1|-3 --d 0,1 --oracle --format json": "9c6f81b482b78cab9212cb6297129ca50dd014c1edb7eec13fb46ef0eeb19013",
+    "nbhd --n 4 --w=1|-3 --d 1,1 --oracle --format json": "bf413ae02b29ed1c15f08bed6491d6ccd65551879a63338d87c023debbdf1541",
+    "nbhd --n 4 --w=1|-3 --d 1,2 --oracle --format json": "c9aadba79158d0782969f3670b7af5a79d886a5aab6d171589476daa2c2b72c5",
+    "nbhd --n 4 --w=1|-3 --d 3,5 --oracle --format json": "a22035fd54629f1cfdc4d580965c5b927d15270b9290f4fff0c616f11370f49c",
+    "nbhd --n 4 --w=-3|-2 --d 0,0 --oracle --format json": "4995784c1c9caa09984fd3a51c8def40c959fbd68a2522ae9d0d5c22bb29a69c",
+    "nbhd --n 4 --w=-3|-2 --d 1,0 --oracle --format json": "ad6dc04315bd60f639d07be8d8a587616ea5bc095b156805131a1eaff471e065",
+    "nbhd --n 4 --w=-3|-2 --d 0,1 --oracle --format json": "b59af893dcd4643fbc7848beb3e800e6b58dc7544feecd4e696a84b4d3f40dd8",
+    "nbhd --n 4 --w=-3|-2 --d 1,1 --oracle --format json": "8fe5ab552025bac65549e2971145b16d75bc02dded8c156d5a3c88d1195cda41",
+    "nbhd --n 4 --w=-3|-2 --d 1,2 --oracle --format json": "9bb666a545b7fe2a2a3503b6eb782aa6c68e4298f1677e3e1fef3a35f3ce6890",
+    "nbhd --n 4 --w=-3|-2 --d 3,5 --oracle --format json": "9d574822990b151bd83a8e0060e59ea6e209dd241bcb3049037336df16911d04",
+    "nbhd --n 4 --w=3|-4 --d 0,0 --oracle --format json": "0ec78db5808d65c0063ca701f0cb67cb069b77d9c4778c5f6948191175f153cd",
+    "nbhd --n 4 --w=3|-4 --d 1,0 --oracle --format json": "ed2f1741d5b9aadb1137ee90b0232bffeffadceef081d3c5f11b07e2d90bec41",
+    "nbhd --n 4 --w=3|-4 --d 0,1 --oracle --format json": "1ab5030044e753f2b6a18e7d642953d47cfa7bff320d7758aff7507a3662d92d",
+    "nbhd --n 4 --w=3|-4 --d 1,1 --oracle --format json": "ecad320df6321cf363a7e3613d8cc6edd259596572062e9bfbbe6a28dd8e9cd2",
+    "nbhd --n 4 --w=3|-4 --d 1,2 --oracle --format json": "da420089a24c08849a61ad7dfd08a8ce6f12f9184a4cb2c7c25143c8c893a785",
+    "nbhd --n 4 --w=3|-4 --d 3,5 --oracle --format json": "85c28067c5f4197378b664e42553cb7ec7f0db74dc6fa80c7a98ec09da50286a",
+    "nbhd --n 4 --w=-4|3 --d 0,0 --oracle --format json": "e27ccbdc13bba2ed06fd882ec26dff5acc7838ebd68c1a08f3cb2b7784a45d4d",
+    "nbhd --n 4 --w=-4|3 --d 1,0 --oracle --format json": "60289c8b78e1830ca469a7f09e993809608cb90684645dc3f7963d1ad78a8b3a",
+    "nbhd --n 4 --w=-4|3 --d 0,1 --oracle --format json": "1aecdc930260fa22c0e0c96812200864a6a7e977ed7eaf2f22e871fdad0c2232",
+    "nbhd --n 4 --w=-4|3 --d 1,1 --oracle --format json": "a0e2aabf6b44ffb694f50a4ed671077d99265e03e1d725b8823eac3622a7ee21",
+    "nbhd --n 4 --w=-4|3 --d 1,2 --oracle --format json": "95ecddd926be84110fec93834ac8f6d84e12c80fedc414c3a8f7fabc9a1391d9",
+    "nbhd --n 4 --w=-4|3 --d 3,5 --oracle --format json": "1dc5cc93800a3db72d53a8c2cb33b6fad3c15c738040b056d11a170b0a6af56a",
+    "lattice --n 4 --w=1|2 --format table": "96c779cb6d18a5866d42e3fef0499f0b7639c29eff6bd5b166d9539941c0cd88",
+    "lattice --n 4 --w=2|1 --format table": "e97df3a4d7981b71c30d08a21f347d46d01ab806a6cc52f032de576883461951",
+    "lattice --n 4 --w=-2|1 --format table": "6ea7c69c8073102c6961aa59c4dd5c52e0d8c81a7657945a2f8660364f404ced",
+    "lattice --n 4 --w=1|-3 --format table": "55f12ee78352cdd3e8848996ff185dd761958da8fb6f6fea881c3e05171d214f",
+    "lattice --n 4 --w=-3|-2 --format table": "be069f0c47a44a67290e176cf629c49215fa317b5ca9a3d2664f4b8bc3b06395",
+    "lattice --n 4 --w=3|-4 --format table": "bfcc04a706e1768cbf001932d7861a6db0ddf28d910637937f77761073589d2a",
+    "lattice --n 4 --w=-4|3 --format table": "e18a56111895c06d8ece21fa8601ab6e5e7375af81b226ead82e135803880902",
+    "qbg --n 3 --format table": "b1b433c4c1cc9bad6d6d5b254a80b64b3d5a73013d4a8f78a5ca1a6765c5e186",
+    "qbg --n 3 --strict-qbg --format json": "0bb7daa7b833653ec78a862c56d5e1dcba8655de4246eefd9113f783cce7f251",
+    "verify --n-max 6": "a8a406fdc4877d2fc3e1a5860ea263a6278578de4fa9ba3f98559e77afd1534e",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT_SHA256))
+def test_output_matches_pinned_digest(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[argv]

@@ -173,9 +173,14 @@ def test_shape_table_matches_golden():
 
 def test_predicates_partition_and_match_structure():
     for n in (2, 3, 4, 5):
+        shapes = set()
         for w in enumerate_labels(n):
             # classify_shape raises if structure and predicate disagree.
-            assert classify_shape(build_cn_lattice(w)) == figure_shape_predicate(w)
+            shape = classify_shape(build_cn_lattice(w))
+            assert shape == figure_shape_predicate(w)
+            shapes.add(shape)
+        # Every tag occurs at each of these ranks, and no other.
+        assert shapes == set(lattice.SHAPE_TAGS), n
 
 
 def test_size_bound_and_extremes():

@@ -122,7 +122,7 @@ def test_restricting_even_graph_gives_odd_graph():
         odd_pairs = set()
         for pair, root in even:
             (a1, b1), (a2, b2) = tuple(pair)
-            if any(v.letter == 1 and v.barred for v in (a1, b1, a2, b2)):
+            if -1 in (a1, b1, a2, b2):
                 continue
             odd_pairs.add(
                 (
