@@ -14,7 +14,7 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence, TypeVar
+from typing import Hashable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import DomainError, VerificationError
 from .moment import EDGE_COLORS, Degree, build_moment_graph
@@ -118,16 +118,16 @@ class QBGraph:
         return out
 
 
-def _quantum_degrees(n: int, lmax: int) -> list[Degree]:
-    """Degrees whose length gain 2*d1 + (2n-1)*d2 - 1 can still fit."""
-    out = []
-    for d1 in range((lmax + 1) // 2 + 1):
-        for d2 in range((lmax + 1) // (2 * n - 1) + 1):
-            if (d1, d2) == (0, 0):
-                continue
-            if 2 * d1 + (2 * n - 1) * d2 - 1 <= lmax:
-                out.append(Degree(d1, d2))
-    return sorted(out, key=lambda d: d.key)
+def _quantum_degrees(data: ChernData, lmax: int) -> Iterator[tuple[Degree, int]]:
+    """Each nonzero degree, in key order, whose length gain fits, with that gain.
+
+    The gain a1*d1 + a2*d2 - 1 is the anticanonical degree minus one.
+    """
+    for d1 in range((lmax + 1) // data.a1 + 1):
+        for d2 in range((lmax + 1) // data.a2 + 1):
+            gain = data.a1 * d1 + data.a2 * d2 - 1
+            if (d1, d2) != (0, 0) and gain <= lmax:
+                yield Degree(d1, d2), gain
 
 
 def build_qbg(n: int, strict: bool = False) -> QBGraph:
@@ -154,8 +154,7 @@ def _build_qbg(n: int, strict: bool) -> QBGraph:
             if bruhat_leq(v, u):
                 edges.append(QBGEdge(u, v, None))
     lmax = length(top_label(n))
-    for d in _quantum_degrees(n, lmax):
-        gain = 2 * d.d1 + (2 * n - 1) * d.d2 - 1
+    for d, gain in _quantum_degrees(chern_data(n), lmax):
         for u in vertices:
             targets = by_length.get(length(u) + gain)
             if not targets:

@@ -265,3 +265,19 @@ def test_output_matches_pinned_digest(capsys, argv):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[argv]
+
+
+# The strict suite fails by design (qbg-strict-golden at rank 2), so its
+# digest is pinned together with its exit code.
+PINNED_STRICT_VERIFY = (
+    "verify --n-max 3 --strict-qbg",
+    1,
+    "94e2cdb3f4b51d3c9431ebeb1b002fd7b642e28d6612501d6f371ab94f6994fa",
+)
+
+
+def test_strict_verify_matches_pinned_digest(capsys):
+    argv, want_code, digest = PINNED_STRICT_VERIFY
+    code, out, _ = run(capsys, *argv.split())
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
