@@ -6,6 +6,11 @@ gain 2*d1 + (2n-1)*d2 - 1 together with v lying below some component of
 the degree-d curve neighborhood of X(u); a strict mode instead requires v
 to BE a component.  Property O asks for strong connectivity and for the
 cycle-length gcd to equal the Fano index gcd(2, 2n-1) = 1.
+
+The build tests a target v of length l(u) + gain only against components
+c with l(c) >= l(u) + gain.  The cut is exact under both rules: Bruhat
+order is graded by length, so v <= c implies l(v) <= l(c), and v = c
+implies l(v) = l(c).
 """
 
 from __future__ import annotations
@@ -144,22 +149,27 @@ def build_qbg(n: int, strict: bool = False) -> QBGraph:
 def _build_qbg(n: int, strict: bool) -> QBGraph:
     vertices = enumerate_labels(n)
     index = {v: i for i, v in enumerate(vertices)}
+    lengths = {v: length(v) for v in vertices}
     by_length: dict[int, list[FlagLabel]] = {}
     for v in vertices:
-        by_length.setdefault(length(v), []).append(v)
+        by_length.setdefault(lengths[v], []).append(v)
     edges: list[QBGEdge] = []
     for u in vertices:
-        lu = length(u)
-        for v in by_length.get(lu - 1, []):
+        for v in by_length.get(lengths[u] - 1, []):
             if bruhat_leq(v, u):
                 edges.append(QBGEdge(u, v, None))
-    lmax = length(top_label(n))
+    lmax = lengths[top_label(n)]
     for d, gain in _quantum_degrees(chern_data(n), lmax):
         for u in vertices:
-            targets = by_length.get(length(u) + gain)
+            lv = lengths[u] + gain
+            targets = by_length.get(lv)
             if not targets:
                 continue
-            comps = gamma_closed_form(u, d).components
+            comps = [
+                c for c in gamma_closed_form(u, d).components if lengths[c] >= lv
+            ]
+            if not comps:
+                continue
             for v in targets:
                 if strict:
                     ok = v in comps

@@ -208,10 +208,14 @@ def _check_property_o(n: int) -> Outcome:
         verdict = property_o_verdict(n)
     except VerificationError as exc:
         return "fail", str(exc)
-    if verdict.holds and verdict.gcd == chern_data(n).fano_index == 1:
+    fano_index = chern_data(n).fano_index
+    if verdict.holds and verdict.gcd == fano_index == 1:
         lens = [len(c) - 1 for c in verdict.witness_cycles]
         return "pass", f"strongly connected, cycle gcd 1, witness cycle lengths {lens}"
-    return "fail", f"strongly_connected={verdict.strongly_connected} gcd={verdict.gcd}"
+    return "fail", (
+        f"holds={verdict.holds} strongly_connected={verdict.strongly_connected} "
+        f"gcd={verdict.gcd} fano_index={fano_index}"
+    )
 
 
 def _check_discrepancies(n: int) -> Outcome:

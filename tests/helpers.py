@@ -19,8 +19,16 @@ from typing import Iterator
 
 from oddflag.errors import DomainError
 from oddflag.moment import Degree, build_moment_graph
-from oddflag.neighborhoods import maximal_union
-from oddflag.weyl import FlagLabel, Root, down_set, letter_rank
+from oddflag.neighborhoods import gamma_closed_form, maximal_union
+from oddflag.weyl import (
+    FlagLabel,
+    Root,
+    bruhat_leq,
+    down_set,
+    enumerate_labels,
+    length,
+    letter_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -384,4 +392,46 @@ def reference_qbg_oracle():
         for u in labels:
             nbhd = neighborhood(u, d)
             edges |= {(u, v, d) for v in nbhd if grade(v) == grade(u) + gain}
+    return edges
+
+
+def uncut_qbg_edges(n, strict):
+    """The quantum Bruhat graph's edges, testing every target.
+
+    The loop ``build_qbg`` ran before it skipped components shorter than
+    the target length: each target v of length l(u) + gain is compared
+    with every component of Gamma_d(X(u)).  Classical edges come first,
+    then quantum edges by degree, each in label order.  Returns triples
+    (u, v, degree or None).  It shares the closed form and the Bruhat
+    order with the package, so it checks the length cut and nothing else.
+    """
+    vertices = enumerate_labels(n)
+    by_length = defaultdict(list)
+    for v in vertices:
+        by_length[length(v)].append(v)
+    lmax = max(by_length)
+    edges = [
+        (u, v, None)
+        for u in vertices
+        for v in by_length[length(u) - 1]
+        if bruhat_leq(v, u)
+    ]
+    for d1 in range(lmax + 1):
+        for d2 in range(lmax + 1):
+            gain = 2 * d1 + (2 * n - 1) * d2 - 1
+            if (d1, d2) == (0, 0) or gain > lmax:
+                continue
+            d = Degree(d1, d2)
+            for u in vertices:
+                targets = by_length[length(u) + gain]
+                if not targets:
+                    continue
+                comps = gamma_closed_form(u, d).components
+                for v in targets:
+                    if strict:
+                        ok = v in comps
+                    else:
+                        ok = any(bruhat_leq(v, c) for c in comps)
+                    if ok:
+                        edges.append((u, v, d))
     return edges

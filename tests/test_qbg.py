@@ -27,8 +27,15 @@ from oddflag.verify import (
     load_golden,
     run_suite,
 )
-from oddflag.weyl import covers, enumerate_labels, label, length, letter_rank
-from helpers import reference_qbg_oracle, simple_cycle_lengths
+from oddflag.weyl import (
+    bruhat_leq,
+    covers,
+    enumerate_labels,
+    label,
+    length,
+    letter_rank,
+)
+from helpers import reference_qbg_oracle, simple_cycle_lengths, uncut_qbg_edges
 
 
 def test_chern_data_examples():
@@ -81,6 +88,33 @@ def test_one_build_per_rank_whatever_the_spelling(tmp_path):
     for n in (2, 3):
         assert build_qbg(n) is build_qbg(n, strict=False)
     assert qbg._build_qbg.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_length_cut_keeps_the_uncut_edges_in_order(n, strict):
+    got = [(e.u, e.v, e.degree) for e in build_qbg(n, strict).edges]
+    assert got == uncut_qbg_edges(n, strict)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_build_compares_no_target_longer_than_its_component(monkeypatch, n):
+    calls = []
+
+    def spy(v, c):
+        calls.append((length(v), length(c)))
+        return bruhat_leq(v, c)
+
+    monkeypatch.setattr(qbg, "bruhat_leq", spy)
+    qbg._build_qbg.cache_clear()
+    try:
+        qbg._build_qbg(n, False)
+    finally:
+        qbg._build_qbg.cache_clear()
+    assert all(lv <= lc for lv, lc in calls)
+    # classical calls compare lengths l-1 and l; equal lengths only
+    # arise in the quantum pass, so the spy saw that pass too
+    assert any(lv == lc for lv, lc in calls)
 
 
 def test_named_edges_present():

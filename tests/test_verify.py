@@ -210,7 +210,7 @@ CASES = [
         ),
         False,
         "property-o",
-        "strongly_connected=True gcd=1",
+        "holds=False strongly_connected=True gcd=1 fano_index=1",
     ),
     (
         "property-o-fano-index",
@@ -220,7 +220,7 @@ CASES = [
         ),
         False,
         "property-o",
-        "strongly_connected=True gcd=1",
+        "holds=True strongly_connected=True gcd=1 fano_index=3",
     ),
     (
         "moment-discrepancies-gap",
