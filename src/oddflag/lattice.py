@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import DomainError, VerificationError
 from .moment import Degree
@@ -31,15 +30,12 @@ __all__ = [
     "REPRESENTATIVE_DEGREES",
     "CNLattice",
     "FinitePoset",
-    "poset_from_covers",
     "build_cn_lattice",
     "is_lattice",
     "is_distributive",
     "classify_shape",
     "figure_shape_predicate",
     "SHAPE_TAGS",
-    "m3_poset",
-    "n5_poset",
     "hasse_edges",
     "to_dot",
     "to_json_dict",
@@ -90,32 +86,6 @@ class FinitePoset:
     @property
     def size(self) -> int:
         return len(self.order)
-
-
-def poset_from_covers(size: int, cover_pairs: Sequence[tuple[int, int]]) -> FinitePoset:
-    """Reflexive-transitive closure of a cover relation (i covered by j)."""
-    leq = [[i == j for j in range(size)] for i in range(size)]
-    for i, j in cover_pairs:
-        leq[i][j] = True
-    for k in range(size):
-        for i in range(size):
-            if leq[i][k]:
-                row_k = leq[k]
-                row_i = leq[i]
-                for j in range(size):
-                    if row_k[j]:
-                        row_i[j] = True
-    return FinitePoset(tuple(tuple(row) for row in leq))
-
-
-def m3_poset() -> FinitePoset:
-    """Bottom, three pairwise incomparable atoms, top."""
-    return poset_from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
-
-
-def n5_poset() -> FinitePoset:
-    """The pentagon: 0 < c < a < 1 and 0 < b < 1 with b off the chain."""
-    return poset_from_covers(5, [(0, 2), (2, 3), (3, 4), (0, 1), (1, 4)])
 
 
 @dataclass(frozen=True)

@@ -106,16 +106,6 @@ class MomentGraph:
     edges: tuple[MomentEdge, ...]
 
     @functools.cached_property
-    def neighbors(self) -> dict[FlagLabel, tuple[tuple[FlagLabel, Degree, Root], ...]]:
-        adj: dict[FlagLabel, list[tuple[FlagLabel, Degree, Root]]] = {
-            v: [] for v in self.vertices
-        }
-        for e in self.edges:
-            adj[e.u].append((e.v, e.degree, e.root))
-            adj[e.v].append((e.u, e.degree, e.root))
-        return {v: tuple(xs) for v, xs in adj.items()}
-
-    @functools.cached_property
     def pair_set(self) -> frozenset[frozenset[FlagLabel]]:
         """Unordered vertex pairs joined by at least one edge."""
         return frozenset(frozenset((e.u, e.v)) for e in self.edges)

@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import weyl
 from .errors import DomainError
 from .moment import Degree, MomentGraph, build_moment_graph
-from .weyl import FlagLabel, bruhat_leq, letter_rank, top_label
+from .weyl import FlagLabel, _bits, bruhat_leq, letter_rank, top_label
 
 __all__ = [
     "SchubertUnion",
@@ -106,31 +106,22 @@ def union_leq(lhs: SchubertUnion, rhs: SchubertUnion) -> bool:
 class _SearchIndex:
     """Integer view of one moment graph, built once for the search.
 
-    Labels are numbered by their position in ``g.vertices``.  ``below[i]``
-    and ``above[i]`` are the Bruhat lower and upper sets of label i as
-    bitmasks (both include i).  ``steps`` pairs each degree class (c1, c2)
-    of the graph's edges with its neighbour masks: bit j of ``masks[i]``
-    is set iff some edge i -- j has that class.  ``reach`` is the
+    Labels are numbered by their position in ``g.vertices``, that is in
+    ``enumerate_labels(g.n)``, so ``below[i]`` and ``above[i]``, the
+    Bruhat lower and upper sets of label i (both include i), come from
+    ``weyl.bruhat_masks``.  ``steps`` pairs each degree class (c1, c2) of
+    the graph's edges with its neighbour masks: bit j of ``masks[i]`` is
+    set iff some edge i -- j has that class.  ``reach`` is the
     componentwise largest class, (1, 2) for every moment graph.  No
     attribute changes after ``__init__``, so threads may share the index.
     """
 
     def __init__(self, g: MomentGraph) -> None:
-        labels = g.vertices
-        self.labels = labels
-        self.index = {v: i for i, v in enumerate(labels)}
-        self.below = [0] * len(labels)
-        self.above = [0] * len(labels)
-        # The vertices come sorted by length and u < v forces l(u) < l(v),
-        # so only pairs i <= j can be comparable.
-        for j, v in enumerate(labels):
-            for i in range(j + 1):
-                if weyl.bruhat_leq(labels[i], v):
-                    self.below[j] |= 1 << i
-                    self.above[i] |= 1 << j
+        self.labels = g.vertices
+        self.index, self.below, self.above, _level = weyl.bruhat_masks(g.n)
         steps: dict[tuple[int, int], list[int]] = {}
         for e in g.edges:
-            masks = steps.setdefault(e.degree.key, [0] * len(labels))
+            masks = steps.setdefault(e.degree.key, [0] * len(g.vertices))
             i, j = self.index[e.u], self.index[e.v]
             masks[i] |= 1 << j
             masks[j] |= 1 << i
@@ -179,14 +170,6 @@ class _SearchIndex:
                 if self.above[x] & reached == 1 << x
             )
         )
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _search_index(g: MomentGraph) -> _SearchIndex:

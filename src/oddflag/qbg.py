@@ -7,10 +7,32 @@ the degree-d curve neighborhood of X(u); a strict mode instead requires v
 to BE a component.  Property O asks for strong connectivity and for the
 cycle-length gcd to equal the Fano index gcd(2, 2n-1) = 1.
 
-The build tests a target v of length l(u) + gain only against components
-c with l(c) >= l(u) + gain.  The cut is exact under both rules: Bruhat
-order is graded by length, so v <= c implies l(v) <= l(c), and v = c
-implies l(v) = l(c).
+Classical edges are ``weyl.covers``.  The build tests a target v of
+length l(u) + gain only against components c with l(c) >= l(u) + gain.
+The cut is exact under both rules: Bruhat order is graded by length, so
+v <= c implies l(v) <= l(c), and v = c implies l(v) = l(c).
+
+Only the degrees (1,0), (0,1) and (1,1) carry quantum edges.  An edge of
+degree d from u needs a component c of Gamma_d(X(u)) with a rise
+l(c) - l(u) >= gain(d) = 2*d1 + (2n-1)*d2 - 1.  The closed-form table
+(Gamma_d = Gamma_pi(d), pi(d) = (min(d1,1), min(d2,2))) bounds the rise,
+with l(a|b) = r(a) + r(b) - 2 - [r(b) > r(a)] - [r(b) > r(-a)]: the
+letters before a plus those before b other than +-a, r the alphabet
+rank (this is ``weyl.length``; the tests check it).  For u = (a|b):
+
+* d2 = 0: c = (a|b) or (b|a), a rise of at most 1 < 2*d1 - 1 for d1 >= 2.
+* d1 = 0: c = (a|c2) with c2 in {-2, -3} rises by the number of letters
+  other than +-a ranked in (r(b), r(c2)], at most 2n - 1 (at most 2n of
+  them rank below -1, b among them); c = (1|-2) for a = 2 rises by
+  2n - 1 - l(u) < 2n - 1.  Both stay below 4n - 3 <= gain(0, d2 >= 2).
+* d1 >= 1, d2 = 1: c = (-3|2) or (-2|1) has length 2n; the top, of length
+  4n - 2, needs -2 in u, so l(u) >= 2n - 2; c = (-2|m), m the later
+  letter of u with 3 <= r(m) <= 2n, has length 2n - 2 + r(m) and
+  l(u) >= r(m) - 3.  The rise is at most 2n + 1 < 2*d1 + 2n - 2 for d1 >= 2.
+* d1 >= 1, d2 >= 2: the gain, at least 4n - 1, exceeds l(top) = 4n - 2.
+
+The gain is the anticanonical degree minus one.  The test oracle
+``uncut_qbg_edges`` (tests/helpers.py) still tries every degree.
 """
 
 from __future__ import annotations
@@ -27,10 +49,10 @@ from .neighborhoods import gamma_closed_form
 from .weyl import (
     FlagLabel,
     bruhat_leq,
+    covers,
     enumerate_labels,
     label,
     length,
-    top_label,
 )
 
 __all__ = [
@@ -123,16 +145,10 @@ class QBGraph:
         return out
 
 
-def _quantum_degrees(data: ChernData, lmax: int) -> Iterator[tuple[Degree, int]]:
-    """Each nonzero degree, in key order, whose length gain fits, with that gain.
-
-    The gain a1*d1 + a2*d2 - 1 is the anticanonical degree minus one.
-    """
-    for d1 in range((lmax + 1) // data.a1 + 1):
-        for d2 in range((lmax + 1) // data.a2 + 1):
-            gain = data.a1 * d1 + data.a2 * d2 - 1
-            if (d1, d2) != (0, 0) and gain <= lmax:
-                yield Degree(d1, d2), gain
+def _quantum_degrees(data: ChernData) -> Iterator[tuple[Degree, int]]:
+    """The degrees with quantum edges (module docstring), in key order, and gains."""
+    for d in (Degree(0, 1), Degree(1, 0), Degree(1, 1)):
+        yield d, data.a1 * d.d1 + data.a2 * d.d2 - 1
 
 
 def build_qbg(n: int, strict: bool = False) -> QBGraph:
@@ -148,18 +164,12 @@ def build_qbg(n: int, strict: bool = False) -> QBGraph:
 @functools.lru_cache(maxsize=None)
 def _build_qbg(n: int, strict: bool) -> QBGraph:
     vertices = enumerate_labels(n)
-    index = {v: i for i, v in enumerate(vertices)}
     lengths = {v: length(v) for v in vertices}
     by_length: dict[int, list[FlagLabel]] = {}
     for v in vertices:
         by_length.setdefault(lengths[v], []).append(v)
-    edges: list[QBGEdge] = []
-    for u in vertices:
-        for v in by_length.get(lengths[u] - 1, []):
-            if bruhat_leq(v, u):
-                edges.append(QBGEdge(u, v, None))
-    lmax = lengths[top_label(n)]
-    for d, gain in _quantum_degrees(chern_data(n), lmax):
+    edges = [QBGEdge(u, v, None) for u in vertices for v in covers(u)]
+    for d, gain in _quantum_degrees(chern_data(n)):
         for u in vertices:
             lv = lengths[u] + gain
             targets = by_length.get(lv)
@@ -177,14 +187,6 @@ def _build_qbg(n: int, strict: bool) -> QBGraph:
                     ok = any(bruhat_leq(v, c) for c in comps)
                 if ok:
                     edges.append(QBGEdge(u, v, d))
-    edges.sort(
-        key=lambda e: (
-            e.degree is not None,
-            e.degree.key if e.degree else (0, 0),
-            index[e.u],
-            index[e.v],
-        )
-    )
     return QBGraph(n, strict, vertices, tuple(edges))
 
 

@@ -25,6 +25,15 @@ two letters of (a|b); each docstring derives its formula from the group.
 The group itself, signed permutations with their root counts and
 reflections, lives only in the test oracles that check these formulas.
 
+Bruhat order has dimension at most 3.  By ``bruhat_leq``, u <= v iff
+the key (r(a), min, max) of the ranks of (a|b) lies entrywise below v's;
+the key determines the label, so it embeds the order in a product of
+three chains.  With A[k], L[k] and H[k] the labels whose first, second
+and third key entries are at most k (prefix ORs over the ranks), the
+lower set of v is A[k1] & L[k2] & H[k3] at v's key, and its upper set is
+the same with "at least".  ``bruhat_masks`` holds these sets as bitmasks;
+``down_set``, ``covers``, the search and the quantum graph read them.
+
 Everything in this module is an immutable value; all operations are pure
 functions and safe to share across threads.
 """
@@ -32,8 +41,11 @@ functions and safe to share across threads.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Literal
+from types import MappingProxyType
+from typing import Iterator, Literal, Mapping
 
 from .errors import DomainError
 
@@ -252,7 +264,9 @@ def bruhat_leq(u: FlagLabel, v: FlagLabel) -> bool:
 
         u <= v  iff  r(a_u) <= r(a_v),
                      min(r(a_u), r(b_u)) <= min(r(a_v), r(b_v)) and
-                     max(r(a_u), r(b_u)) <= max(r(a_v), r(b_v)).
+                     max(r(a_u), r(b_u)) <= max(r(a_v), r(b_v)),
+
+    i.e. iff ``_bruhat_key(u)`` lies entrywise below ``_bruhat_key(v)``.
 
     Why: type-C Bruhat order is the order induced on doubled words, the
     one-line ranks r_1 .. r_(n+1) followed by 2n+3 - r_(n+1) .. 2n+3 - r_1,
@@ -269,10 +283,14 @@ def bruhat_leq(u: FlagLabel, v: FlagLabel) -> bool:
     """
     if u.n != v.n:
         raise DomainError(f"rank mismatch: {u.n} vs {v.n}")
-    n = u.n
-    au, bu = letter_rank(u.a, n), letter_rank(u.b, n)
-    av, bv = letter_rank(v.a, n), letter_rank(v.b, n)
-    return au <= av and min(au, bu) <= min(av, bv) and max(au, bu) <= max(av, bv)
+    ku, kv = _bruhat_key(u), _bruhat_key(v)
+    return ku[0] <= kv[0] and ku[1] <= kv[1] and ku[2] <= kv[2]
+
+
+def _bruhat_key(w: FlagLabel) -> tuple[int, int, int]:
+    """(r(a), min, max) of the ranks of (a|b); Bruhat order compares it entrywise."""
+    ra, rb = letter_rank(w.a, w.n), letter_rank(w.b, w.n)
+    return (ra, ra, rb) if ra < rb else (ra, rb, ra)
 
 
 @functools.lru_cache(maxsize=None)
@@ -289,15 +307,51 @@ def enumerate_labels(n: int) -> tuple[FlagLabel, ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def bruhat_masks(n: int) -> tuple[Mapping, tuple[int, ...], tuple[int, ...], Mapping]:
+    """Bruhat order of rank n as bitmasks over ``enumerate_labels(n)``.
+
+    Returns read-only ``(index, below, above, level)``: ``index`` maps each
+    label to its position, bit j of ``below[i]`` (``above[i]``) is set iff
+    label j <= label i (j >= i), and ``level[l]`` holds the labels of
+    length l.  Built from prefix ORs over the key ranks, with no
+    ``bruhat_leq`` call (module docstring).
+    """
+    labels = enumerate_labels(n)
+    keys = [_bruhat_key(w) for w in labels]
+    at = [[0] * (2 * n + 3) for _ in range(3)]  # at[t][r]: key entry t is r
+    level: dict[int, int] = {}
+    for i, w in enumerate(labels):
+        for t, r in enumerate(keys[i]):
+            at[t][r] |= 1 << i
+        level[length(w)] = level.get(length(w), 0) | 1 << i
+    le = [list(itertools.accumulate(row, operator.or_)) for row in at]
+    ge = [list(itertools.accumulate(row[::-1], operator.or_))[::-1] for row in at]
+    below = tuple(le[0][x] & le[1][y] & le[2][z] for x, y, z in keys)
+    above = tuple(ge[0][x] & ge[1][y] & ge[2][z] for x, y, z in keys)
+    index = {w: i for i, w in enumerate(labels)}
+    return MappingProxyType(index), below, above, MappingProxyType(level)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@functools.lru_cache(maxsize=None)
 def down_set(w: FlagLabel) -> tuple[FlagLabel, ...]:
     """All labels u with u <= w, including w itself."""
-    return tuple(u for u in enumerate_labels(w.n) if bruhat_leq(u, w))
+    index, below, _above, _level = bruhat_masks(w.n)
+    labels = enumerate_labels(w.n)
+    return tuple(labels[i] for i in _bits(below[index[w]]))
 
 
 @functools.lru_cache(maxsize=None)
 def covers(v: FlagLabel) -> tuple[FlagLabel, ...]:
     """Labels covered by v: all u <= v with length(u) = length(v) - 1."""
-    lv = length(v)
-    return tuple(
-        u for u in enumerate_labels(v.n) if length(u) == lv - 1 and bruhat_leq(u, v)
-    )
+    index, below, _above, level = bruhat_masks(v.n)
+    labels = enumerate_labels(v.n)
+    lower = below[index[v]] & level.get(length(v) - 1, 0)
+    return tuple(labels[i] for i in _bits(lower))

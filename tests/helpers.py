@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from oddflag.errors import DomainError
-from oddflag.moment import Degree, build_moment_graph
+from oddflag.lattice import FinitePoset
+from oddflag.moment import Degree, MomentGraph, build_moment_graph
 from oddflag.neighborhoods import gamma_closed_form, maximal_union
 from oddflag.weyl import (
     FlagLabel,
     Root,
     bruhat_leq,
-    down_set,
     enumerate_labels,
     length,
     letter_rank,
@@ -257,26 +257,42 @@ def oracle_min_coset_member(members):
     return lens[0]
 
 
+def moment_neighbors(
+    g: MomentGraph,
+) -> dict[FlagLabel, tuple[tuple[FlagLabel, Degree, Root], ...]]:
+    """Each vertex's incident edges as (other end, degree, root), edge order."""
+    adj: dict[FlagLabel, list[tuple[FlagLabel, Degree, Root]]] = {
+        v: [] for v in g.vertices
+    }
+    for e in g.edges:
+        adj[e.u].append((e.v, e.degree, e.root))
+        adj[e.v].append((e.u, e.degree, e.root))
+    return {v: tuple(xs) for v, xs in adj.items()}
+
+
 def reference_gamma_bfs(w, d, graph=None):
     """Curve neighborhood of X(w) by a fresh search on label objects.
 
     Independent of the package's integer-indexed search: states are
-    (label, spent Degree), seeded from ``down_set(w)`` at zero spend, and
-    a state is pruned only when the same label was already reached with a
-    componentwise-smaller spend.  It searches at exactly d, from scratch
-    for every (w, d) cell, keeps nothing between calls and takes the
-    maxima with ``maximal_union``.
+    (label, spent Degree), seeded at zero spend from a ``bruhat_leq`` scan
+    of ``enumerate_labels`` (not from ``down_set`` or the Bruhat masks the
+    package's search reads), and a state is pruned only when the same
+    label was already reached with a componentwise-smaller spend.  It
+    searches at exactly d, from scratch for every (w, d) cell, keeps
+    nothing between calls and takes the maxima with ``maximal_union``.
     """
     g = build_moment_graph(w.n) if graph is None else graph
+    neighbors = moment_neighbors(g)
     spent = {}
     queue = deque()
     zero = Degree(0, 0)
-    for u in down_set(w):
-        spent[u] = [zero]
-        queue.append((u, zero))
+    for u in enumerate_labels(w.n):
+        if bruhat_leq(u, w):
+            spent[u] = [zero]
+            queue.append((u, zero))
     while queue:
         v, used = queue.popleft()
-        for x, edeg, _root in g.neighbors[v]:
+        for x, edeg, _root in neighbors[v]:
             nxt = used + edeg
             if not nxt <= d:
                 continue
@@ -287,6 +303,32 @@ def reference_gamma_bfs(w, d, graph=None):
             pareto.append(nxt)
             queue.append((x, nxt))
     return maximal_union(spent.keys())
+
+
+def poset_from_covers(size, cover_pairs):
+    """Reflexive-transitive closure of a cover relation (i covered by j)."""
+    leq = [[i == j for j in range(size)] for i in range(size)]
+    for i, j in cover_pairs:
+        leq[i][j] = True
+    for k in range(size):
+        for i in range(size):
+            if leq[i][k]:
+                row_k = leq[k]
+                row_i = leq[i]
+                for j in range(size):
+                    if row_k[j]:
+                        row_i[j] = True
+    return FinitePoset(tuple(tuple(row) for row in leq))
+
+
+def m3_poset():
+    """Bottom, three pairwise incomparable atoms, top."""
+    return poset_from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+
+
+def n5_poset():
+    """The pentagon: 0 < c < a < 1 and 0 < b < 1 with b off the chain."""
+    return poset_from_covers(5, [(0, 2), (2, 3), (3, 4), (0, 1), (1, 4)])
 
 
 def bound_tables_oracle(order):

@@ -12,9 +12,6 @@ from oddflag.lattice import (
     hasse_edges,
     is_distributive,
     is_lattice,
-    m3_poset,
-    n5_poset,
-    poset_from_covers,
     to_dot,
     to_json_dict,
     FinitePoset,
@@ -23,7 +20,7 @@ from oddflag.moment import Degree
 from oddflag.neighborhoods import SchubertUnion, degree_grid, gamma_closed_form, union_leq
 from oddflag.verify import load_golden
 from oddflag.weyl import enumerate_labels, label, top_label
-from helpers import bound_tables_oracle
+from helpers import bound_tables_oracle, m3_poset, n5_poset, poset_from_covers
 
 
 def test_build_examples():

@@ -20,7 +20,7 @@ from oddflag.weyl import (
     parse_label,
     reflect,
 )
-from helpers import even_moment_edges
+from helpers import even_moment_edges, moment_neighbors
 
 
 def test_degree_examples():
@@ -61,7 +61,7 @@ def test_degree_validation_and_arithmetic():
 
 def test_neighbors_of_bottom_at_rank_two():
     g = build_moment_graph(2)
-    got = {(x, d.key) for x, d, _ in g.neighbors[label(1, 2, 2)]}
+    got = {(x, d.key) for x, d, _ in moment_neighbors(g)[label(1, 2, 2)]}
     assert got == {
         (label(2, 1, 2), (1, 0)),
         (label(1, 3, 2), (0, 1)),

@@ -5,8 +5,8 @@ import threading
 
 import pytest
 
-from helpers import reference_gamma_bfs
-from oddflag import neighborhoods
+from helpers import moment_neighbors, reference_gamma_bfs
+from oddflag import neighborhoods, weyl
 from oddflag.errors import DomainError
 from oddflag.moment import Degree, MomentEdge, MomentGraph, build_moment_graph
 from oddflag.neighborhoods import (
@@ -145,7 +145,7 @@ def test_regime_stability_via_search():
 
 
 def _neighbors_by_degree(g, w, key):
-    return {x for x, d, _ in g.neighbors[w] if d.key == key}
+    return {x for x, d, _ in moment_neighbors(g)[w] if d.key == key}
 
 
 def test_one_step_chain_shapes():
@@ -241,6 +241,25 @@ def test_search_matches_reference_cold_and_after_cross_check(n):
     g = build_moment_graph(n)
     for w, d in want:
         assert gamma_bfs(w, d, g) == want[w, d], (w, d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_building_the_search_index_compares_no_pair(monkeypatch, n):
+    # The index reads its lower and upper sets from weyl.bruhat_masks,
+    # rebuilt here from an empty cache, so neither the masks nor the
+    # index may call bruhat_leq under any of its names.
+    calls = []
+
+    def spy(u, v):
+        calls.append((u, v))
+        return weyl.bruhat_leq.__wrapped__(u, v)
+
+    for module in (weyl, neighborhoods):
+        monkeypatch.setattr(module, "bruhat_leq", spy)
+    weyl.bruhat_masks.cache_clear()
+    index = neighborhoods._SearchIndex(_fresh_graph(n))
+    assert calls == []
+    assert len(index.below) == len(index.above) == 4 * n * n
 
 
 def test_rank_mismatch_is_a_domain_error():

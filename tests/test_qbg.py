@@ -7,6 +7,7 @@ from oddflag import qbg
 from oddflag.cli import main
 from oddflag.errors import DomainError
 from oddflag.moment import Degree, build_moment_graph
+from oddflag.neighborhoods import gamma_closed_form
 from oddflag.qbg import (
     build_qbg,
     chern_data,
@@ -112,9 +113,45 @@ def test_build_compares_no_target_longer_than_its_component(monkeypatch, n):
     finally:
         qbg._build_qbg.cache_clear()
     assert all(lv <= lc for lv, lc in calls)
-    # classical calls compare lengths l-1 and l; equal lengths only
-    # arise in the quantum pass, so the spy saw that pass too
+    # every call comes from the quantum pass (classical edges are
+    # weyl.covers, read off the Bruhat masks); equal lengths show the
+    # spy saw the comparisons the length cut keeps
     assert any(lv == lc for lv, lc in calls)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_only_three_degrees_rise_far_enough(n):
+    # The bound in the module docstring: the length formula it uses, and,
+    # per regime of the closed form, a largest rise l(c) - l(u) below the
+    # gain of every degree the build skips, up to the top length.
+    labs = enumerate_labels(n)
+    for w in labs:
+        ra, rb = letter_rank(w.a, n), letter_rank(w.b, n)
+        assert length(w) == ra + rb - 2 - (rb > ra) - (rb > 2 * n + 3 - ra), w
+    rise = {
+        regime: max(
+            length(c) - length(u)
+            for u in labs
+            for c in gamma_closed_form(u, Degree(*regime)).components
+        )
+        for regime in ((1, 0), (0, 1), (0, 2), (1, 1), (1, 2))
+    }
+    assert rise == {
+        (1, 0): 1,
+        (0, 1): 2 * n - 1,
+        (0, 2): 2 * n - 1,
+        (1, 1): 2 * n,
+        (1, 2): 4 * n - 2,
+    }
+    top = max(length(w) for w in labs)
+    kept = [d for d, _gain in qbg._quantum_degrees(chern_data(n))]
+    assert [d.key for d in kept] == [(0, 1), (1, 0), (1, 1)]
+    for d1 in range(top + 1):
+        for d2 in range(top + 1):
+            gain = 2 * d1 + (2 * n - 1) * d2 - 1
+            if (d1, d2) == (0, 0) or Degree(d1, d2) in kept or gain > top:
+                continue
+            assert rise[min(d1, 1), min(d2, 2)] < gain, (d1, d2)
 
 
 def test_named_edges_present():

@@ -8,6 +8,7 @@ from oddflag.weyl import (
     Root,
     alphabet,
     bruhat_leq,
+    bruhat_masks,
     covers,
     down_set,
     enumerate_labels,
@@ -227,11 +228,37 @@ def test_bruhat_matches_doubled_word_oracle(n):
     # Every pair against the full sorted-prefix test on doubled words.
     # The uncached body is swept, so the 4n^2 x 4n^2 pairs leave no
     # entries in the shared cache.
+    # The same pairs are read off the masks of bruhat_masks as well.
     labs = enumerate_labels(n)
     leq = doubled_word_oracle(labs)
     closed = bruhat_leq.__wrapped__
+    index, below, _above, _level = bruhat_masks(n)
     for u, v in itertools.product(labs, repeat=2):
         assert closed(u, v) == leq(u, v), (u, v)
+        assert (below[index[v]] >> index[u] & 1) == leq(u, v), (u, v)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_bruhat_masks_match_the_closed_form_on_every_pair(n):
+    # Every rank the CLI accepts: the masks against the uncached
+    # closed form, pair by pair, and the level masks against length.
+    labs = enumerate_labels(n)
+    closed = bruhat_leq.__wrapped__
+    index, below, above, level = bruhat_masks(n)
+    assert index == {w: i for i, w in enumerate(labs)}
+    want_below = [0] * len(labs)
+    want_above = [0] * len(labs)
+    for i, u in enumerate(labs):
+        for j, v in enumerate(labs):
+            if closed(u, v):
+                want_below[j] |= 1 << i
+                want_above[i] |= 1 << j
+    assert list(below) == want_below
+    assert list(above) == want_above
+    assert level == {
+        lw: sum(1 << i for i, w in enumerate(labs) if length(w) == lw)
+        for lw in {length(w) for w in labs}
+    }
 
 
 def test_top_is_unique_maximum():
