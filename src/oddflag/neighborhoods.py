@@ -30,6 +30,31 @@ above k there, hence min(e - c, k) = min(e' - c, k).  The recursion and
 the induction hypothesis give R[e] = R[e'], and R[e'] = R[min(e', k)] =
 R[min(e, k)] by the window.  So ``_SearchIndex.reached`` tests the first
 window, k = min(d, m), and widens k to min(d, k + m) while the test fails.
+
+A cell expands only maxima, never every label it holds.  For each label x
+and class c the index keeps DN_c[x] = N_c(below[x]) and its down-closure
+D_c[x].  Since below[x] = {x} | OR over the labels y covered by x of
+below[y], and N_c distributes over unions,
+
+    DN_c[x] = N_c({x})  |  OR over y covered by x of  DN_c[y].
+
+Labels come in length order, so one pass along the covers fills DN_c, and
+D_c[x] is the union of below[m] over the maxima m of DN_c[x].  Maxima are
+peeled off a set S one by one: its highest bit is a longest label of S,
+hence maximal, and removing its lower set leaves the other maxima.  A cell
+with maxima M(S) for each earlier cell S then takes
+
+    R[d] = below[w]  |  OR over classes c <= d and m in M(R[d - c]) of  DN_c[m].
+
+Certificate, checked on every cell: R[d] contains every D_c[m] it was
+built from.  If R[d - c] is a lower set with maxima M, it is the union of
+below[m] over m in M, so N_c(R[d - c]) is the union of the DN_c[m]: the
+formula is the recursion.  And R[d] is a lower set iff it passes: a
+lower set holds the down-closure D_c[m] of its part DN_c[m], and a cell
+that holds them all is below[w] | OR of the D_c[m], a union of lower sets.
+R[0,0] = below[w] is one, so by induction every certified cell equals the
+recursion's.  A cell that fails raises ``VerificationError``; there is no
+second route.
 """
 
 from __future__ import annotations
@@ -39,7 +64,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import weyl
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 from .moment import Degree, MomentGraph, build_moment_graph
 from .weyl import FlagLabel, _bits, bruhat_leq, letter_rank, top_label
 
@@ -103,73 +128,117 @@ def union_leq(lhs: SchubertUnion, rhs: SchubertUnion) -> bool:
     return all(any(bruhat_leq(u, v) for v in rhs) for u in lhs)
 
 
+# A reached set as a bitmask over the label indices, and its Bruhat maxima.
+_Cell = tuple[int, tuple[int, ...]]
+
+
 class _SearchIndex:
     """Integer view of one moment graph, built once for the search.
 
     Labels are numbered by their position in ``g.vertices``, that is in
-    ``enumerate_labels(g.n)``, so ``below[i]`` and ``above[i]``, the
-    Bruhat lower and upper sets of label i (both include i), come from
-    ``weyl.bruhat_masks``.  ``steps`` pairs each degree class (c1, c2) of
-    the graph's edges with its neighbour masks: bit j of ``masks[i]`` is
-    set iff some edge i -- j has that class.  ``reach`` is the
-    componentwise largest class, (1, 2) for every moment graph.  No
-    attribute changes after ``__init__``, so threads may share the index.
+    ``enumerate_labels(g.n)``, so ``below[i]``, the Bruhat lower set of
+    label i (including i), comes from ``weyl.bruhat_masks``.  ``steps``
+    holds, for each degree class c = (c1, c2) of the graph's edges,
+    ``(c, DN, D)``: bitmasks ``DN[x]`` of N_c(below[x]) and ``D[x]`` of
+    its down-closure (module docstring).  ``reach`` is the componentwise
+    largest class, (1, 2) for every moment graph.  No attribute changes
+    after ``__init__``, so threads may share the index.
     """
 
     def __init__(self, g: MomentGraph) -> None:
         self.labels = g.vertices
-        self.index, self.below, self.above, _level = weyl.bruhat_masks(g.n)
-        steps: dict[tuple[int, int], list[int]] = {}
+        self.index, self.below, _above, level = weyl.bruhat_masks(g.n)
+        size = len(g.vertices)
+        near: dict[tuple[int, int], list[int]] = {}
         for e in g.edges:
-            masks = steps.setdefault(e.degree.key, [0] * len(g.vertices))
+            masks = near.setdefault(e.degree.key, [0] * size)
             i, j = self.index[e.u], self.index[e.v]
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        self.steps = tuple(sorted(steps.items()))
-        classes = [c for c, _masks in self.steps]
+        covers = [0] * size
+        for ell, mask in level.items():
+            for x in _bits(mask):
+                covers[x] = self.below[x] & level.get(ell - 1, 0)
+        steps = []
+        for c, masks in sorted(near.items()):
+            # Lengths ascend with the index, so covers come first.
+            dn = masks[:]
+            for x in range(size):
+                for y in _bits(covers[x]):
+                    dn[x] |= dn[y]
+            down = [0] * size
+            for x in range(size):
+                for m in self._maxima(dn[x]):
+                    down[x] |= self.below[m]
+            steps.append((c, tuple(dn), tuple(down)))
+        self.steps = tuple(steps)
+        classes = [c for c, _dn, _down in self.steps]
         self.reach = (max(c1 for c1, _ in classes), max(c2 for _, c2 in classes))
 
-    def reached(self, w: int, d1: int, d2: int) -> int:
-        """Bitmask of the labels reached from base w within (d1, d2).
+    def _maxima(self, s: int) -> tuple[int, ...]:
+        """The Bruhat maxima of the labels in s, longest first.
+
+        Lengths ascend with the index, so the highest bit left is a longest
+        label left, hence maximal; dropping its lower set leaves the rest.
+        """
+        tops = []
+        while s:
+            m = s.bit_length() - 1
+            tops.append(m)
+            s &= ~self.below[m]
+        return tuple(tops)
+
+    def reached(self, w: int, d1: int, d2: int) -> _Cell:
+        """Bitmask of the labels base w reaches within (d1, d2), and their maxima.
 
         Fills R on the window below min(d, k + m), with m = ``reach`` and
         k = min(d, m) at first, and stops once R[e] = R[min(e, k)] on the
         whole window; otherwise k widens to min(d, k + m).  At k = d the
         test holds trivially, so the loop ends.  See the module docstring
-        for the recursion and for why the test is exact.
+        for the recursion and for why the test is exact.  The maxima come
+        longest first.
         """
         m1, m2 = self.reach
         k1, k2 = min(d1, m1), min(d2, m2)
-        grid: dict[tuple[int, int], int] = {}
+        grid: dict[tuple[int, int], _Cell] = {}
         while True:
             t1, t2 = min(d1, k1 + m1), min(d2, k2 + m2)
             for e1 in range(t1 + 1):
                 for e2 in range(t2 + 1):
                     if (e1, e2) not in grid:
                         grid[e1, e2] = self._cell(grid, w, e1, e2)
-            if all(r == grid[min(e1, k1), min(e2, k2)] for (e1, e2), r in grid.items()):
+            if all(
+                cell[0] == grid[min(e1, k1), min(e2, k2)][0]
+                for (e1, e2), cell in grid.items()
+            ):
                 return grid[k1, k2]
             k1, k2 = t1, t2
 
-    def _cell(self, grid: dict[tuple[int, int], int], w: int, e1: int, e2: int) -> int:
-        """R[e] from the cells e - c of every class c <= e, already in grid."""
-        reached = self.below[w]
-        for (c1, c2), masks in self.steps:
+    def _cell(
+        self, grid: dict[tuple[int, int], _Cell], w: int, e1: int, e2: int
+    ) -> _Cell:
+        """(R[e], its maxima) from the maxima of the cells e - c, already in grid.
+
+        Raises ``VerificationError`` when R[e] fails the certificate of the
+        module docstring.
+        """
+        reached = closed = self.below[w]
+        for (c1, c2), dn, down in self.steps:
             if c1 <= e1 and c2 <= e2:
-                for x in _bits(grid[e1 - c1, e2 - c2]):
-                    reached |= masks[x]
-        return reached
+                for m in grid[e1 - c1, e2 - c2][1]:
+                    reached |= dn[m]
+                    closed |= down[m]
+        if closed != reached:
+            raise VerificationError(
+                f"search from {self.labels[w]}: the labels reached within "
+                f"({e1},{e2}) do not form a Bruhat lower set"
+            )
+        return reached, self._maxima(reached)
 
     def neighborhood(self, w: int, d1: int, d2: int) -> SchubertUnion:
         """Bruhat maxima of the labels reached from base w within (d1, d2)."""
-        reached = self.reached(w, d1, d2)
-        return SchubertUnion(
-            tuple(
-                self.labels[x]
-                for x in _bits(reached)
-                if self.above[x] & reached == 1 << x
-            )
-        )
+        _reached, maxima = self.reached(w, d1, d2)
+        return SchubertUnion(tuple(self.labels[x] for x in maxima))
 
 
 def _search_index(g: MomentGraph) -> _SearchIndex:
@@ -195,7 +264,9 @@ def gamma_bfs(
     every label reached.  The reached set comes from the degree-graded
     recursion of the module docstring, filled afresh on each call in
     (d1, d2) order up to the first window that passes the stability test;
-    nothing is kept between calls.
+    nothing is kept between calls.  The search expands only maxima, which
+    is exact on Bruhat lower sets, so it raises ``VerificationError`` when
+    a reached set is not one.
     """
     g = build_moment_graph(w.n) if graph is None else graph
     if g.n != w.n:

@@ -87,7 +87,10 @@ def _check_moment_graph(n: int) -> Outcome:
 
 
 def _check_neighborhoods(n: int) -> Outcome:
-    report = cross_check(n, Degree(2, 2))
+    try:
+        report = cross_check(n, Degree(2, 2))
+    except VerificationError as exc:
+        return "fail", str(exc)
     if not report.ok:
         return "fail", report.summary()
     if n == 2:

@@ -24,7 +24,9 @@ from oddflag.neighborhoods import gamma_closed_form, maximal_union
 from oddflag.weyl import (
     FlagLabel,
     Root,
+    _bits,
     bruhat_leq,
+    bruhat_masks,
     enumerate_labels,
     length,
     letter_rank,
@@ -303,6 +305,57 @@ def reference_gamma_bfs(w, d, graph=None):
             pareto.append(nxt)
             queue.append((x, nxt))
     return maximal_union(spent.keys())
+
+
+class BitExpandingSearch:
+    """The degree-graded recursion of ``oddflag.neighborhoods``, run on bits.
+
+    ``reached(w, d1, d2)`` fills R[e] = below[w] | OR over classes c <= e of
+    N_c(R[e - c]) by expanding every set bit of every earlier cell, and
+    cuts huge degrees off with the same window test as the package.  It
+    assumes nothing about lower sets or maxima, so it checks the package's
+    maxima recursion.  Cells depend only on the base and e, so one grid per
+    base serves every degree.  Returns the reached set as a bitmask over
+    ``g.vertices`` and its maxima, read off it bit by bit, highest first.
+    """
+
+    def __init__(self, g):
+        index, self.below, self.above, _level = bruhat_masks(g.n)
+        steps = {}
+        for e in g.edges:
+            masks = steps.setdefault(e.degree.key, [0] * len(g.vertices))
+            i, j = index[e.u], index[e.v]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        self.steps = sorted(steps.items())
+        self.reach = tuple(max(c[k] for c, _masks in self.steps) for k in (0, 1))
+        self.grids = defaultdict(dict)
+
+    def reached(self, w, d1, d2):
+        m1, m2 = self.reach
+        k1, k2 = min(d1, m1), min(d2, m2)
+        grid = self.grids[w]
+        while True:
+            t1, t2 = min(d1, k1 + m1), min(d2, k2 + m2)
+            for e1 in range(t1 + 1):
+                for e2 in range(t2 + 1):
+                    if (e1, e2) not in grid:
+                        grid[e1, e2] = self._cell(grid, w, e1, e2)
+            window = itertools.product(range(t1 + 1), range(t2 + 1))
+            if all(grid[e] == grid[min(e[0], k1), min(e[1], k2)] for e in window):
+                break
+            k1, k2 = t1, t2
+        reached = grid[k1, k2]
+        maxima = [x for x in _bits(reached) if self.above[x] & reached == 1 << x]
+        return reached, tuple(reversed(maxima))
+
+    def _cell(self, grid, w, e1, e2):
+        reached = self.below[w]
+        for (c1, c2), masks in self.steps:
+            if c1 <= e1 and c2 <= e2:
+                for x in _bits(grid[e1 - c1, e2 - c2]):
+                    reached |= masks[x]
+        return reached
 
 
 def poset_from_covers(size, cover_pairs):

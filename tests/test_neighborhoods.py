@@ -5,9 +5,9 @@ import threading
 
 import pytest
 
-from helpers import moment_neighbors, reference_gamma_bfs
+from helpers import BitExpandingSearch, moment_neighbors, reference_gamma_bfs
 from oddflag import neighborhoods, weyl
-from oddflag.errors import DomainError
+from oddflag.errors import DomainError, VerificationError
 from oddflag.moment import Degree, MomentEdge, MomentGraph, build_moment_graph
 from oddflag.neighborhoods import (
     SchubertUnion,
@@ -25,6 +25,7 @@ from oddflag.weyl import (
     down_set,
     enumerate_labels,
     label,
+    length,
     parse_label,
     top_label,
 )
@@ -245,9 +246,10 @@ def test_search_matches_reference_cold_and_after_cross_check(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_building_the_search_index_compares_no_pair(monkeypatch, n):
-    # The index reads its lower and upper sets from weyl.bruhat_masks,
-    # rebuilt here from an empty cache, so neither the masks nor the
-    # index may call bruhat_leq under any of its names.
+    # The index reads its lower sets from weyl.bruhat_masks,
+    # rebuilt here from an empty cache, and fills its per-class tables
+    # along the covers of the masks' level table, so neither the masks
+    # nor the index may call bruhat_leq under any of its names.
     calls = []
 
     def spy(u, v):
@@ -259,7 +261,22 @@ def test_building_the_search_index_compares_no_pair(monkeypatch, n):
     weyl.bruhat_masks.cache_clear()
     index = neighborhoods._SearchIndex(_fresh_graph(n))
     assert calls == []
-    assert len(index.below) == len(index.above) == 4 * n * n
+    assert len(index.below) == 4 * n * n
+    assert all(len(dn) == len(down) == 4 * n * n for _c, dn, down in index.steps)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_maxima_recursion_matches_the_bit_expanding_search(n):
+    # The index expands only the maxima of earlier cells; the oracle
+    # expands every set bit, as the recursion is written.  Reached sets and
+    # their maxima must agree on every base and degree, huge ones included.
+    g = build_moment_graph(n)
+    index = neighborhoods._search_index(g)
+    oracle = BitExpandingSearch(g)
+    for w in range(len(g.vertices)):
+        for d in ORACLE_DEGREES:
+            got = index.reached(w, d.d1, d.d2)
+            assert got == oracle.reached(w, d.d1, d.d2), (g.vertices[w], d)
 
 
 def test_rank_mismatch_is_a_domain_error():
@@ -294,12 +311,14 @@ def test_reached_sets_are_stable_beyond_degree_one_two(n, monkeypatch):
         assert filled == [d.key for d in degree_grid(Degree(2, 4))]
 
 
-def test_window_widens_while_the_reached_sets_grow():
-    # On the moment graphs the first window always passes, so the widening
-    # branch needs a graph built for it: every other rank-3 label joined in
-    # one path whose edge classes cycle, so the reached sets keep growing
-    # for many windows.  The path's edges are stored in alternating
-    # orientation, so a search that walks edges one way only stops early.
+def test_search_refuses_reached_sets_that_are_not_lower_sets():
+    # Every other rank-3 label joined in one path whose edge classes cycle:
+    # a walk along the path skips the labels between its stops, so the
+    # reached sets are not Bruhat lower sets and the maxima recursion does
+    # not apply.  The per-cell certificate must then raise; wherever it
+    # lets a cell through, the answer is the true one.  The path's edges
+    # are stored in alternating orientation, so a search that walks edges
+    # one way only stops early.
     g = build_moment_graph(3)
     path = g.vertices[::2]
     classes = (Degree(1, 0), Degree(0, 1), Degree(1, 2), Degree(1, 1))
@@ -309,15 +328,48 @@ def test_window_widens_while_the_reached_sets_grow():
         for k, (u, v) in enumerate(zip(path, path[1:]))
     )
     chain = MomentGraph(3, g.vertices, edges)
+    huge = (Degree(10**6, 10**6), Degree(1, 10**6), Degree(10**6, 2), Degree(7, 10**6))
+    for w in path[:4]:
+        for d in huge:
+            with pytest.raises(VerificationError, match="not form a Bruhat lower set"):
+                gamma_bfs(w, d, chain)
+        for d in degree_grid(Degree(3, 5)):
+            try:
+                got = gamma_bfs(w, d, chain)
+            except VerificationError:
+                continue
+            assert got == reference_gamma_bfs(w, d, chain), (w, d)
+
+
+def test_window_widens_while_the_reached_sets_grow():
+    # On the moment graphs the first window always passes, so the widening
+    # branch needs a graph built for it: every rank-3 label joined to every
+    # label one length up, all edges of one class.  Each step then climbs
+    # one length, so the reached sets are the labels up to a length that
+    # grows with the budget, lower sets because Bruhat order is graded,
+    # and they keep growing for many windows before they stop.
+    g = build_moment_graph(3)
+    by_length = {}
+    for v in g.vertices:
+        by_length.setdefault(length(v), []).append(v)
+    root = g.edges[0].root
     degrees = degree_grid(Degree(3, 5)) + (
         Degree(10**6, 10**6),
         Degree(1, 10**6),
         Degree(10**6, 2),
         Degree(7, 10**6),
     )
-    for w in path[:4]:
-        for d in degrees:
-            assert gamma_bfs(w, d, chain) == reference_gamma_bfs(w, d, chain), (w, d)
+    for c in (Degree(0, 1), Degree(1, 1), Degree(1, 2)):
+        edges = tuple(
+            MomentEdge(u, v, c, root)
+            for u in g.vertices
+            for v in by_length.get(length(u) + 1, ())
+        )
+        graded = MomentGraph(3, g.vertices, edges)
+        for w in g.vertices:
+            for d in degrees:
+                want = reference_gamma_bfs(w, d, graded)
+                assert gamma_bfs(w, d, graded) == want, (c, w, d)
 
 
 def test_threads_sharing_a_lazily_built_index_get_every_cell_right():

@@ -13,7 +13,7 @@ import pytest
 
 from oddflag import cli, neighborhoods, verify
 from oddflag.errors import VerificationError
-from oddflag.moment import Degree
+from oddflag.moment import Degree, MomentEdge
 from oddflag.weyl import parse_label
 
 REAL = {
@@ -28,6 +28,7 @@ REAL = {
     )
 }
 REAL_CROSS_CHECK_CLOSED_FORM = neighborhoods.gamma_closed_form
+REAL_CROSS_CHECK_GRAPH = neighborhoods.build_moment_graph
 REAL_GAMMA_BFS = cli.gamma_bfs
 
 
@@ -64,6 +65,19 @@ def _closed_form_at_01(replace):
 def _one_more_edge(n):
     g = REAL["build_moment_graph"](n)
     return dataclasses.replace(g, edges=g.edges + g.edges[:1])
+
+
+def _skipping_path_graph(n):
+    """Every other label in one path of (0,1) edges.
+
+    A walk along it skips the labels between its stops, so the search's
+    reached sets are not Bruhat lower sets and its certificate raises.
+    """
+    g = REAL_CROSS_CHECK_GRAPH(n)
+    path = g.vertices[::2]
+    root = g.edges[0].root
+    edges = tuple(MomentEdge(u, v, Degree(0, 1), root) for u, v in zip(path, path[1:]))
+    return dataclasses.replace(g, edges=edges)
 
 
 def _shifted_cross_check_closed_form(w, d):
@@ -118,6 +132,14 @@ CASES = [
         "curve-neighborhoods",
         "n=2: 1 of 144 cells disagree; first at w=1|2, d=(0,0): "
         "search gives [1|2], closed form gives [2|1]",
+    ),
+    (
+        "curve-neighborhoods-certificate",
+        (neighborhoods, "build_moment_graph", _skipping_path_graph),
+        False,
+        "curve-neighborhoods",
+        "search from 1|2: the labels reached within (0,2) do not form a "
+        "Bruhat lower set",
     ),
     (
         "curve-neighborhoods-reference-cell",
