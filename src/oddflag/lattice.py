@@ -8,12 +8,23 @@ over all triples and, independently, hunts for five-element sublattices
 shaped like the diamond M3 or the pentagon N5, and insists the two verdicts
 agree.
 
-Joins and meets are read off bitmasks.  With ``up[k]`` and ``down[k]`` the
-up-set and down-set of element k as ints, the upper bounds of a and b are
-``up[a] & up[b]``, and k is their least upper bound exactly when ``up[k]``
-equals that set (see ``_bound_tables``).  ``is_distributive`` builds these
-tables once and hands them to the lattice test, the triple law and the
-sublattice hunt.
+Containment is inclusion of lower-set masks, so ``build_cn_lattice``
+compares no labels.  Give a union y the mask L(y), the OR of ``below[v]``
+over its components v (``weyl.bruhat_masks``).  Then x <= y iff every
+component u of x lies below some v in y, iff u is in L(y) for each u,
+iff L(x) is inside L(y), since L(x) is the union of the lower sets of
+the u and L(y) is a lower set.
+
+The poset axioms and the bound tables share the order's rows as bitmasks:
+``up[k]`` and ``down[k]``, the up-set and down-set of element k, from one
+helper, ``_rows``.  ``FinitePoset`` checks the axioms on them in O(k^2)
+mask operations: bit i lies in up[i] (reflexive), up[i] & down[i] is {i}
+(antisymmetric), and up[j] lies inside up[i] for every j in up[i]
+(transitive).  The same rows give the bound tables: the upper bounds of
+a and b are ``up[a] & up[b]``, and k is their least upper bound exactly
+when ``up[k]`` equals that set (see ``_bound_tables``).
+``is_distributive`` builds these tables once and hands them to the
+lattice test, the triple law and the sublattice hunt.
 """
 
 from __future__ import annotations
@@ -23,8 +34,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, VerificationError
 from .moment import Degree
-from .neighborhoods import SchubertUnion, gamma_closed_form, union_leq
-from .weyl import FlagLabel, letter_rank, top_label
+from .neighborhoods import SchubertUnion, gamma_closed_form
+from .weyl import FlagLabel, _bits, bruhat_masks, letter_rank
 
 __all__ = [
     "REPRESENTATIVE_DEGREES",
@@ -69,19 +80,24 @@ class FinitePoset:
     order: OrderMatrix
 
     def __post_init__(self) -> None:
-        m = self.order
-        size = len(m)
-        if any(len(row) != size for row in m):
+        size = len(self.order)
+        if any(len(row) != size for row in self.order):
             raise DomainError("order matrix must be square")
+        up, down = _rows(self.order)
         for i in range(size):
-            if not m[i][i]:
+            if not up[i] >> i & 1:
                 raise DomainError("order must be reflexive")
-            for j in range(size):
-                if i != j and m[i][j] and m[j][i]:
-                    raise DomainError(f"order not antisymmetric at ({i},{j})")
-                for k in range(size):
-                    if m[i][j] and m[j][k] and not m[i][k]:
-                        raise DomainError(f"order not transitive at ({i},{j},{k})")
+        for i in range(size):
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise DomainError(f"order not antisymmetric at ({i},{j})")
+        for i in range(size):
+            for j in _bits(up[i]):
+                missed = up[j] & ~up[i]
+                if missed:
+                    k = (missed & -missed).bit_length() - 1
+                    raise DomainError(f"order not transitive at ({i},{j},{k})")
 
     @property
     def size(self) -> int:
@@ -104,12 +120,13 @@ class CNLattice:
 
     def __post_init__(self) -> None:
         FinitePoset(self.order)  # partial-order axioms
-        bottom = SchubertUnion((self.base,))
-        top = SchubertUnion((top_label(self.base.n),))
-        if bottom not in self.elements or top not in self.elements:
+        w = self.base
+        keys = [tuple((v.a, v.b, v.n) for v in e) for e in self.elements]
+        bottom, top = ((w.a, w.b, w.n),), ((-2, -3, w.n),)
+        if bottom not in keys or top not in keys:
             raise VerificationError("lattice must contain its base and the top")
-        i0 = self.elements.index(bottom)
-        i1 = self.elements.index(top)
+        i0 = keys.index(bottom)
+        i1 = keys.index(top)
         if not all(self.order[i0][j] and self.order[j][i1] for j in range(len(self.elements))):
             raise VerificationError("base must be the minimum and the top the maximum")
 
@@ -119,7 +136,11 @@ class CNLattice:
 
 
 def build_cn_lattice(w: FlagLabel) -> CNLattice:
-    """Collect the distinct neighborhood values of w and order them."""
+    """Collect the distinct neighborhood values of w and order them.
+
+    Containment is read off the lower-set masks (module docstring), so no
+    pair of labels is compared.
+    """
     elements: list[SchubertUnion] = []
     witnesses: list[Degree] = []
     for d in REPRESENTATIVE_DEGREES:
@@ -127,10 +148,30 @@ def build_cn_lattice(w: FlagLabel) -> CNLattice:
         if value not in elements:
             elements.append(value)
             witnesses.append(d)
-    order = tuple(
-        tuple(union_leq(x, y) for y in elements) for x in elements
-    )
+    index, below, _above, _level = bruhat_masks(w.n)
+    lower = []
+    for e in elements:
+        mask = 0
+        for v in e:
+            mask |= below[index[v]]
+        lower.append(mask)
+    order = tuple(tuple(x & y == x for y in lower) for x in lower)
     return CNLattice(w, tuple(elements), order, tuple(witnesses))
+
+
+def _rows(order: OrderMatrix) -> tuple[list[int], list[int]]:
+    """Up-set and down-set rows of an order as bitmasks.
+
+    Bit j of ``up[i]`` and bit i of ``down[j]`` are set iff order[i][j].
+    """
+    up = [0] * len(order)
+    down = [0] * len(order)
+    for i, row in enumerate(order):
+        for j, leq in enumerate(row):
+            if leq:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return up, down
 
 
 BoundTable = list[list[int | None]]
@@ -148,9 +189,7 @@ def _bound_tables(order: OrderMatrix) -> tuple[BoundTable, BoundTable]:
     Antisymmetry makes k unique (up[k] == up[k'] gives k <= k' <= k), so
     the join is ``by_up.get(U)`` and the meet is the same with down-sets.
     """
-    size = len(order)
-    up = [sum(1 << k for k in range(size) if order[i][k]) for i in range(size)]
-    down = [sum(1 << k for k in range(size) if order[k][i]) for i in range(size)]
+    up, down = _rows(order)
     by_up = {mask: k for k, mask in enumerate(up)}
     by_down = {mask: k for k, mask in enumerate(down)}
     join = [[by_up.get(ua & ub) for ub in up] for ua in up]
@@ -168,10 +207,13 @@ def is_lattice(lat: CNLattice | FinitePoset) -> bool:
 
 
 def _violates_triple_law(join: BoundTable, meet: BoundTable) -> bool:
-    size = len(join)
-    for a, b, c in itertools.product(range(size), repeat=3):
-        if join[a][meet[b][c]] != meet[join[a][b]][join[a][c]]:  # type: ignore[index]
-            return True
+    """True iff a v (b ^ c) != (a v b) ^ (a v c) for some triple (a, b, c)."""
+    for ja in join:
+        for b, mb in enumerate(meet):
+            meet_jab = meet[ja[b]]  # type: ignore[index]
+            for c, mbc in enumerate(mb):
+                if ja[mbc] != meet_jab[ja[c]]:  # type: ignore[index]
+                    return True
     return False
 
 
@@ -230,7 +272,7 @@ def figure_shape_predicate(w: FlagLabel) -> str:
     a diamond plus a new top when a < b, in the alphabet order.
     """
     a, b = w.a, w.b
-    if w == top_label(w.n):
+    if (a, b) == (-2, -3):
         return "trivial"
     if a == -2 or (a, b) == (-3, -2):
         return "2-chain"

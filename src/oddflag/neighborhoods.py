@@ -91,7 +91,9 @@ class SchubertUnion:
     components: tuple[FlagLabel, ...]
 
     def __post_init__(self) -> None:
-        comps = tuple(sorted(set(self.components), key=lambda w: w.sort_key))
+        comps = tuple(self.components)
+        if len(comps) > 1:  # one label needs no sort and no sort_key
+            comps = tuple(sorted(set(comps), key=lambda w: w.sort_key))
         if not comps:
             raise DomainError("a Schubert union has at least one component")
         if len({w.n for w in comps}) != 1:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from oddflag.errors import DomainError, VerificationError
-from oddflag import lattice
+from oddflag import lattice, neighborhoods, weyl
 from oddflag.lattice import (
     REPRESENTATIVE_DEGREES,
     build_cn_lattice,
@@ -131,6 +131,19 @@ def test_each_route_decides_on_its_own():
         assert lattice._sublattice_shapes(p.order, join, meet) is expected
 
 
+def test_triple_law_finds_the_pentagon_under_every_labelling():
+    # The pentagon violates the law only at triples whose first entry is
+    # the lower element of its long chain, so each relabelling moves the
+    # violations; the law must find them wherever they land.
+    base = n5_poset().order
+    for perm in itertools.permutations(range(5)):
+        moved = [[False] * 5 for _ in range(5)]
+        for i, j in itertools.product(range(5), repeat=2):
+            moved[perm[i]][perm[j]] = base[i][j]
+        join, meet = lattice._bound_tables(tuple(map(tuple, moved)))
+        assert lattice._violates_triple_law(join, meet), perm
+
+
 @pytest.mark.parametrize("route", ["_violates_triple_law", "_sublattice_shapes"])
 def test_is_distributive_consults_both_routes(monkeypatch, route):
     monkeypatch.setattr(lattice, route, lambda *tables: True)
@@ -224,6 +237,53 @@ def test_finite_poset_rejects_bad_matrices():
         FinitePoset(((True, True), (True, True)))  # not antisymmetric
     with pytest.raises(DomainError):
         FinitePoset(((False,),))  # not reflexive
+    with pytest.raises(DomainError, match="square"):
+        FinitePoset(((True, False), (True,)))
+    # 0 <= 1 and 1 <= 2 but not 0 <= 2: reflexive and antisymmetric only.
+    with pytest.raises(DomainError, match=r"not transitive at \(0,1,2\)"):
+        FinitePoset(
+            ((True, True, False), (False, True, True), (False, False, True))
+        )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_order_matches_the_union_leq_oracle(n):
+    for w in enumerate_labels(n):
+        lat = build_cn_lattice(w)
+        els = lat.elements
+        assert lat.order == tuple(tuple(union_leq(x, y) for y in els) for x in els), w
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_building_a_lattice_compares_no_pair(monkeypatch, n):
+    # The order comes from the lower-set masks of weyl.bruhat_masks,
+    # rebuilt here from an empty cache.  The closed-form values are taken
+    # before the spies go in: a two-component value checks its antichain
+    # with bruhat_leq when it is built, and that is not the order's work.
+    values = {
+        (w, d): gamma_closed_form(w, d)
+        for w in enumerate_labels(n)
+        for d in REPRESENTATIVE_DEGREES
+    }
+    monkeypatch.setattr(lattice, "gamma_closed_form", lambda w, d: values[w, d])
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    leq = weyl.bruhat_leq.__wrapped__
+    for module in (weyl, neighborhoods, lattice):
+        monkeypatch.setattr(module, "bruhat_leq", spy("bruhat_leq", leq), raising=False)
+    for module in (neighborhoods, lattice):
+        monkeypatch.setattr(module, "union_leq", spy("union_leq", union_leq), raising=False)
+    weyl.bruhat_masks.cache_clear()
+    for w in enumerate_labels(n):
+        assert build_cn_lattice(w).size >= 1
+    assert calls == []
 
 
 def test_dot_and_json_exports():
