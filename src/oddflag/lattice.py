@@ -148,7 +148,7 @@ def build_cn_lattice(w: FlagLabel) -> CNLattice:
         if value not in elements:
             elements.append(value)
             witnesses.append(d)
-    index, below, _above, _level = bruhat_masks(w.n)
+    index, below, _covered, _level = bruhat_masks(w.n)
     lower = []
     for e in elements:
         mask = 0

@@ -134,7 +134,7 @@ def build_moment_graph(n: int) -> MomentGraph:
                 continue
             if index[w] < index[r]:
                 edges.append(MomentEdge(w, r, degree_of_root(root), root))
-    edges.sort(key=lambda e: (index[e.u], index[e.v], e.degree.key, str(e.root)))
+    edges.sort(key=lambda e: (index[e.u], index[e.v]))  # one root per pair
     return MomentGraph(n, vertices, tuple(edges))
 
 

@@ -139,7 +139,8 @@ class _SearchIndex:
 
     Labels are numbered by their position in ``g.vertices``, that is in
     ``enumerate_labels(g.n)``, so ``below[i]``, the Bruhat lower set of
-    label i (including i), comes from ``weyl.bruhat_masks``.  ``steps``
+    label i (including i), and the labels i covers come from
+    ``weyl.bruhat_masks``.  ``steps``
     holds, for each degree class c = (c1, c2) of the graph's edges,
     ``(c, DN, D)``: bitmasks ``DN[x]`` of N_c(below[x]) and ``D[x]`` of
     its down-closure (module docstring).  ``reach`` is the componentwise
@@ -149,7 +150,7 @@ class _SearchIndex:
 
     def __init__(self, g: MomentGraph) -> None:
         self.labels = g.vertices
-        self.index, self.below, _above, level = weyl.bruhat_masks(g.n)
+        self.index, self.below, covered, _level = weyl.bruhat_masks(g.n)
         size = len(g.vertices)
         near: dict[tuple[int, int], list[int]] = {}
         for e in g.edges:
@@ -157,16 +158,12 @@ class _SearchIndex:
             i, j = self.index[e.u], self.index[e.v]
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        covers = [0] * size
-        for ell, mask in level.items():
-            for x in _bits(mask):
-                covers[x] = self.below[x] & level.get(ell - 1, 0)
         steps = []
         for c, masks in sorted(near.items()):
             # Lengths ascend with the index, so covers come first.
             dn = masks[:]
             for x in range(size):
-                for y in _bits(covers[x]):
+                for y in _bits(covered[x]):
                     dn[x] |= dn[y]
             down = [0] * size
             for x in range(size):

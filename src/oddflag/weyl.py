@@ -30,8 +30,9 @@ the key (r(a), min, max) of the ranks of (a|b) lies entrywise below v's;
 the key determines the label, so it embeds the order in a product of
 three chains.  With A[k], L[k] and H[k] the labels whose first, second
 and third key entries are at most k (prefix ORs over the ranks), the
-lower set of v is A[k1] & L[k2] & H[k3] at v's key, and its upper set is
-the same with "at least".  ``bruhat_masks`` holds these sets as bitmasks;
+lower set of v is A[k1] & L[k2] & H[k3] at v's key.  The order is graded
+by length, so the labels v covers are its lower set cut to length
+l(v) - 1.  ``bruhat_masks`` holds these lower sets and covers as bitmasks;
 ``down_set``, ``covers``, the search and the quantum graph read them.
 
 Everything in this module is an immutable value; all operations are pure
@@ -310,26 +311,26 @@ def enumerate_labels(n: int) -> tuple[FlagLabel, ...]:
 def bruhat_masks(n: int) -> tuple[Mapping, tuple[int, ...], tuple[int, ...], Mapping]:
     """Bruhat order of rank n as bitmasks over ``enumerate_labels(n)``.
 
-    Returns read-only ``(index, below, above, level)``: ``index`` maps each
-    label to its position, bit j of ``below[i]`` (``above[i]``) is set iff
-    label j <= label i (j >= i), and ``level[l]`` holds the labels of
-    length l.  Built from prefix ORs over the key ranks, with no
-    ``bruhat_leq`` call (module docstring).
+    Returns read-only ``(index, below, covered, level)``: ``index`` maps
+    each label to its position, bit j of ``below[i]`` is set iff label
+    j <= label i, ``covered[i]`` holds the labels that label i covers, and
+    ``level[l]`` holds the labels of length l.  Built from prefix ORs over
+    the key ranks, with no ``bruhat_leq`` call (module docstring).
     """
     labels = enumerate_labels(n)
     keys = [_bruhat_key(w) for w in labels]
+    lengths = [length(w) for w in labels]
     at = [[0] * (2 * n + 3) for _ in range(3)]  # at[t][r]: key entry t is r
     level: dict[int, int] = {}
-    for i, w in enumerate(labels):
-        for t, r in enumerate(keys[i]):
+    for i, key in enumerate(keys):
+        for t, r in enumerate(key):
             at[t][r] |= 1 << i
-        level[length(w)] = level.get(length(w), 0) | 1 << i
+        level[lengths[i]] = level.get(lengths[i], 0) | 1 << i
     le = [list(itertools.accumulate(row, operator.or_)) for row in at]
-    ge = [list(itertools.accumulate(row[::-1], operator.or_))[::-1] for row in at]
     below = tuple(le[0][x] & le[1][y] & le[2][z] for x, y, z in keys)
-    above = tuple(ge[0][x] & ge[1][y] & ge[2][z] for x, y, z in keys)
+    covered = tuple(b & level.get(lw - 1, 0) for b, lw in zip(below, lengths))
     index = {w: i for i, w in enumerate(labels)}
-    return MappingProxyType(index), below, above, MappingProxyType(level)
+    return MappingProxyType(index), below, covered, MappingProxyType(level)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -343,15 +344,13 @@ def _bits(mask: int) -> Iterator[int]:
 @functools.lru_cache(maxsize=None)
 def down_set(w: FlagLabel) -> tuple[FlagLabel, ...]:
     """All labels u with u <= w, including w itself."""
-    index, below, _above, _level = bruhat_masks(w.n)
+    index, below, _covered, _level = bruhat_masks(w.n)
     labels = enumerate_labels(w.n)
     return tuple(labels[i] for i in _bits(below[index[w]]))
 
 
-@functools.lru_cache(maxsize=None)
 def covers(v: FlagLabel) -> tuple[FlagLabel, ...]:
     """Labels covered by v: all u <= v with length(u) = length(v) - 1."""
-    index, below, _above, level = bruhat_masks(v.n)
+    index, _below, covered, _level = bruhat_masks(v.n)
     labels = enumerate_labels(v.n)
-    lower = below[index[v]] & level.get(length(v) - 1, 0)
-    return tuple(labels[i] for i in _bits(lower))
+    return tuple(labels[i] for i in _bits(covered[index[v]]))

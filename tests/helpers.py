@@ -320,7 +320,11 @@ class BitExpandingSearch:
     """
 
     def __init__(self, g):
-        index, self.below, self.above, _level = bruhat_masks(g.n)
+        index, self.below, _covered, _level = bruhat_masks(g.n)
+        self.above = [0] * len(g.vertices)  # upper sets: below, transposed
+        for j, lower in enumerate(self.below):
+            for i in _bits(lower):
+                self.above[i] |= 1 << j
         steps = {}
         for e in g.edges:
             masks = steps.setdefault(e.degree.key, [0] * len(g.vertices))
@@ -493,12 +497,12 @@ def reference_qbg_oracle():
 def uncut_qbg_edges(n, strict):
     """The quantum Bruhat graph's edges, testing every target.
 
-    The loop ``build_qbg`` ran before it skipped components shorter than
-    the target length: each target v of length l(u) + gain is compared
-    with every component of Gamma_d(X(u)).  Classical edges come first,
-    then quantum edges by degree, each in label order.  Returns triples
-    (u, v, degree or None).  It shares the closed form and the Bruhat
-    order with the package, so it checks the length cut and nothing else.
+    Each target v of length l(u) + gain is compared, through
+    ``bruhat_leq``, with every component of Gamma_d(X(u)), at every
+    degree.  Classical edges come first, then quantum edges by degree,
+    each in label order.  Returns triples (u, v, degree or None).  It
+    shares the closed form and the Bruhat order with the package, so it
+    checks the build's masks and degree bound and nothing else.
     """
     vertices = enumerate_labels(n)
     by_length = defaultdict(list)

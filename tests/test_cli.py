@@ -258,6 +258,7 @@ PINNED_STDOUT_SHA256 = {
     "qbg --n 3 --strict-qbg --format json": "0bb7daa7b833653ec78a862c56d5e1dcba8655de4246eefd9113f783cce7f251",
     "qbg --n 8 --strict-qbg --format json": "1c94f70725993351b2aef04d82131ebffa902d0d19bbed78a879a6eae8dbce1e",
     "qbg --n 16 --format json": "3128d497e23902215531c6ebbb6f9cccd627d401efb1f7aa1a948cd5b7430c2b",
+    "qbg --n 16 --strict-qbg --format json": "bf0314c8d47ab499ca045158e3b667576c745458249f2ccdcd411deeb7be130e",
     "verify --n-max 6": "a8a406fdc4877d2fc3e1a5860ea263a6278578de4fa9ba3f98559e77afd1534e",
 }
 

@@ -248,7 +248,7 @@ def test_search_matches_reference_cold_and_after_cross_check(n):
 def test_building_the_search_index_compares_no_pair(monkeypatch, n):
     # The index reads its lower sets from weyl.bruhat_masks,
     # rebuilt here from an empty cache, and fills its per-class tables
-    # along the covers of the masks' level table, so neither the masks
+    # along the masks' covers, so neither the masks
     # nor the index may call bruhat_leq under any of its names.
     calls = []
 

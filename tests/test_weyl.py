@@ -232,7 +232,7 @@ def test_bruhat_matches_doubled_word_oracle(n):
     labs = enumerate_labels(n)
     leq = doubled_word_oracle(labs)
     closed = bruhat_leq.__wrapped__
-    index, below, _above, _level = bruhat_masks(n)
+    index, below, _covered, _level = bruhat_masks(n)
     for u, v in itertools.product(labs, repeat=2):
         assert closed(u, v) == leq(u, v), (u, v)
         assert (below[index[v]] >> index[u] & 1) == leq(u, v), (u, v)
@@ -240,21 +240,23 @@ def test_bruhat_matches_doubled_word_oracle(n):
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_bruhat_masks_match_the_closed_form_on_every_pair(n):
-    # Every rank the CLI accepts: the masks against the uncached
-    # closed form, pair by pair, and the level masks against length.
+    # Every rank the CLI accepts: the lower sets and covers against the
+    # uncached closed form and length, pair by pair, and the level masks
+    # against length.
     labs = enumerate_labels(n)
     closed = bruhat_leq.__wrapped__
-    index, below, above, level = bruhat_masks(n)
+    index, below, covered, level = bruhat_masks(n)
     assert index == {w: i for i, w in enumerate(labs)}
     want_below = [0] * len(labs)
-    want_above = [0] * len(labs)
+    want_covered = [0] * len(labs)
     for i, u in enumerate(labs):
         for j, v in enumerate(labs):
             if closed(u, v):
                 want_below[j] |= 1 << i
-                want_above[i] |= 1 << j
+                if length(u) == length(v) - 1:
+                    want_covered[j] |= 1 << i
     assert list(below) == want_below
-    assert list(above) == want_above
+    assert list(covered) == want_covered
     assert level == {
         lw: sum(1 << i for i, w in enumerate(labs) if length(w) == lw)
         for lw in {length(w) for w in labs}
