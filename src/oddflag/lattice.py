@@ -13,18 +13,22 @@ compares no labels.  Give a union y the mask L(y), the OR of ``below[v]``
 over its components v (``weyl.bruhat_masks``).  Then x <= y iff every
 component u of x lies below some v in y, iff u is in L(y) for each u,
 iff L(x) is inside L(y), since L(x) is the union of the lower sets of
-the u and L(y) is a lower set.
+the u and L(y) is a lower set.  The same masks drop repeated values:
+two antichains with equal masks are equal, since an antichain is the set
+of maxima of its L.
 
-The poset axioms and the bound tables share the order's rows as bitmasks:
-``up[k]`` and ``down[k]``, the up-set and down-set of element k, from one
-helper, ``_rows``.  ``FinitePoset`` checks the axioms on them in O(k^2)
-mask operations: bit i lies in up[i] (reflexive), up[i] & down[i] is {i}
+The poset axioms, the bound tables and the shape read the order's rows
+as bitmasks: ``up[k]`` and ``down[k]``, the up-set and down-set of
+element k.  ``FinitePoset`` and ``CNLattice`` build them once, in
+``_poset_rows``, which checks the axioms on them in O(k^2) mask
+operations: bit i lies in up[i] (reflexive), up[i] & down[i] is {i}
 (antisymmetric), and up[j] lies inside up[i] for every j in up[i]
-(transitive).  The same rows give the bound tables: the upper bounds of
-a and b are ``up[a] & up[b]``, and k is their least upper bound exactly
-when ``up[k]`` equals that set (see ``_bound_tables``).
-``is_distributive`` builds these tables once and hands them to the
-lattice test, the triple law and the sublattice hunt.
+(transitive).  The instance keeps them as ``_rows``.  The rows give the
+bound tables: the upper bounds of a and b are ``up[a] & up[b]``, and k
+is their least upper bound exactly when ``up[k]`` equals that set (see
+``_bound_tables``).  Each instance builds its tables on first use and
+keeps them (``_tables``), so the lattice test, the triple law and the
+sublattice hunt share one pair.
 """
 
 from __future__ import annotations
@@ -73,6 +77,40 @@ SHAPE_TAGS = (
 OrderMatrix = tuple[tuple[bool, ...], ...]
 
 
+def _poset_rows(order: OrderMatrix) -> tuple[list[int], list[int]]:
+    """Up-set and down-set rows of a partial order, as bitmasks.
+
+    Bit j of ``up[i]`` and bit i of ``down[j]`` are set iff order[i][j].
+    Raises ``DomainError`` unless the matrix is square, reflexive,
+    antisymmetric and transitive.
+    """
+    size = len(order)
+    if any(len(row) != size for row in order):
+        raise DomainError("order matrix must be square")
+    up = [0] * size
+    down = [0] * size
+    for i, row in enumerate(order):
+        for j, leq in enumerate(row):
+            if leq:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    for i in range(size):
+        if not up[i] >> i & 1:
+            raise DomainError("order must be reflexive")
+    for i in range(size):
+        both = up[i] & down[i] & ~(1 << i)
+        if both:
+            j = (both & -both).bit_length() - 1
+            raise DomainError(f"order not antisymmetric at ({i},{j})")
+    for i in range(size):
+        for j in _bits(up[i]):
+            missed = up[j] & ~up[i]
+            if missed:
+                k = (missed & -missed).bit_length() - 1
+                raise DomainError(f"order not transitive at ({i},{j},{k})")
+    return up, down
+
+
 @dataclass(frozen=True)
 class FinitePoset:
     """A finite poset given by its full order matrix; order[i][j] iff i <= j."""
@@ -80,24 +118,7 @@ class FinitePoset:
     order: OrderMatrix
 
     def __post_init__(self) -> None:
-        size = len(self.order)
-        if any(len(row) != size for row in self.order):
-            raise DomainError("order matrix must be square")
-        up, down = _rows(self.order)
-        for i in range(size):
-            if not up[i] >> i & 1:
-                raise DomainError("order must be reflexive")
-        for i in range(size):
-            both = up[i] & down[i] & ~(1 << i)
-            if both:
-                j = (both & -both).bit_length() - 1
-                raise DomainError(f"order not antisymmetric at ({i},{j})")
-        for i in range(size):
-            for j in _bits(up[i]):
-                missed = up[j] & ~up[i]
-                if missed:
-                    k = (missed & -missed).bit_length() - 1
-                    raise DomainError(f"order not transitive at ({i},{j},{k})")
+        self.__dict__["_rows"] = _poset_rows(self.order)
 
     @property
     def size(self) -> int:
@@ -119,7 +140,7 @@ class CNLattice:
     witnesses: tuple[Degree, ...]
 
     def __post_init__(self) -> None:
-        FinitePoset(self.order)  # partial-order axioms
+        self.__dict__["_rows"] = _poset_rows(self.order)  # partial-order axioms
         w = self.base
         keys = [tuple((v.a, v.b, v.n) for v in e) for e in self.elements]
         bottom, top = ((w.a, w.b, w.n),), ((-2, -3, w.n),)
@@ -138,63 +159,60 @@ class CNLattice:
 def build_cn_lattice(w: FlagLabel) -> CNLattice:
     """Collect the distinct neighborhood values of w and order them.
 
-    Containment is read off the lower-set masks (module docstring), so no
-    pair of labels is compared.
+    Repeated values and containment are read off the lower-set masks
+    (module docstring), so no pair of labels is compared.
     """
+    index, below, _covered, _level = bruhat_masks(w.n)
     elements: list[SchubertUnion] = []
     witnesses: list[Degree] = []
+    lower: list[int] = []
     for d in REPRESENTATIVE_DEGREES:
         value = gamma_closed_form(w, d)
-        if value not in elements:
+        mask = 0
+        for v in value:
+            mask |= below[index[v]]
+        if mask not in lower:
             elements.append(value)
             witnesses.append(d)
-    index, below, _covered, _level = bruhat_masks(w.n)
-    lower = []
-    for e in elements:
-        mask = 0
-        for v in e:
-            mask |= below[index[v]]
-        lower.append(mask)
+            lower.append(mask)
     order = tuple(tuple(x & y == x for y in lower) for x in lower)
     return CNLattice(w, tuple(elements), order, tuple(witnesses))
-
-
-def _rows(order: OrderMatrix) -> tuple[list[int], list[int]]:
-    """Up-set and down-set rows of an order as bitmasks.
-
-    Bit j of ``up[i]`` and bit i of ``down[j]`` are set iff order[i][j].
-    """
-    up = [0] * len(order)
-    down = [0] * len(order)
-    for i, row in enumerate(order):
-        for j, leq in enumerate(row):
-            if leq:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    return up, down
 
 
 BoundTable = list[list[int | None]]
 
 
-def _bound_tables(order: OrderMatrix) -> tuple[BoundTable, BoundTable]:
+def _bound_tables(up: list[int], down: list[int]) -> tuple[BoundTable, BoundTable]:
     """Least-upper-bound and greatest-lower-bound tables, None where missing.
 
-    Let ``up[k]`` and ``down[k]`` be the up-set and down-set of k as
-    bitmasks.  The upper bounds of a and b form the set U = up[a] & up[b].
-    An element k is their least upper bound iff up[k] == U.  If k is
-    least, every member of U lies above k, so U is inside up[k]; and k lies
-    in U, which is an up-set (an intersection of up-sets), so up[k] is
-    inside U.  Conversely up[k] == U puts k in U, below every member of U.
-    Antisymmetry makes k unique (up[k] == up[k'] gives k <= k' <= k), so
-    the join is ``by_up.get(U)`` and the meet is the same with down-sets.
+    ``up[k]`` and ``down[k]`` are the up-set and down-set of k as
+    bitmasks (``_poset_rows``).  The upper bounds of a and b form the set
+    U = up[a] & up[b].  An element k is their least upper bound iff
+    up[k] == U.  If k is least, every member of U lies above k, so U is
+    inside up[k]; and k lies in U, which is an up-set (an intersection of
+    up-sets), so up[k] is inside U.  Conversely up[k] == U puts k in U,
+    below every member of U.  Antisymmetry makes k unique (up[k] ==
+    up[k'] gives k <= k' <= k), so the join is ``by_up.get(U)`` and the
+    meet is the same with down-sets.
     """
-    up, down = _rows(order)
     by_up = {mask: k for k, mask in enumerate(up)}
     by_down = {mask: k for k, mask in enumerate(down)}
     join = [[by_up.get(ua & ub) for ub in up] for ua in up]
     meet = [[by_down.get(da & db) for db in down] for da in down]
     return join, meet
+
+
+def _tables(lat: CNLattice | FinitePoset) -> tuple[BoundTable, BoundTable]:
+    """The join and meet tables of ``lat``, built on first use and kept on it.
+
+    The instances are frozen, so the tables go straight into the instance
+    dict, as ``functools.cached_property`` does.  Two threads may both
+    build them; either pair is complete and never changes.
+    """
+    tables = lat.__dict__.get("_tables")
+    if tables is None:
+        tables = lat.__dict__["_tables"] = _bound_tables(*lat._rows)
+    return tables
 
 
 def _complete(join: BoundTable, meet: BoundTable) -> bool:
@@ -203,7 +221,7 @@ def _complete(join: BoundTable, meet: BoundTable) -> bool:
 
 def is_lattice(lat: CNLattice | FinitePoset) -> bool:
     """Every pair has a unique least upper and greatest lower bound."""
-    return _complete(*_bound_tables(lat.order))
+    return _complete(*_tables(lat))
 
 
 def _violates_triple_law(join: BoundTable, meet: BoundTable) -> bool:
@@ -217,25 +235,27 @@ def _violates_triple_law(join: BoundTable, meet: BoundTable) -> bool:
     return False
 
 
-def _sublattice_shapes(order: OrderMatrix, join: BoundTable, meet: BoundTable) -> bool:
+def _sublattice_shapes(
+    up: list[int], down: list[int], join: BoundTable, meet: BoundTable
+) -> bool:
     """True iff some 5-element subset closed under join/meet is M3 or N5."""
-    size = len(order)
-    for sub in itertools.combinations(range(size), 5):
+    for sub in itertools.combinations(range(len(up)), 5):
         inside = set(sub)
         if any(
             join[a][b] not in inside or meet[a][b] not in inside
             for a, b in itertools.combinations(sub, 2)
         ):
             continue
-        bottoms = [a for a in sub if all(order[a][b] for b in sub)]
-        tops = [a for a in sub if all(order[b][a] for b in sub)]
+        mask = sum(1 << a for a in sub)
+        bottoms = [a for a in sub if up[a] & mask == mask]
+        tops = [a for a in sub if down[a] & mask == mask]
         if len(bottoms) != 1 or len(tops) != 1:
             continue
         middles = [a for a in sub if a not in (bottoms[0], tops[0])]
         comparable = sum(
             1
             for a, b in itertools.combinations(middles, 2)
-            if order[a][b] or order[b][a]
+            if (up[a] | down[a]) >> b & 1
         )
         if comparable in (0, 1):  # 0 middle relations: M3; exactly 1: N5
             return True
@@ -245,15 +265,15 @@ def _sublattice_shapes(order: OrderMatrix, join: BoundTable, meet: BoundTable) -
 def is_distributive(lat: CNLattice | FinitePoset) -> bool:
     """Distributivity, decided twice: triple law and forbidden sublattices.
 
-    The join and meet tables are built once and serve the lattice test
-    and both routes.  The two routes must agree; disagreement indicates a
-    bug in one of them, not a property of the input.
+    The join and meet tables are built once per instance and serve the
+    lattice test and both routes.  The two routes must agree; disagreement
+    indicates a bug in one of them, not a property of the input.
     """
-    join, meet = _bound_tables(lat.order)
+    join, meet = _tables(lat)
     if not _complete(join, meet):
         raise DomainError("distributivity is only defined for lattices")
     by_law = not _violates_triple_law(join, meet)
-    by_shape = not _sublattice_shapes(lat.order, join, meet)
+    by_shape = not _sublattice_shapes(*lat._rows, join, meet)
     if by_law != by_shape:
         raise VerificationError(
             f"distributivity verdicts disagree: triple law {by_law}, "
@@ -288,25 +308,17 @@ def figure_shape_predicate(w: FlagLabel) -> str:
 
 
 def _structural_shape(lat: CNLattice) -> str:
-    order = lat.order
+    up, down = lat._rows
     size = lat.size
-    n_rel = sum(
-        1
-        for i, j in itertools.combinations(range(size), 2)
-        if order[i][j] or order[j][i]
-    )
-    chain = n_rel == size * (size - 1) // 2
+    full = (1 << size) - 1
+    # A chain: every element is comparable with all the others.
+    chain = all(u | d == full for u, d in zip(up, down))
     if size == 1:
         return "trivial"
     if size == 2:
         return "2-chain"
     if size == 3 and chain:
-        middle = next(
-            i
-            for i in range(size)
-            if not all(order[i][j] for j in range(size))
-            and not all(order[j][i] for j in range(size))
-        )
+        middle = next(i for i in range(size) if up[i] != full and down[i] != full)
         wit = lat.witnesses[middle]
         if wit == Degree(0, 1):
             return "3-chain-via-(0,1)"
@@ -319,16 +331,11 @@ def _structural_shape(lat: CNLattice) -> str:
         return "diamond"
     if size == 5 and not chain:
         # bottom < {m1, m2} incomparable, their join, then the top
-        middles = [
-            i
-            for i in range(size)
-            if not all(order[i][j] for j in range(size))
-            and not all(order[j][i] for j in range(size))
-        ]
+        middles = [i for i in range(size) if up[i] != full and down[i] != full]
         comparable = [
             (i, j)
             for i, j in itertools.combinations(middles, 2)
-            if order[i][j] or order[j][i]
+            if (up[i] | down[i]) >> j & 1
         ]
         if len(comparable) == 2:
             return "diamond-plus-top"

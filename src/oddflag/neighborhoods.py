@@ -3,8 +3,10 @@
 ``gamma_bfs`` searches the moment graph with a componentwise degree budget,
 starting from the full lower set of the base label, and returns the Bruhat
 maxima of everything reached.  ``gamma_closed_form`` evaluates the closed
-expressions directly.  ``cross_check`` asserts the two agree cell by cell;
-they are deliberately kept independent of each other and share no helper.
+expressions directly, looking its labels up by their letters in
+``weyl._by_letters``, which the search never reads.  ``cross_check``
+asserts the two agree cell by cell; they are deliberately kept
+independent of each other and share no helper.
 
 The search works on integers, labels numbered by their position in
 ``g.vertices`` and sets held as bitmasks.  Every moment edge has a nonzero
@@ -66,7 +68,7 @@ from typing import Iterable
 from . import weyl
 from .errors import DomainError, VerificationError
 from .moment import Degree, MomentGraph, build_moment_graph
-from .weyl import FlagLabel, _bits, bruhat_leq, letter_rank, top_label
+from .weyl import FlagLabel, _bits, bruhat_leq, letter_rank
 
 __all__ = [
     "SchubertUnion",
@@ -91,9 +93,13 @@ class SchubertUnion:
     components: tuple[FlagLabel, ...]
 
     def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        if len(comps) > 1:  # one label needs no sort and no sort_key
-            comps = tuple(sorted(set(comps), key=lambda w: w.sort_key))
+        comps = self.components
+        if type(comps) is not tuple:
+            comps = tuple(comps)
+            object.__setattr__(self, "components", comps)
+        if len(comps) == 1:  # no check below can fail on one label
+            return
+        comps = tuple(sorted(set(comps), key=lambda w: w.sort_key))
         if not comps:
             raise DomainError("a Schubert union has at least one component")
         if len({w.n for w in comps}) != 1:
@@ -293,28 +299,31 @@ def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
     * (d1>=1, d2>=2): the top.
 
     Here > and max are the alphabet order, read through ``letter_rank``.
+    Every component is the label object of ``enumerate_labels(n)``, looked
+    up by its letters; no label is built.
     """
     n = w.n
     a, b = w.a, w.b
+    at = weyl._by_letters(n)
     reg = (min(d.d1, 1), min(d.d2, 2))
     if reg == (0, 0):
-        return SchubertUnion((w,))
+        return SchubertUnion((at[a, b],))
     if reg == (1, 0):
         if letter_rank(a, n) > letter_rank(b, n):
-            return SchubertUnion((w,))
-        return SchubertUnion((FlagLabel(b, a, n),))
+            return SchubertUnion((at[a, b],))
+        return SchubertUnion((at[b, a],))
     if reg[0] == 0:  # (0, d2 >= 1)
         if a == 2:
-            return SchubertUnion((FlagLabel(2, -3, n), FlagLabel(1, -2, n)))
-        return SchubertUnion((FlagLabel(a, -3 if a == -2 else -2, n),))
+            return SchubertUnion((at[2, -3], at[1, -2]))
+        return SchubertUnion((at[a, -3 if a == -2 else -2],))
     if reg == (1, 1):
         if {a, b} == {1, 2}:
-            return SchubertUnion((FlagLabel(-3, 2, n), FlagLabel(-2, 1, n)))
+            return SchubertUnion((at[-3, 2], at[-2, 1]))
         if -2 in (a, b):
-            return SchubertUnion((top_label(n),))
-        later = max(a, b, key=lambda k: letter_rank(k, n))
-        return SchubertUnion((FlagLabel(-2, later, n),))
-    return SchubertUnion((top_label(n),))  # (d1 >= 1, d2 >= 2)
+            return SchubertUnion((at[-2, -3],))
+        later = a if letter_rank(a, n) > letter_rank(b, n) else b
+        return SchubertUnion((at[-2, later],))
+    return SchubertUnion((at[-2, -3],))  # (d1 >= 1, d2 >= 2)
 
 
 def degree_grid(dmax: Degree) -> tuple[Degree, ...]:

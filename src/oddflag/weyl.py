@@ -35,6 +35,11 @@ by length, so the labels v covers are its lower set cut to length
 l(v) - 1.  ``bruhat_masks`` holds these lower sets and covers as bitmasks;
 ``down_set``, ``covers``, the search and the quantum graph read them.
 
+``enumerate_labels(n)`` holds one object per label of rank n, and
+``_by_letters(n)`` finds it by its letters (a, b).  ``top_label`` and the
+closed-form neighborhoods take their labels from there instead of
+building new ones; the search does not read it.
+
 Everything in this module is an immutable value; all operations are pure
 functions and safe to share across threads.
 """
@@ -132,8 +137,8 @@ def label(a: int, b: int, n: int) -> FlagLabel:
 
 
 def top_label(n: int) -> FlagLabel:
-    """The maximum label (-2|-3)."""
-    return label(-2, -3, n)
+    """The maximum label (-2|-3), the object held by ``enumerate_labels(n)``."""
+    return _by_letters(n)[-2, -3]
 
 
 def parse_label(text: str, n: int) -> FlagLabel:
@@ -305,6 +310,12 @@ def enumerate_labels(n: int) -> tuple[FlagLabel, ...]:
         if abs(a) != abs(b)
     ]
     return tuple(sorted(out, key=lambda w: w.sort_key))
+
+
+@functools.lru_cache(maxsize=None)
+def _by_letters(n: int) -> Mapping[tuple[int, int], FlagLabel]:
+    """Each label of ``enumerate_labels(n)`` under its letters ``(a, b)``, read-only."""
+    return MappingProxyType({(w.a, w.b): w for w in enumerate_labels(n)})
 
 
 @functools.lru_cache(maxsize=None)

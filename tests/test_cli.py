@@ -254,6 +254,28 @@ PINNED_STDOUT_SHA256 = {
     "lattice --n 4 --w=-3|-2 --format table": "be069f0c47a44a67290e176cf629c49215fa317b5ca9a3d2664f4b8bc3b06395",
     "lattice --n 4 --w=3|-4 --format table": "bfcc04a706e1768cbf001932d7861a6db0ddf28d910637937f77761073589d2a",
     "lattice --n 4 --w=-4|3 --format table": "e18a56111895c06d8ece21fa8601ab6e5e7375af81b226ead82e135803880902",
+    # The lattice json and dot exports of the same bases, and two rank-16
+    # lattices in every format, recorded before the lattice kept its rows.
+    "lattice --n 4 --w=1|2 --format json": "8dceb0935d6b9e16d4d1cab2f9e5e887848b33fd1e129aafc3337551038cb985",
+    "lattice --n 4 --w=1|2 --format dot": "e3bf0cdcee98dfa0a64072030a0b9f79627fd9ff41fef76d261b9f737748e997",
+    "lattice --n 4 --w=2|1 --format json": "bde205ed20ce591cebc87f5dc62266bf07c884c79a1e44a5fb058210ec95f9c7",
+    "lattice --n 4 --w=2|1 --format dot": "0128afb8c08726efeac3219e5d143cb9a2a45ff9beb211217c1eedd77d80f672",
+    "lattice --n 4 --w=-2|1 --format json": "5f56e31a9d6020b40366c056a0ad6c36adba446193ea2505552fc8ecca93547a",
+    "lattice --n 4 --w=-2|1 --format dot": "4db5ffb516c4c8991e5e507c0dace2d5db5834abffa70e11b6cd901a411f16ff",
+    "lattice --n 4 --w=1|-3 --format json": "c56047f70d197419502deb36d385b6f6671a1a50323112e5405bf16d858683f9",
+    "lattice --n 4 --w=1|-3 --format dot": "9325f8ebee398d7278052ebb17311bccb6bdb67111f08c7f9ffa3e32f64c3baf",
+    "lattice --n 4 --w=-3|-2 --format json": "ada367a2bdeb52e5e5cfa770e31dc68ea059071b85b83b66c6f8ac461281825b",
+    "lattice --n 4 --w=-3|-2 --format dot": "d450dd1b5aeb2d49147193cdcdf7547f6dbc4b5d2af69be36c827addb1a250ea",
+    "lattice --n 4 --w=3|-4 --format json": "cb7a10ae41d5ec847ef4413f0756b46637f0a77c4ccdc197ffd4f1d94f5d30f6",
+    "lattice --n 4 --w=3|-4 --format dot": "f8333f923f01556dff13df8e0827f99926bea675b42b6ae145d2acb8b3cd277e",
+    "lattice --n 4 --w=-4|3 --format json": "c564debc11bf866b5f234dff104c0c7fe472c660eb5299fd6cfcc8be0ff8f50e",
+    "lattice --n 4 --w=-4|3 --format dot": "061115f43c82108be0a49128d22455c5acad6d5e9029d6343b36b7f9f59057c9",
+    "lattice --n 16 --w=1|2 --format json": "8dceb0935d6b9e16d4d1cab2f9e5e887848b33fd1e129aafc3337551038cb985",
+    "lattice --n 16 --w=1|2 --format dot": "e3bf0cdcee98dfa0a64072030a0b9f79627fd9ff41fef76d261b9f737748e997",
+    "lattice --n 16 --w=1|2 --format table": "96c779cb6d18a5866d42e3fef0499f0b7639c29eff6bd5b166d9539941c0cd88",
+    "lattice --n 16 --w=2|-3 --format json": "70a313a56f71c1e3e25f81653e2f8bfea0416d2d59b6a4355b3ce4ecd1faea5c",
+    "lattice --n 16 --w=2|-3 --format dot": "07d9cfec1794b5dd7ad7bdf5ebb53cbf4e8bfeda3d20ea7911cb15b00d700e1a",
+    "lattice --n 16 --w=2|-3 --format table": "e3b34015c95a24937eacb0d7d95deccb128011744c7cc9884ddc152ee13d1679",
     "qbg --n 3 --format table": "b1b433c4c1cc9bad6d6d5b254a80b64b3d5a73013d4a8f78a5ca1a6765c5e186",
     "qbg --n 3 --strict-qbg --format json": "0bb7daa7b833653ec78a862c56d5e1dcba8655de4246eefd9113f783cce7f251",
     "qbg --n 8 --strict-qbg --format json": "1c94f70725993351b2aef04d82131ebffa902d0d19bbed78a879a6eae8dbce1e",

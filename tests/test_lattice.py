@@ -1,9 +1,12 @@
 import itertools
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
 from oddflag.errors import DomainError, VerificationError
-from oddflag import lattice, neighborhoods, weyl
+from oddflag import lattice, neighborhoods, verify, weyl
 from oddflag.lattice import (
     REPRESENTATIVE_DEGREES,
     build_cn_lattice,
@@ -76,7 +79,7 @@ def test_bound_tables_match_the_list_scan_oracle():
     posets += [build_cn_lattice(w) for n in (2, 3, 4) for w in enumerate_labels(n)]
     incomplete = 0
     for p in posets:
-        join, meet = lattice._bound_tables(p.order)
+        join, meet = lattice._bound_tables(*p._rows)
         assert (join, meet) == bound_tables_oracle(p.order)
         incomplete += not is_lattice(p)
     assert incomplete > 0  # the sweep includes non-lattices, so None entries
@@ -125,10 +128,10 @@ def test_each_route_decides_on_its_own():
     bad = [m3_poset(), n5_poset(), pentagon_plus_atom]
     good = [build_cn_lattice(w) for n in (2, 3) for w in enumerate_labels(n)]
     for p in bad + good:
-        join, meet = lattice._bound_tables(p.order)
+        join, meet = lattice._bound_tables(*p._rows)
         expected = p in bad
         assert lattice._violates_triple_law(join, meet) is expected
-        assert lattice._sublattice_shapes(p.order, join, meet) is expected
+        assert lattice._sublattice_shapes(*p._rows, join, meet) is expected
 
 
 def test_triple_law_finds_the_pentagon_under_every_labelling():
@@ -140,7 +143,7 @@ def test_triple_law_finds_the_pentagon_under_every_labelling():
         moved = [[False] * 5 for _ in range(5)]
         for i, j in itertools.product(range(5), repeat=2):
             moved[perm[i]][perm[j]] = base[i][j]
-        join, meet = lattice._bound_tables(tuple(map(tuple, moved)))
+        join, meet = lattice._bound_tables(*FinitePoset(tuple(map(tuple, moved)))._rows)
         assert lattice._violates_triple_law(join, meet), perm
 
 
@@ -155,14 +158,68 @@ def test_is_distributive_builds_the_tables_once(monkeypatch):
     calls = []
     build = lattice._bound_tables
 
-    def counted(order):
-        calls.append(order)
-        return build(order)
+    def counted(up, down):
+        calls.append((up, down))
+        return build(up, down)
 
     monkeypatch.setattr(lattice, "_bound_tables", counted)
     for p in (build_cn_lattice(label(1, 2, 2)), m3_poset(), n5_poset()):
         is_distributive(p)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_check_lattices_builds_one_row_pair_and_one_table_pair_per_base(monkeypatch, n):
+    # verify's lattice row calls is_lattice and then is_distributive; they
+    # share the tables the lattice keeps, and the lattice keeps the rows it
+    # checked the axioms on.
+    counts = Counter()
+
+    def spy(name):
+        real = getattr(lattice, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in ("_poset_rows", "_bound_tables"):
+        monkeypatch.setattr(lattice, name, spy(name))
+    assert verify._check_lattices(n)[0] == "pass"
+    bases = len(enumerate_labels(n))
+    assert counts == {"_poset_rows": bases, "_bound_tables": bases}
+
+
+def test_threads_sharing_lattices_whose_tables_are_not_built_yet():
+    # Each lattice builds its join and meet tables on first use and keeps
+    # them, so the first calls race to build them.
+    bases = enumerate_labels(3)
+    want = [
+        (is_lattice(lat), is_distributive(lat), classify_shape(lat))
+        for lat in map(build_cn_lattice, bases)
+    ]
+    shared = [build_cn_lattice(w) for w in bases]
+    wrong = []
+
+    def worker(k):
+        for i in list(range(k, len(shared))) + list(range(k)):
+            lat = shared[i]
+            if (is_lattice(lat), is_distributive(lat), classify_shape(lat)) != want[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(5 * k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_classify_shape_examples():

@@ -47,6 +47,61 @@ def test_union_validation():
     assert [str(c) for c in u] == ["-3|2", "-2|1"]
 
 
+@pytest.mark.parametrize(
+    "make", [list, lambda xs: (x for x in xs)], ids=["list", "generator"]
+)
+def test_unions_from_other_iterables(make):
+    # One component skips every check, which cannot fail on one label, but
+    # is still stored as a tuple; two or more keep every check.
+    w = label(-2, 1, 3)
+    got = SchubertUnion(make([w]))
+    assert type(got.components) is tuple and got.components == (w,)
+    assert got == su(w) and hash(got) == hash(su(w))
+    with pytest.raises(DomainError, match="share one rank"):
+        SchubertUnion(make([label(-3, 2, 2), label(-2, 1, 3)]))
+    with pytest.raises(DomainError, match="comparable"):
+        SchubertUnion(make([label(1, 2, 2), label(2, 1, 2)]))
+    with pytest.raises(DomainError, match="comparable"):
+        SchubertUnion(make([label(-3, 2, 2), label(-2, 1, 2), label(2, 1, 2)]))
+    u = SchubertUnion(make([label(-2, 1, 2), label(-3, 2, 2), label(-2, 1, 2)]))
+    assert u.components == (label(-3, 2, 2), label(-2, 1, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_closed_form_builds_no_label(monkeypatch, n):
+    # Every component, the top and the base included, is the object that
+    # enumerate_labels(n) holds, so no FlagLabel is constructed.
+    labels = enumerate_labels(n)
+    held = {id(w) for w in labels}
+    copies = [label(w.a, w.b, n) for w in labels]  # equal, not the same objects
+    built = []
+    init = FlagLabel.__post_init__
+
+    def spy(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(FlagLabel, "__post_init__", spy)
+    for w in (*labels, *copies):
+        for d in degree_grid(Degree(3, 3)):
+            value = gamma_closed_form(w, d)
+            assert all(id(c) in held for c in value), (w, d)
+    assert built == []
+
+
+def test_the_search_does_not_read_the_closed_form_table(monkeypatch):
+    # The search and the closed form share no helper: the label table of
+    # the closed form stays out of the index and the search.
+    def refuse(n):
+        raise AssertionError("the search read the closed form's label table")
+
+    monkeypatch.setattr(weyl, "_by_letters", refuse)
+    g = _fresh_graph(3)
+    for w in g.vertices:
+        for d in degree_grid(Degree(2, 2)):
+            assert gamma_bfs(w, d, g).n == 3
+
+
 def test_union_leq_examples():
     assert union_leq(su(label(1, 2, 2)), su(label(-2, -3, 2)))
     a = su(label(-3, 2, 2))
