@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .errors import DomainError, VerificationError
 from .moment import Degree
 from .neighborhoods import SchubertUnion, gamma_closed_form
-from .weyl import FlagLabel, _bits, bruhat_masks, letter_rank
+from .weyl import FlagLabel, _bits, bruhat_masks, letter_rank, top_label
 
 __all__ = [
     "REPRESENTATIVE_DEGREES",
@@ -140,15 +140,14 @@ class CNLattice:
     witnesses: tuple[Degree, ...]
 
     def __post_init__(self) -> None:
-        self.__dict__["_rows"] = _poset_rows(self.order)  # partial-order axioms
-        w = self.base
-        keys = [tuple((v.a, v.b, v.n) for v in e) for e in self.elements]
-        bottom, top = ((w.a, w.b, w.n),), ((-2, -3, w.n),)
-        if bottom not in keys or top not in keys:
+        # The rows check the partial-order axioms.
+        up, down = self.__dict__["_rows"] = _poset_rows(self.order)
+        comps = [e.components for e in self.elements]
+        bottom, top = (self.base,), (top_label(self.base.n),)
+        if bottom not in comps or top not in comps:
             raise VerificationError("lattice must contain its base and the top")
-        i0 = keys.index(bottom)
-        i1 = keys.index(top)
-        if not all(self.order[i0][j] and self.order[j][i1] for j in range(len(self.elements))):
+        full = (1 << len(comps)) - 1
+        if up[comps.index(bottom)] != full or down[comps.index(top)] != full:
             raise VerificationError("base must be the minimum and the top the maximum")
 
     @property

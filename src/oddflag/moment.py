@@ -4,12 +4,39 @@ Vertices are the odd labels; there is an unoriented edge w -- reflect(w, r)
 for every root r outside the parabolic subsystem whose reflection keeps the
 coset inside the odd index set.  Each edge carries the curve degree of its
 root, one of (1,0), (0,1), (1,1), (1,2).
+
+The graph has a closed form in the letters of (a|b).  Read off ``reflect``
+root by root, with h running over the letters unused by (a|b):
+
+* t1 - t2, class (1,0), sends (a|b) to (b|a), always an odd label.
+* t1 + t2, class (1,2), sends (a|b) to (-b|-a), odd unless a or b is 1.
+* The t2 family, class (0,1): 2t2 gives (a|-b), and t2 - tj, t2 + tj
+  (j >= 3) give (a|h) and (a|-h).  Together they put every allowed letter
+  y != b with |y| != |a| in place of b, -1 excluded as for every odd
+  label: the (0,1) neighbours of (a|b) are the other labels of its row,
+  the labels with first letter a.
+* The t1 family, class (1,1), does the same to a: the (1,1) neighbours of
+  (a|b) are the other labels of its column, the labels with second
+  letter b.
+
+Having the same first letter is an equivalence, so any two labels of a
+row are (0,1) neighbours of each other: each row is a clique of (0,1)
+edges, and each column, in the same way, a clique of (1,1) edges.  No
+pair is joined twice: a pair in one row or column differs in one letter,
+the swap and the bar-swap change both, and (b|a) = (-b|-a) would need
+b = -b.
+
+``moment_masks`` builds the per-class neighbour masks from this rule, and
+the search reads them; ``build_moment_graph`` builds the graph as objects
+by reflecting every label by every root, for the ``moment-graph`` export
+and as the reference route, and ``verify`` compares the two at every rank.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import DomainError
@@ -105,11 +132,6 @@ class MomentGraph:
     vertices: tuple[FlagLabel, ...]
     edges: tuple[MomentEdge, ...]
 
-    @functools.cached_property
-    def pair_set(self) -> frozenset[frozenset[FlagLabel]]:
-        """Unordered vertex pairs joined by at least one edge."""
-        return frozenset(frozenset((e.u, e.v)) for e in self.edges)
-
     def degree_counts(self) -> dict[Degree, int]:
         counts: dict[Degree, int] = {}
         for e in self.edges:
@@ -126,16 +148,60 @@ def build_moment_graph(n: int) -> MomentGraph:
     """
     vertices = enumerate_labels(n)
     index = {v: i for i, v in enumerate(vertices)}
+    roots = [(root, degree_of_root(root)) for root in moment_roots(n)]
     edges: list[MomentEdge] = []
     for w in vertices:
-        for root in moment_roots(n):
+        for root, degree in roots:
             r = reflect(w, root)
             if r is None:
                 continue
             if index[w] < index[r]:
-                edges.append(MomentEdge(w, r, degree_of_root(root), root))
+                edges.append(MomentEdge(w, r, degree, root))
     edges.sort(key=lambda e: (index[e.u], index[e.v]))  # one root per pair
     return MomentGraph(n, vertices, tuple(edges))
+
+
+# Per-class neighbour masks over a label list: bit j of near[c][i] is set
+# iff labels i and j are joined by an edge of class c = (c1, c2).
+NeighbourMasks = Mapping[tuple[int, int], tuple[int, ...]]
+
+
+@functools.lru_cache(maxsize=None)
+def moment_masks(n: int) -> NeighbourMasks:
+    """The moment graph of rank n as read-only per-class neighbour masks.
+
+    Masks are aligned with ``enumerate_labels(n)`` and built from the row,
+    column, swap and bar-swap rule of the module docstring, with no
+    reflection.  The classes come in increasing (c1, c2) order.
+    """
+    at = {(w.a, w.b): i for i, w in enumerate(enumerate_labels(n))}
+    row: dict[int, int] = {}
+    col: dict[int, int] = {}
+    for (a, b), i in at.items():
+        row[a] = row.get(a, 0) | 1 << i
+        col[b] = col.get(b, 0) | 1 << i
+    # ``at`` keeps the label order, so the masks line up with the labels.
+    return MappingProxyType({
+        (0, 1): tuple(row[a] & ~(1 << i) for (a, b), i in at.items()),
+        (1, 0): tuple(1 << at[b, a] for a, b in at),
+        (1, 1): tuple(col[b] & ~(1 << i) for (a, b), i in at.items()),
+        (1, 2): tuple(1 << at[-b, -a] if (-b, -a) in at else 0 for a, b in at),
+    })
+
+
+def _edge_masks(g: MomentGraph) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Per-class neighbour masks read off ``g.edges``, aligned with ``g.vertices``.
+
+    Only the classes that carry an edge appear, in increasing order.
+    """
+    index = {v: i for i, v in enumerate(g.vertices)}
+    near: dict[tuple[int, int], list[int]] = {}
+    for e in g.edges:
+        masks = near.setdefault(e.degree.key, [0] * len(g.vertices))
+        i, j = index[e.u], index[e.v]
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return {c: tuple(masks) for c, masks in sorted(near.items())}
 
 
 def to_dot(g: MomentGraph, degree: Degree | None = None) -> str:

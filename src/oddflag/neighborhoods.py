@@ -9,10 +9,13 @@ asserts the two agree cell by cell; they are deliberately kept
 independent of each other and share no helper.
 
 The search works on integers, labels numbered by their position in
-``g.vertices`` and sets held as bitmasks.  Every moment edge has a nonzero
-degree class c, one of (1,0), (0,1), (1,1), (1,2).  Write R[d] for the
-labels reached from w within budget d, and N_c(S) for the labels joined to
-some label of S by a class-c edge.  Then
+``enumerate_labels(n)`` and sets held as bitmasks.  It reads the moment
+graph as the per-class neighbour masks of ``moment.moment_masks(n)``, the
+rows, columns, swaps and bar-swaps of the letters, and builds no edge
+object.  Every moment edge has a nonzero degree class c, one of (1,0),
+(0,1), (1,1), (1,2).  Write R[d] for the labels reached from w within
+budget d, and N_c(S) for the labels joined to some label of S by a
+class-c edge.  Then
 
     R[d] = below[w]  |  OR over classes c <= d of  N_c(R[d - c]).
 
@@ -61,14 +64,15 @@ second route.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import weyl
 from .errors import DomainError, VerificationError
-from .moment import Degree, MomentGraph, build_moment_graph
-from .weyl import FlagLabel, _bits, bruhat_leq, letter_rank
+from .moment import Degree, NeighbourMasks, moment_masks
+from .weyl import FlagLabel, _bits, bruhat_leq, enumerate_labels, letter_rank
 
 __all__ = [
     "SchubertUnion",
@@ -143,31 +147,25 @@ _Cell = tuple[int, tuple[int, ...]]
 class _SearchIndex:
     """Integer view of one moment graph, built once for the search.
 
-    Labels are numbered by their position in ``g.vertices``, that is in
-    ``enumerate_labels(g.n)``, so ``below[i]``, the Bruhat lower set of
-    label i (including i), and the labels i covers come from
-    ``weyl.bruhat_masks``.  ``steps``
-    holds, for each degree class c = (c1, c2) of the graph's edges,
+    ``labels`` is ``enumerate_labels(n)``, and ``near`` holds, for each
+    degree class c = (c1, c2) of the graph, the neighbour masks N_c({x})
+    of the labels in that order (``moment.moment_masks``).  ``below[i]``,
+    the Bruhat lower set of label i (including i), and the labels i covers
+    come from ``weyl.bruhat_masks``.  ``steps`` holds, for each class c,
     ``(c, DN, D)``: bitmasks ``DN[x]`` of N_c(below[x]) and ``D[x]`` of
     its down-closure (module docstring).  ``reach`` is the componentwise
     largest class, (1, 2) for every moment graph.  No attribute changes
     after ``__init__``, so threads may share the index.
     """
 
-    def __init__(self, g: MomentGraph) -> None:
-        self.labels = g.vertices
-        self.index, self.below, covered, _level = weyl.bruhat_masks(g.n)
-        size = len(g.vertices)
-        near: dict[tuple[int, int], list[int]] = {}
-        for e in g.edges:
-            masks = near.setdefault(e.degree.key, [0] * size)
-            i, j = self.index[e.u], self.index[e.v]
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
+    def __init__(self, labels: Sequence[FlagLabel], near: NeighbourMasks) -> None:
+        self.labels = labels
+        self.index, self.below, covered, _level = weyl.bruhat_masks(labels[0].n)
+        size = len(labels)
         steps = []
         for c, masks in sorted(near.items()):
             # Lengths ascend with the index, so covers come first.
-            dn = masks[:]
+            dn = list(masks)
             for x in range(size):
                 for y in _bits(covered[x]):
                     dn[x] |= dn[y]
@@ -246,22 +244,13 @@ class _SearchIndex:
         return SchubertUnion(tuple(self.labels[x] for x in maxima))
 
 
-def _search_index(g: MomentGraph) -> _SearchIndex:
-    """The search index of ``g``, built on first use and kept on the graph.
-
-    ``MomentGraph`` is a frozen dataclass, so the index goes straight into
-    the instance dict, as ``functools.cached_property`` does.  Two threads
-    may both build it; either copy is complete and never changes.
-    """
-    index = g.__dict__.get("_search_index")
-    if index is None:
-        index = g.__dict__["_search_index"] = _SearchIndex(g)
-    return index
+@functools.lru_cache(maxsize=None)
+def _search_index(n: int) -> _SearchIndex:
+    """The search index of the rank-n moment graph, built on first use."""
+    return _SearchIndex(enumerate_labels(n), moment_masks(n))
 
 
-def gamma_bfs(
-    w: FlagLabel, d: Degree, graph: MomentGraph | None = None
-) -> SchubertUnion:
+def gamma_bfs(w: FlagLabel, d: Degree) -> SchubertUnion:
     """Degree-budgeted search for the curve neighborhood of X(w).
 
     Walks the moment graph from the lower set of w, spending edge degrees
@@ -269,14 +258,11 @@ def gamma_bfs(
     every label reached.  The reached set comes from the degree-graded
     recursion of the module docstring, filled afresh on each call in
     (d1, d2) order up to the first window that passes the stability test;
-    nothing is kept between calls.  The search expands only maxima, which
-    is exact on Bruhat lower sets, so it raises ``VerificationError`` when
-    a reached set is not one.
+    only the per-rank index is kept between calls.  The search expands
+    only maxima, which is exact on Bruhat lower sets, so it raises
+    ``VerificationError`` when a reached set is not one.
     """
-    g = build_moment_graph(w.n) if graph is None else graph
-    if g.n != w.n:
-        raise DomainError(f"rank mismatch: label of rank {w.n}, graph of rank {g.n}")
-    index = _search_index(g)
+    index = _search_index(w.n)
     return index.neighborhood(index.index[w], d.d1, d.d2)
 
 
@@ -365,13 +351,12 @@ def cross_check(n: int, dmax: Degree) -> CrossCheckReport:
     Each cell is one gamma_bfs call, made through the module attribute,
     and one closed-form evaluation; the two share no helper.
     """
-    g = build_moment_graph(n)
     mismatches = []
     cells = 0
-    for w in g.vertices:
+    for w in enumerate_labels(n):
         for d in degree_grid(dmax):
             cells += 1
-            found = gamma_bfs(w, d, g)
+            found = gamma_bfs(w, d)
             stated = gamma_closed_form(w, d)
             if found != stated:
                 mismatches.append((w, d, found, stated))

@@ -40,12 +40,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import DomainError, VerificationError
-from .moment import EDGE_COLORS, Degree, build_moment_graph
+from .moment import EDGE_COLORS, Degree, moment_masks
 from .neighborhoods import gamma_closed_form
 from .weyl import (
     FlagLabel,
@@ -292,14 +293,18 @@ def property_o_verdict(n: int) -> PropertyOVerdict:
 
 
 def moment_discrepancies(n: int) -> tuple[tuple[FlagLabel, FlagLabel, Degree], ...]:
-    """Quantum edges whose endpoints no single moment-graph edge joins."""
+    """Quantum edges whose endpoints no single moment-graph edge joins.
+
+    Adjacency is one bit of the OR of the per-class neighbour masks of
+    ``moment.moment_masks``.
+    """
     g = build_qbg(n)
-    pairs = build_moment_graph(n).pair_set
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index, _below, _covered, _level = bruhat_masks(n)
+    joined = [functools.reduce(operator.or_, x) for x in zip(*moment_masks(n).values())]
     out = [
         (e.u, e.v, e.degree)
         for e in g.edges
-        if e.degree is not None and frozenset((e.u, e.v)) not in pairs
+        if e.degree is not None and not joined[index[e.u]] >> index[e.v] & 1
     ]
     out.sort(key=lambda t: (index[t[0]], index[t[1]], t[2].key))
     return tuple(out)

@@ -23,6 +23,7 @@ from importlib import resources
 
 from .lattice import build_cn_lattice, classify_shape, is_distributive, is_lattice
 from .moment import Degree, build_moment_graph, degree_of_root
+from .moment import _edge_masks, moment_masks
 from .neighborhoods import cross_check, degree_grid, gamma_closed_form
 from .qbg import build_qbg, chern_data, moment_discrepancies, property_o_verdict
 from .weyl import enumerate_labels, length, moment_roots, parse_label, top_label
@@ -83,6 +84,18 @@ def _check_moment_graph(n: int) -> Outcome:
         counts = {k.key: v for k, v in g.degree_counts().items()}
         if counts != {(1, 0): 8, (0, 1): 18, (1, 1): 18, (1, 2): 4}:
             return "fail", f"edge counts {counts}"
+    # The search reads the letter rule's masks; the reflections must agree.
+    want, got = _edge_masks(g), moment_masks(n)
+    zero, classes = (0,) * len(g.vertices), want.keys() | got.keys()
+    differ = [
+        v for i, v in enumerate(g.vertices)
+        if any(want.get(c, zero)[i] != got.get(c, zero)[i] for c in classes)
+    ]
+    if differ:
+        return "fail", (
+            f"{len(differ)} labels have other neighbours by the letter rule, "
+            f"first {differ[0]}"
+        )
     return "pass", f"{len(g.edges)} edges"
 
 

@@ -282,6 +282,13 @@ PINNED_STDOUT_SHA256 = {
     "qbg --n 16 --format json": "3128d497e23902215531c6ebbb6f9cccd627d401efb1f7aa1a948cd5b7430c2b",
     "qbg --n 16 --strict-qbg --format json": "bf0314c8d47ab499ca045158e3b667576c745458249f2ccdcd411deeb7be130e",
     "verify --n-max 6": "a8a406fdc4877d2fc3e1a5860ea263a6278578de4fa9ba3f98559e77afd1534e",
+    # The rank-16 moment graph in both formats, the rank-16 search at a
+    # huge degree and a wider verify, recorded before the search read the
+    # moment graph as row and column masks.
+    "moment-graph --n 16 --format json": "662becc3dee32892b0a10c991db174720457c0639b55f452b0dde02ed321e5fe",
+    "moment-graph --n 16 --format dot": "808be39169e5bb872a5e8942200b8b6910bf8d10e7ef58d879f79c636d54fda3",
+    "nbhd --n 16 --w=2|1 --d 1000000,1000000 --oracle --format json": "71e788487ae4cae2a8a0beee095f02a3638a7ac4bdca3034bb9b8be5c58fe827",
+    "verify --n-max 10": "48b7f3c254ef92abb968ceda35e23a65e74833ae5dff9580d24acc5027192ec1",
 }
 
 

@@ -303,6 +303,31 @@ def test_finite_poset_rejects_bad_matrices():
         )
 
 
+def test_cn_lattice_rejects_a_missing_or_misplaced_extreme():
+    lat = build_cn_lattice(label(1, 2, 2))
+    top = SchubertUnion((top_label(2),))
+    assert lat.elements[0] == SchubertUnion((lat.base,)) and lat.size == 5
+
+    def without(k):
+        keep = [i for i in range(lat.size) if i != k]
+        return lattice.CNLattice(
+            lat.base,
+            tuple(lat.elements[i] for i in keep),
+            tuple(tuple(lat.order[i][j] for j in keep) for i in keep),
+            tuple(lat.witnesses[i] for i in keep),
+        )
+
+    for k in (0, lat.elements.index(top)):
+        with pytest.raises(VerificationError, match="must contain its base and the top"):
+            without(k)
+    # The reversed order is a partial order too, with the base on top.
+    flipped = tuple(zip(*lat.order))
+    with pytest.raises(
+        VerificationError, match="base must be the minimum and the top the maximum"
+    ):
+        lattice.CNLattice(lat.base, lat.elements, flipped, lat.witnesses)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_order_matches_the_union_leq_oracle(n):
     for w in enumerate_labels(n):

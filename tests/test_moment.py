@@ -6,8 +6,10 @@ import pytest
 from oddflag.errors import DomainError
 from oddflag.moment import (
     Degree,
+    _edge_masks,
     build_moment_graph,
     degree_of_root,
+    moment_masks,
     to_dot,
     to_json_dict,
 )
@@ -96,6 +98,17 @@ def test_no_self_loops_and_unique_pairs():
         pairs = [frozenset((e.u, e.v)) for e in g.edges]
         assert all(e.u != e.v for e in g.edges)
         assert len(pairs) == len(set(pairs))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_letter_rule_masks_match_the_reflection_edges(n):
+    # Rows and columns of (a|b) as cliques, plus the swap and the bar-swap,
+    # give exactly the graph that reflecting every label by every root does.
+    got = moment_masks(n)
+    assert got == _edge_masks(build_moment_graph(n))
+    assert list(got) == [(0, 1), (1, 0), (1, 1), (1, 2)]
+    with pytest.raises(TypeError):
+        got[0, 1] = ()
 
 
 def test_edges_come_from_their_roots():

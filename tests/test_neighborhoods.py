@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from helpers import BitExpandingSearch, moment_neighbors, reference_gamma_bfs
-from oddflag import neighborhoods, weyl
+from oddflag import moment, neighborhoods, qbg, weyl
 from oddflag.errors import DomainError, VerificationError
 from oddflag.moment import Degree, MomentEdge, MomentGraph, build_moment_graph
 from oddflag.neighborhoods import (
@@ -91,15 +91,28 @@ def test_closed_form_builds_no_label(monkeypatch, n):
 
 def test_the_search_does_not_read_the_closed_form_table(monkeypatch):
     # The search and the closed form share no helper: the label table of
-    # the closed form stays out of the index and the search.
-    def refuse(n):
-        raise AssertionError("the search read the closed form's label table")
+    # the closed form stays out of the index and the search, and the
+    # moment graph's masks, which the search reads, stay out of the
+    # closed form.
+    def refuse(what):
+        def fail(n):
+            raise AssertionError(f"read {what}")
 
-    monkeypatch.setattr(weyl, "_by_letters", refuse)
-    g = _fresh_graph(3)
-    for w in g.vertices:
+        return fail
+
+    with monkeypatch.context() as m:
+        m.setattr(weyl, "_by_letters", refuse("the closed form's label table"))
+        neighborhoods._search_index.cache_clear()
+        moment.moment_masks.cache_clear()
+        for w in enumerate_labels(3):
+            for d in degree_grid(Degree(2, 2)):
+                assert gamma_bfs(w, d).n == 3
+    for module in (moment, neighborhoods):
+        monkeypatch.setattr(module, "moment_masks", refuse("the search's moment masks"))
+    neighborhoods._search_index.cache_clear()
+    for w in enumerate_labels(3):
         for d in degree_grid(Degree(2, 2)):
-            assert gamma_bfs(w, d, g).n == 3
+            assert gamma_closed_form(w, d).n == 3
 
 
 def test_union_leq_examples():
@@ -191,13 +204,12 @@ def test_saturation_at_degree_one_two():
 
 def test_regime_stability_via_search():
     for n in (2, 3):
-        g = build_moment_graph(n)
         for w in enumerate_labels(n):
-            base01 = gamma_bfs(w, Degree(0, 1), g)
-            base11 = gamma_bfs(w, Degree(1, 1), g)
+            base01 = gamma_bfs(w, Degree(0, 1))
+            base11 = gamma_bfs(w, Degree(1, 1))
             for k in (2, 3):
-                assert gamma_bfs(w, Degree(0, k), g) == base01
-                assert gamma_bfs(w, Degree(k, 1), g) == base11
+                assert gamma_bfs(w, Degree(0, k)) == base01
+                assert gamma_bfs(w, Degree(k, 1)) == base11
 
 
 def _neighbors_by_degree(g, w, key):
@@ -281,22 +293,24 @@ def _reference_cells(n):
     }
 
 
-def _fresh_graph(n):
-    """An equal copy of the rank-n graph whose search index is not built yet."""
-    g = build_moment_graph(n)
-    return MomentGraph(g.n, g.vertices, g.edges)
+def _index_of(g):
+    """A search index of the graph ``g``, read off its edges."""
+    return neighborhoods._SearchIndex(g.vertices, moment._edge_masks(g))
+
+
+def _search(index, w, d):
+    return index.neighborhood(index.index[w], d.d1, d.d2)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_search_matches_reference_cold_and_after_cross_check(n):
     want = _reference_cells(n)
-    cold = _fresh_graph(n)
+    neighborhoods._search_index.cache_clear()
     for w, d in want:
-        assert gamma_bfs(w, d, cold) == want[w, d], (w, d)
+        assert gamma_bfs(w, d) == want[w, d], (w, d)
     assert cross_check(n, Degree(3, 5)).ok
-    g = build_moment_graph(n)
     for w, d in want:
-        assert gamma_bfs(w, d, g) == want[w, d], (w, d)
+        assert gamma_bfs(w, d) == want[w, d], (w, d)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -314,7 +328,8 @@ def test_building_the_search_index_compares_no_pair(monkeypatch, n):
     for module in (weyl, neighborhoods):
         monkeypatch.setattr(module, "bruhat_leq", spy)
     weyl.bruhat_masks.cache_clear()
-    index = neighborhoods._SearchIndex(_fresh_graph(n))
+    moment.moment_masks.cache_clear()
+    index = neighborhoods._SearchIndex(enumerate_labels(n), moment.moment_masks(n))
     assert calls == []
     assert len(index.below) == 4 * n * n
     assert all(len(dn) == len(down) == 4 * n * n for _c, dn, down in index.steps)
@@ -326,7 +341,7 @@ def test_maxima_recursion_matches_the_bit_expanding_search(n):
     # expands every set bit, as the recursion is written.  Reached sets and
     # their maxima must agree on every base and degree, huge ones included.
     g = build_moment_graph(n)
-    index = neighborhoods._search_index(g)
+    index = neighborhoods._search_index(n)
     oracle = BitExpandingSearch(g)
     for w in range(len(g.vertices)):
         for d in ORACLE_DEGREES:
@@ -334,9 +349,24 @@ def test_maxima_recursion_matches_the_bit_expanding_search(n):
             assert got == oracle.reached(w, d.d1, d.d2), (g.vertices[w], d)
 
 
-def test_rank_mismatch_is_a_domain_error():
-    with pytest.raises(DomainError, match="rank mismatch"):
-        gamma_bfs(label(1, 2, 3), Degree(1, 1), build_moment_graph(2))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_search_and_the_discrepancies_build_no_object_graph(monkeypatch, n):
+    # The search, the cross-check and the discrepancy list read the moment
+    # graph as masks, so none may build it as objects under any name.
+    def refuse(n):
+        raise AssertionError("built the moment graph as objects")
+
+    want = qbg.moment_discrepancies(n)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "oddflag":
+            for attr, value in list(vars(module).items()):
+                if value is build_moment_graph:
+                    monkeypatch.setattr(module, attr, refuse)
+    neighborhoods._search_index.cache_clear()
+    moment.moment_masks.cache_clear()
+    assert cross_check(n, Degree(2, 2)).ok
+    assert gamma_bfs(top_label(n), Degree(10**6, 10**6)).components == (top_label(n),)
+    assert qbg.moment_discrepancies(n) == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -346,7 +376,7 @@ def test_reached_sets_are_stable_beyond_degree_one_two(n, monkeypatch):
     # the window lemma (module docstring) R[d] = R[min(d, (1,2))] then
     # holds at every degree d, which extends
     # test_regime_stability_via_search to all degrees for these ranks.
-    index = neighborhoods._search_index(build_moment_graph(n))
+    index = neighborhoods._search_index(n)
     for w in range(len(index.labels)):
         for e in degree_grid(Degree(2, 4)):
             stable = index.reached(w, min(e.d1, 1), min(e.d2, 2))
@@ -383,14 +413,15 @@ def test_search_refuses_reached_sets_that_are_not_lower_sets():
         for k, (u, v) in enumerate(zip(path, path[1:]))
     )
     chain = MomentGraph(3, g.vertices, edges)
+    index = _index_of(chain)
     huge = (Degree(10**6, 10**6), Degree(1, 10**6), Degree(10**6, 2), Degree(7, 10**6))
     for w in path[:4]:
         for d in huge:
             with pytest.raises(VerificationError, match="not form a Bruhat lower set"):
-                gamma_bfs(w, d, chain)
+                _search(index, w, d)
         for d in degree_grid(Degree(3, 5)):
             try:
-                got = gamma_bfs(w, d, chain)
+                got = _search(index, w, d)
             except VerificationError:
                 continue
             assert got == reference_gamma_bfs(w, d, chain), (w, d)
@@ -421,24 +452,25 @@ def test_window_widens_while_the_reached_sets_grow():
             for v in by_length.get(length(u) + 1, ())
         )
         graded = MomentGraph(3, g.vertices, edges)
+        index = _index_of(graded)
         for w in g.vertices:
             for d in degrees:
                 want = reference_gamma_bfs(w, d, graded)
-                assert gamma_bfs(w, d, graded) == want, (c, w, d)
+                assert _search(index, w, d) == want, (c, w, d)
 
 
 def test_threads_sharing_a_lazily_built_index_get_every_cell_right():
-    g = _fresh_graph(2)
     want = _reference_cells(2)
     cells = list(want)
     wrong = []
+    neighborhoods._search_index.cache_clear()
 
     def worker(k):
-        # The graph starts without its search index, so the first calls
+        # The rank starts without its search index, so the first calls
         # race to build it; each thread walks the cells from its own
         # offset while the others read the index.
         for w, d in (cells[k:] + cells[:k]) * 3:
-            if gamma_bfs(w, d, g) != want[w, d]:
+            if gamma_bfs(w, d) != want[w, d]:
                 wrong.append((w, d))
 
     interval = sys.getswitchinterval()

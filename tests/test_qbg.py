@@ -6,7 +6,7 @@ import pytest
 from oddflag import qbg
 from oddflag.cli import main
 from oddflag.errors import DomainError
-from oddflag.moment import Degree, build_moment_graph
+from oddflag.moment import Degree, build_moment_graph, moment_masks
 from oddflag.neighborhoods import gamma_closed_form
 from oddflag.qbg import (
     build_qbg,
@@ -35,7 +35,12 @@ from oddflag.weyl import (
     length,
     letter_rank,
 )
-from helpers import reference_qbg_oracle, simple_cycle_lengths, uncut_qbg_edges
+from helpers import (
+    moment_neighbors,
+    reference_qbg_oracle,
+    simple_cycle_lengths,
+    uncut_qbg_edges,
+)
 
 
 def test_chern_data_examples():
@@ -161,9 +166,33 @@ def test_named_edges_present():
 
 
 def test_quantum_pair_without_moment_edge():
-    pairs = build_moment_graph(2).pair_set
-    assert frozenset((label(1, 2, 2), label(-2, 1, 2))) not in pairs
-    assert frozenset((label(1, 2, 2), label(1, -3, 2))) in pairs
+    labels = enumerate_labels(2)
+    near = moment_masks(2)
+
+    def joined(u, v):
+        i, j = labels.index(u), labels.index(v)
+        return any(masks[i] >> j & 1 for masks in near.values())
+
+    assert not joined(label(1, 2, 2), label(-2, 1, 2))
+    assert joined(label(1, 2, 2), label(1, -3, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_discrepancies_match_the_object_graph(n):
+    # The quantum edges whose ends no edge of the reflection-built graph
+    # joins, in the order moment_discrepancies sorts them.
+    near = moment_neighbors(build_moment_graph(n))
+    adjacent = {(u, x) for u, out in near.items() for x, _degree, _root in out}
+    position = {v: i for i, v in enumerate(enumerate_labels(n))}
+    want = sorted(
+        (
+            (e.u, e.v, e.degree)
+            for e in build_qbg(n).edges
+            if e.degree is not None and (e.u, e.v) not in adjacent
+        ),
+        key=lambda t: (position[t[0]], position[t[1]], t[2].key),
+    )
+    assert moment_discrepancies(n) == tuple(want)
 
 
 def test_graph_is_reference_figure_plus_one_edge():

@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from oddflag import cli, neighborhoods, verify
+from oddflag import cli, moment, neighborhoods, verify
 from oddflag.errors import VerificationError
 from oddflag.moment import Degree, MomentEdge
 from oddflag.weyl import parse_label
@@ -21,6 +21,7 @@ REAL = {
     for name in (
         "enumerate_labels",
         "build_moment_graph",
+        "moment_masks",
         "gamma_closed_form",
         "load_golden",
         "property_o_verdict",
@@ -28,7 +29,6 @@ REAL = {
     )
 }
 REAL_CROSS_CHECK_CLOSED_FORM = neighborhoods.gamma_closed_form
-REAL_CROSS_CHECK_GRAPH = neighborhoods.build_moment_graph
 REAL_GAMMA_BFS = cli.gamma_bfs
 
 
@@ -67,17 +67,23 @@ def _one_more_edge(n):
     return dataclasses.replace(g, edges=g.edges + g.edges[:1])
 
 
-def _skipping_path_graph(n):
-    """Every other label in one path of (0,1) edges.
+def _skipping_path_index(n):
+    """The search index of every other label in one path of (0,1) edges.
 
     A walk along it skips the labels between its stops, so the search's
     reached sets are not Bruhat lower sets and its certificate raises.
     """
-    g = REAL_CROSS_CHECK_GRAPH(n)
+    g = REAL["build_moment_graph"](n)
     path = g.vertices[::2]
     root = g.edges[0].root
     edges = tuple(MomentEdge(u, v, Degree(0, 1), root) for u, v in zip(path, path[1:]))
-    return dataclasses.replace(g, edges=edges)
+    path_graph = dataclasses.replace(g, edges=edges)
+    return neighborhoods._SearchIndex(g.vertices, moment._edge_masks(path_graph))
+
+
+def _without_bar_swaps(n):
+    """The letter rule's masks with the (1,2) class left out."""
+    return {c: m for c, m in REAL["moment_masks"](n).items() if c != (1, 2)}
 
 
 def _shifted_cross_check_closed_form(w, d):
@@ -126,6 +132,13 @@ CASES = [
         "edge counts {(0, 1): 19, (1, 0): 8, (1, 1): 18, (1, 2): 4}",
     ),
     (
+        "moment-graph-letter-rule",
+        ("moment_masks", _without_bar_swaps),
+        False,
+        "moment-graph",
+        "8 labels have other neighbours by the letter rule, first 2|3",
+    ),
+    (
         "curve-neighborhoods-cross-check",
         (neighborhoods, "gamma_closed_form", _shifted_cross_check_closed_form),
         False,
@@ -135,7 +148,7 @@ CASES = [
     ),
     (
         "curve-neighborhoods-certificate",
-        (neighborhoods, "build_moment_graph", _skipping_path_graph),
+        (neighborhoods, "_search_index", _skipping_path_index),
         False,
         "curve-neighborhoods",
         "search from 1|2: the labels reached within (0,2) do not form a "
