@@ -25,8 +25,8 @@ from .weyl import enumerate_labels, length, parse_label
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
-# Largest rank --n and --n-max accept.  verify --n-max 16 takes about 10 s
-# at a peak RSS of about 140 MB (qbg --n 16 about 0.4 s), so a larger rank
+# Largest rank --n and --n-max accept.  verify --n-max 16 takes about 4.5 s
+# at a peak RSS of about 64 MB (qbg --n 16 about 0.2 s), so a larger rank
 # is refused up front rather than left to run for an unbounded time.
 MAX_RANK = 16
 

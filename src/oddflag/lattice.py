@@ -19,20 +19,34 @@ of maxima of its L.
 
 The poset axioms, the bound tables and the shape read the order's rows
 as bitmasks: ``up[k]`` and ``down[k]``, the up-set and down-set of
-element k.  ``FinitePoset`` and ``CNLattice`` build them once, in
-``_poset_rows``, which checks the axioms on them in O(k^2) mask
-operations: bit i lies in up[i] (reflexive), up[i] & down[i] is {i}
-(antisymmetric), and up[j] lies inside up[i] for every j in up[i]
-(transitive).  The instance keeps them as ``_rows``.  The rows give the
-bound tables: the upper bounds of a and b are ``up[a] & up[b]``, and k
-is their least upper bound exactly when ``up[k]`` equals that set (see
-``_bound_tables``).  Each instance builds its tables on first use and
-keeps them (``_tables``), so the lattice test, the triple law and the
-sublattice hunt share one pair.
+element k.  ``_poset_rows`` builds them and checks the axioms on them in
+O(k^2) mask operations: bit i lies in up[i] (reflexive), up[i] & down[i]
+is {i} (antisymmetric), and up[j] lies inside up[i] for every j in up[i]
+(transitive).  The rows give the bound tables: the upper bounds of a and
+b are ``up[a] & up[b]``, and k is their least upper bound exactly when
+``up[k]`` equals that set (see ``_bound_tables``).
+
+Every poset fact is keyed on the order matrix, not on an instance.  The
+rows, the join and meet tables and the distributivity verdict are pure
+functions of ``order``, and the structural shape is one of ``order`` and
+``witnesses``; nothing else of a lattice enters them.  Two lattices with
+equal keys therefore get equal facts, and a check run on one key has
+seen everything that check can see of any lattice with that key.  So
+each fact is computed once per distinct key, in an ``lru_cache`` bounded
+at 256 keys (``FinitePoset`` takes any order), and is shared as immutable
+tuples.  Every check still runs, once for each distinct order: the
+axioms, both distributivity routes and their agreement.  A check that
+raises caches nothing, so an invalid order raises on every call.  The
+instances store ``order`` as a tuple of tuples, the key, so list rows are
+still accepted.  The lattices have six orders at every rank from 2 to 16.
+``CNLattice`` still checks its base and its top on every instance, and
+``classify_shape`` compares the cached shape with the base-label
+predicate on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -75,9 +89,11 @@ SHAPE_TAGS = (
 )
 
 OrderMatrix = tuple[tuple[bool, ...], ...]
+Rows = tuple[int, ...]  # one bitmask per element
 
 
-def _poset_rows(order: OrderMatrix) -> tuple[list[int], list[int]]:
+@functools.lru_cache(maxsize=256)
+def _poset_rows(order: OrderMatrix) -> tuple[Rows, Rows]:
     """Up-set and down-set rows of a partial order, as bitmasks.
 
     Bit j of ``up[i]`` and bit i of ``down[j]`` are set iff order[i][j].
@@ -108,7 +124,7 @@ def _poset_rows(order: OrderMatrix) -> tuple[list[int], list[int]]:
             if missed:
                 k = (missed & -missed).bit_length() - 1
                 raise DomainError(f"order not transitive at ({i},{j},{k})")
-    return up, down
+    return tuple(up), tuple(down)
 
 
 @dataclass(frozen=True)
@@ -118,7 +134,8 @@ class FinitePoset:
     order: OrderMatrix
 
     def __post_init__(self) -> None:
-        self.__dict__["_rows"] = _poset_rows(self.order)
+        object.__setattr__(self, "order", tuple(map(tuple, self.order)))
+        _poset_rows(self.order)  # checks the partial-order axioms
 
     @property
     def size(self) -> int:
@@ -140,8 +157,8 @@ class CNLattice:
     witnesses: tuple[Degree, ...]
 
     def __post_init__(self) -> None:
-        # The rows check the partial-order axioms.
-        up, down = self.__dict__["_rows"] = _poset_rows(self.order)
+        object.__setattr__(self, "order", tuple(map(tuple, self.order)))
+        up, down = _poset_rows(self.order)  # checks the partial-order axioms
         comps = [e.components for e in self.elements]
         bottom, top = (self.base,), (top_label(self.base.n),)
         if bottom not in comps or top not in comps:
@@ -178,10 +195,10 @@ def build_cn_lattice(w: FlagLabel) -> CNLattice:
     return CNLattice(w, tuple(elements), order, tuple(witnesses))
 
 
-BoundTable = list[list[int | None]]
+BoundTable = tuple[tuple[int | None, ...], ...]
 
 
-def _bound_tables(up: list[int], down: list[int]) -> tuple[BoundTable, BoundTable]:
+def _bound_tables(up: Rows, down: Rows) -> tuple[BoundTable, BoundTable]:
     """Least-upper-bound and greatest-lower-bound tables, None where missing.
 
     ``up[k]`` and ``down[k]`` are the up-set and down-set of k as
@@ -196,22 +213,15 @@ def _bound_tables(up: list[int], down: list[int]) -> tuple[BoundTable, BoundTabl
     """
     by_up = {mask: k for k, mask in enumerate(up)}
     by_down = {mask: k for k, mask in enumerate(down)}
-    join = [[by_up.get(ua & ub) for ub in up] for ua in up]
-    meet = [[by_down.get(da & db) for db in down] for da in down]
+    join = tuple(tuple(by_up.get(ua & ub) for ub in up) for ua in up)
+    meet = tuple(tuple(by_down.get(da & db) for db in down) for da in down)
     return join, meet
 
 
-def _tables(lat: CNLattice | FinitePoset) -> tuple[BoundTable, BoundTable]:
-    """The join and meet tables of ``lat``, built on first use and kept on it.
-
-    The instances are frozen, so the tables go straight into the instance
-    dict, as ``functools.cached_property`` does.  Two threads may both
-    build them; either pair is complete and never changes.
-    """
-    tables = lat.__dict__.get("_tables")
-    if tables is None:
-        tables = lat.__dict__["_tables"] = _bound_tables(*lat._rows)
-    return tables
+@functools.lru_cache(maxsize=256)
+def _tables(order: OrderMatrix) -> tuple[BoundTable, BoundTable]:
+    """The join and meet tables of ``order``, shared by every lattice with it."""
+    return _bound_tables(*_poset_rows(order))
 
 
 def _complete(join: BoundTable, meet: BoundTable) -> bool:
@@ -220,7 +230,7 @@ def _complete(join: BoundTable, meet: BoundTable) -> bool:
 
 def is_lattice(lat: CNLattice | FinitePoset) -> bool:
     """Every pair has a unique least upper and greatest lower bound."""
-    return _complete(*_tables(lat))
+    return _complete(*_tables(lat.order))
 
 
 def _violates_triple_law(join: BoundTable, meet: BoundTable) -> bool:
@@ -235,7 +245,7 @@ def _violates_triple_law(join: BoundTable, meet: BoundTable) -> bool:
 
 
 def _sublattice_shapes(
-    up: list[int], down: list[int], join: BoundTable, meet: BoundTable
+    up: Rows, down: Rows, join: BoundTable, meet: BoundTable
 ) -> bool:
     """True iff some 5-element subset closed under join/meet is M3 or N5."""
     for sub in itertools.combinations(range(len(up)), 5):
@@ -264,15 +274,21 @@ def _sublattice_shapes(
 def is_distributive(lat: CNLattice | FinitePoset) -> bool:
     """Distributivity, decided twice: triple law and forbidden sublattices.
 
-    The join and meet tables are built once per instance and serve the
-    lattice test and both routes.  The two routes must agree; disagreement
-    indicates a bug in one of them, not a property of the input.
+    The verdict is decided once per order matrix (module docstring), from
+    the join and meet tables that the lattice test reads too.  The two
+    routes must agree; disagreement indicates a bug in one of them, not a
+    property of the input.
     """
-    join, meet = _tables(lat)
+    return _distributive(lat.order)
+
+
+@functools.lru_cache(maxsize=256)
+def _distributive(order: OrderMatrix) -> bool:
+    join, meet = _tables(order)
     if not _complete(join, meet):
         raise DomainError("distributivity is only defined for lattices")
     by_law = not _violates_triple_law(join, meet)
-    by_shape = not _sublattice_shapes(*lat._rows, join, meet)
+    by_shape = not _sublattice_shapes(*_poset_rows(order), join, meet)
     if by_law != by_shape:
         raise VerificationError(
             f"distributivity verdicts disagree: triple law {by_law}, "
@@ -306,9 +322,10 @@ def figure_shape_predicate(w: FlagLabel) -> str:
     return "diamond-plus-top"
 
 
-def _structural_shape(lat: CNLattice) -> str:
-    up, down = lat._rows
-    size = lat.size
+@functools.lru_cache(maxsize=256)
+def _structural_shape(order: OrderMatrix, witnesses: tuple[Degree, ...]) -> str:
+    up, down = _poset_rows(order)
+    size = len(order)
     full = (1 << size) - 1
     # A chain: every element is comparable with all the others.
     chain = all(u | d == full for u, d in zip(up, down))
@@ -318,7 +335,7 @@ def _structural_shape(lat: CNLattice) -> str:
         return "2-chain"
     if size == 3 and chain:
         middle = next(i for i in range(size) if up[i] != full and down[i] != full)
-        wit = lat.witnesses[middle]
+        wit = witnesses[middle]
         if wit == Degree(0, 1):
             return "3-chain-via-(0,1)"
         if wit == Degree(1, 0):
@@ -343,7 +360,7 @@ def _structural_shape(lat: CNLattice) -> str:
 
 def classify_shape(lat: CNLattice) -> str:
     """Structural shape tag, checked against the base-label predicate."""
-    shape = _structural_shape(lat)
+    shape = _structural_shape(lat.order, lat.witnesses)
     expected = figure_shape_predicate(lat.base)
     if shape != expected:
         raise VerificationError(

@@ -3,10 +3,10 @@
 ``gamma_bfs`` searches the moment graph with a componentwise degree budget,
 starting from the full lower set of the base label, and returns the Bruhat
 maxima of everything reached.  ``gamma_closed_form`` evaluates the closed
-expressions directly, looking its labels up by their letters in
-``weyl._by_letters``, which the search never reads.  ``cross_check``
-asserts the two agree cell by cell; they are deliberately kept
-independent of each other and share no helper.
+expressions directly, looking its values up by their letters in a table of
+one-component unions built from ``weyl._by_letters``; the search reads
+neither.  ``cross_check`` asserts the two agree cell by cell; they are
+deliberately kept independent of each other and share no helper.
 
 The search works on integers, labels numbered by their position in
 ``enumerate_labels(n)`` and sets held as bitmasks.  It reads the moment
@@ -67,7 +67,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from . import weyl
 from .errors import DomainError, VerificationError
@@ -285,31 +286,38 @@ def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
     * (d1>=1, d2>=2): the top.
 
     Here > and max are the alphabet order, read through ``letter_rank``.
-    Every component is the label object of ``enumerate_labels(n)``, looked
-    up by its letters; no label is built.
+    A one-component value is read by its letters from a per-rank table of
+    unions over the label objects of ``enumerate_labels(n)``, so no label
+    and no union is built; only the two two-component values are built per
+    call, from the same label objects.
     """
     n = w.n
     a, b = w.a, w.b
-    at = weyl._by_letters(n)
+    one = _unions_by_letters(n)
     reg = (min(d.d1, 1), min(d.d2, 2))
     if reg == (0, 0):
-        return SchubertUnion((at[a, b],))
+        return one[a, b]
     if reg == (1, 0):
-        if letter_rank(a, n) > letter_rank(b, n):
-            return SchubertUnion((at[a, b],))
-        return SchubertUnion((at[b, a],))
+        return one[a, b] if letter_rank(a, n) > letter_rank(b, n) else one[b, a]
     if reg[0] == 0:  # (0, d2 >= 1)
         if a == 2:
-            return SchubertUnion((at[2, -3], at[1, -2]))
-        return SchubertUnion((at[a, -3 if a == -2 else -2],))
+            return SchubertUnion((*one[2, -3], *one[1, -2]))
+        return one[a, -3 if a == -2 else -2]
     if reg == (1, 1):
         if {a, b} == {1, 2}:
-            return SchubertUnion((at[-3, 2], at[-2, 1]))
+            return SchubertUnion((*one[-3, 2], *one[-2, 1]))
         if -2 in (a, b):
-            return SchubertUnion((at[-2, -3],))
-        later = a if letter_rank(a, n) > letter_rank(b, n) else b
-        return SchubertUnion((at[-2, later],))
-    return SchubertUnion((at[-2, -3],))  # (d1 >= 1, d2 >= 2)
+            return one[-2, -3]
+        return one[-2, a if letter_rank(a, n) > letter_rank(b, n) else b]
+    return one[-2, -3]  # (d1 >= 1, d2 >= 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _unions_by_letters(n: int) -> Mapping[tuple[int, int], SchubertUnion]:
+    """Each label of ``weyl._by_letters(n)`` as a one-component union, read-only."""
+    return MappingProxyType(
+        {ab: SchubertUnion((w,)) for ab, w in weyl._by_letters(n).items()}
+    )
 
 
 def degree_grid(dmax: Degree) -> tuple[Degree, ...]:

@@ -289,6 +289,16 @@ PINNED_STDOUT_SHA256 = {
     "moment-graph --n 16 --format dot": "808be39169e5bb872a5e8942200b8b6910bf8d10e7ef58d879f79c636d54fda3",
     "nbhd --n 16 --w=2|1 --d 1000000,1000000 --oracle --format json": "71e788487ae4cae2a8a0beee095f02a3638a7ac4bdca3034bb9b8be5c58fe827",
     "verify --n-max 10": "48b7f3c254ef92abb968ceda35e23a65e74833ae5dff9580d24acc5027192ec1",
+    # A rank-16 lattice of each shape tag not pinned at rank 16 above, and
+    # the two two-component closed-form values without the search, recorded
+    # before the poset facts were cached per order matrix.
+    "lattice --n 16 --w=-2|-3 --format json": "ba89b74af32e003141d247366939cfadc6cc7ba3def1b392eb952bf4c71bd6c2",
+    "lattice --n 16 --w=-2|1 --format json": "5f56e31a9d6020b40366c056a0ad6c36adba446193ea2505552fc8ecca93547a",
+    "lattice --n 16 --w=-3|2 --format json": "be13e237fac37f3789a897e7571fcf68410444cd8dc9ce4f325af4d4862e1759",
+    "lattice --n 16 --w=1|-2 --format json": "5d00a561885c76292192e0f6e499129d61c34d96af805f2723f7bd7de38c0ca7",
+    "lattice --n 16 --w=2|1 --format json": "bde205ed20ce591cebc87f5dc62266bf07c884c79a1e44a5fb058210ec95f9c7",
+    "nbhd --n 16 --w=2|1 --d 0,1 --format json": "93a71a4cdb55e48b78449a5404c1e26fcf72a869e817ee2a565a7e7118af7ac7",
+    "nbhd --n 16 --w=1|2 --d 1,1 --format json": "427efef559b805459e9662acdf6e4aa1beba824b353499c5620aaa2b0b2534c6",
 }
 
 

@@ -9,6 +9,7 @@ from oddflag.errors import DomainError, VerificationError
 from oddflag import lattice, neighborhoods, verify, weyl
 from oddflag.lattice import (
     REPRESENTATIVE_DEGREES,
+    CNLattice,
     build_cn_lattice,
     classify_shape,
     figure_shape_predicate,
@@ -24,6 +25,15 @@ from oddflag.neighborhoods import SchubertUnion, degree_grid, gamma_closed_form,
 from oddflag.verify import load_golden
 from oddflag.weyl import enumerate_labels, label, top_label
 from helpers import bound_tables_oracle, m3_poset, n5_poset, poset_from_covers
+
+
+# The per-order caches of the poset facts (lattice module docstring).
+CACHES = ("_poset_rows", "_tables", "_distributive", "_structural_shape")
+
+
+def clear_caches():
+    for name in CACHES:
+        getattr(lattice, name).cache_clear()
 
 
 def test_build_examples():
@@ -79,8 +89,9 @@ def test_bound_tables_match_the_list_scan_oracle():
     posets += [build_cn_lattice(w) for n in (2, 3, 4) for w in enumerate_labels(n)]
     incomplete = 0
     for p in posets:
-        join, meet = lattice._bound_tables(*p._rows)
-        assert (join, meet) == bound_tables_oracle(p.order)
+        join, meet = lattice._bound_tables(*lattice._poset_rows(p.order))
+        oracle = bound_tables_oracle(p.order)
+        assert (join, meet) == tuple(tuple(map(tuple, table)) for table in oracle)
         incomplete += not is_lattice(p)
     assert incomplete > 0  # the sweep includes non-lattices, so None entries
 
@@ -128,10 +139,11 @@ def test_each_route_decides_on_its_own():
     bad = [m3_poset(), n5_poset(), pentagon_plus_atom]
     good = [build_cn_lattice(w) for n in (2, 3) for w in enumerate_labels(n)]
     for p in bad + good:
-        join, meet = lattice._bound_tables(*p._rows)
+        rows = lattice._poset_rows(p.order)
+        join, meet = lattice._bound_tables(*rows)
         expected = p in bad
         assert lattice._violates_triple_law(join, meet) is expected
-        assert lattice._sublattice_shapes(*p._rows, join, meet) is expected
+        assert lattice._sublattice_shapes(*rows, join, meet) is expected
 
 
 def test_triple_law_finds_the_pentagon_under_every_labelling():
@@ -143,12 +155,15 @@ def test_triple_law_finds_the_pentagon_under_every_labelling():
         moved = [[False] * 5 for _ in range(5)]
         for i, j in itertools.product(range(5), repeat=2):
             moved[perm[i]][perm[j]] = base[i][j]
-        join, meet = lattice._bound_tables(*FinitePoset(tuple(map(tuple, moved)))._rows)
+        join, meet = lattice._bound_tables(*lattice._poset_rows(FinitePoset(moved).order))
         assert lattice._violates_triple_law(join, meet), perm
 
 
 @pytest.mark.parametrize("route", ["_violates_triple_law", "_sublattice_shapes"])
 def test_is_distributive_consults_both_routes(monkeypatch, route):
+    # The verdict is cached per order, so a cached verdict would skip both
+    # routes; clear it first.
+    lattice._distributive.cache_clear()
     monkeypatch.setattr(lattice, route, lambda *tables: True)
     with pytest.raises(VerificationError):
         is_distributive(build_cn_lattice(label(1, 2, 2)))
@@ -162,44 +177,42 @@ def test_is_distributive_builds_the_tables_once(monkeypatch):
         calls.append((up, down))
         return build(up, down)
 
+    clear_caches()
     monkeypatch.setattr(lattice, "_bound_tables", counted)
-    for p in (build_cn_lattice(label(1, 2, 2)), m3_poset(), n5_poset()):
+    posets = (build_cn_lattice(label(1, 2, 2)), m3_poset(), n5_poset())
+    for p in posets + posets:
+        is_lattice(p)
         is_distributive(p)
+    assert len({p.order for p in posets}) == 3
     assert len(calls) == 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_check_lattices_builds_one_row_pair_and_one_table_pair_per_base(monkeypatch, n):
     # verify's lattice row calls is_lattice and then is_distributive; they
-    # share the tables the lattice keeps, and the lattice keeps the rows it
-    # checked the axioms on.
-    counts = Counter()
-
-    def spy(name):
-        real = getattr(lattice, name)
-
-        def counted(*args):
-            counts[name] += 1
-            return real(*args)
-
-        return counted
-
-    for name in ("_poset_rows", "_bound_tables"):
-        monkeypatch.setattr(lattice, name, spy(name))
+    # share the tables cached for the lattice's order, and the rows come
+    # from the same per-order cache as the axiom check.  The lattices of
+    # every rank have six orders (test_lattice_orders_are_few), so a cold
+    # run computes six row pairs and six table pairs, however many bases
+    # share them.
+    clear_caches()
     assert verify._check_lattices(n)[0] == "pass"
-    bases = len(enumerate_labels(n))
-    assert counts == {"_poset_rows": bases, "_bound_tables": bases}
+    assert len(enumerate_labels(n)) > 6
+    assert lattice._poset_rows.cache_info().misses == 6
+    assert lattice._tables.cache_info().misses == 6
 
 
 def test_threads_sharing_lattices_whose_tables_are_not_built_yet():
-    # Each lattice builds its join and meet tables on first use and keeps
-    # them, so the first calls race to build them.
+    # The tables, the verdicts and the shapes are cached per order and
+    # cleared before the threads start, so the first calls race on the
+    # cached builders.
     bases = enumerate_labels(3)
     want = [
         (is_lattice(lat), is_distributive(lat), classify_shape(lat))
         for lat in map(build_cn_lattice, bases)
     ]
     shared = [build_cn_lattice(w) for w in bases]
+    clear_caches()
     wrong = []
 
     def worker(k):
@@ -220,6 +233,73 @@ def test_threads_sharing_lattices_whose_tables_are_not_built_yet():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_lattice_orders_are_few():
+    # An observation over the ranks the CLI accepts, not a proof: the
+    # 5,980 lattices of ranks 2..16 share six order matrices, all six at
+    # every rank, and eight (order, witnesses) pairs.
+    orders, pairs = set(), set()
+    for n in range(2, 17):
+        lats = [build_cn_lattice(w) for w in enumerate_labels(n)]
+        assert len({lat.order for lat in lats}) == 6, n
+        orders.update(lat.order for lat in lats)
+        pairs.update((lat.order, lat.witnesses) for lat in lats)
+    assert len(orders) == 6
+    assert len(pairs) == 8
+
+
+def test_check_lattices_computes_each_fact_once_per_order(monkeypatch):
+    # The guard on the lattice's cost: verify's lattice rows of ranks 2..8
+    # compute the rows, the tables, each distributivity route and the
+    # shape once for each distinct key, not once per base.
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(lattice, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    routes = ("_bound_tables", "_violates_triple_law", "_sublattice_shapes")
+    for name in routes:
+        monkeypatch.setattr(lattice, name, spy(name))
+    clear_caches()
+    for n in range(2, 9):
+        assert verify._check_lattices(n)[0] == "pass"
+    lats = [build_cn_lattice(w) for n in range(2, 9) for w in enumerate_labels(n)]
+    orders = {lat.order for lat in lats}
+    pairs = {(lat.order, lat.witnesses) for lat in lats}
+    misses = {name: getattr(lattice, name).cache_info().misses for name in CACHES}
+    assert misses == {
+        "_poset_rows": len(orders),
+        "_tables": len(orders),
+        "_distributive": len(orders),
+        "_structural_shape": len(pairs),
+    }
+    assert calls == {name: len(orders) for name in routes}
+    assert len(lats) > 100 * len(pairs)
+
+
+def test_posets_take_list_rows_and_invalid_orders_raise_every_time():
+    chain = FinitePoset([[True, True], [False, True]])
+    assert chain.order == ((True, True), (False, True))
+    assert is_lattice(chain) and is_distributive(chain)
+    lat = build_cn_lattice(label(1, 2, 2))
+    listed = CNLattice(lat.base, lat.elements, [list(r) for r in lat.order], lat.witnesses)
+    assert listed == lat
+    assert classify_shape(listed) == "diamond-plus-top" and is_distributive(listed)
+    # A raised check caches nothing, so it raises again on every call.
+    for _ in range(2):
+        with pytest.raises(DomainError, match="antisymmetric"):
+            FinitePoset([[True, True], [True, True]])
+        with pytest.raises(DomainError, match="only defined for lattices"):
+            is_distributive(poset_from_covers(3, [(0, 1), (0, 2)]))
+        with pytest.raises(VerificationError, match="minimum"):
+            CNLattice(lat.base, lat.elements[::-1], lat.order, lat.witnesses)
 
 
 def test_classify_shape_examples():

@@ -89,9 +89,35 @@ def test_closed_form_builds_no_label(monkeypatch, n):
     assert built == []
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_closed_form_builds_no_single_component_union(monkeypatch, n):
+    # One-component values come from the rank's table of unions; only the
+    # two two-component values, of (2|b) at (0,1) and of (1|2), (2|1) at
+    # (1,1), are built per call.
+    table = neighborhoods._unions_by_letters(n)
+    built = []
+    init = SchubertUnion.__post_init__
+
+    def spy(self):
+        built.append(len(self.components))
+        init(self)
+
+    monkeypatch.setattr(SchubertUnion, "__post_init__", spy)
+    pairs = 0
+    for w in enumerate_labels(n):
+        for d in degree_grid(Degree(3, 3)):
+            value = gamma_closed_form(w, d)
+            if len(value.components) == 1:
+                (v,) = value
+                assert value is table[v.a, v.b]
+            else:
+                pairs += 1
+    assert pairs > 0 and built == [2] * pairs
+
+
 def test_the_search_does_not_read_the_closed_form_table(monkeypatch):
-    # The search and the closed form share no helper: the label table of
-    # the closed form stays out of the index and the search, and the
+    # The search and the closed form share no helper: the label and union
+    # tables of the closed form stay out of the index and the search, and the
     # moment graph's masks, which the search reads, stay out of the
     # closed form.
     def refuse(what):
@@ -102,6 +128,9 @@ def test_the_search_does_not_read_the_closed_form_table(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(weyl, "_by_letters", refuse("the closed form's label table"))
+        m.setattr(
+            neighborhoods, "_unions_by_letters", refuse("the closed form's union table")
+        )
         neighborhoods._search_index.cache_clear()
         moment.moment_masks.cache_clear()
         for w in enumerate_labels(3):
