@@ -42,6 +42,21 @@ still accepted.  The lattices have six orders at every rank from 2 to 16.
 ``CNLattice`` still checks its base and its top on every instance, and
 ``classify_shape`` compares the cached shape with the base-label
 predicate on every call.
+
+A lattice is a pure function of its base's letters and rank (a, b, n):
+the closed-form values, the lower-set masks and hence the order and the
+witnesses are all read off them.  So ``build_cn_lattice`` memoises the
+lattice on (a, b, n), and a repeated query returns the instance built by
+the first; the instance is immutable, so sharing it changes no answer.
+The lattice is built from the label object of ``weyl._by_letters(n)``,
+so its base and top are the table's objects and ``CNLattice`` finds them
+by identity.  Every check still runs once per label: ``CNLattice``
+checks its axioms, base and top when the memo builds it, and a build
+that raises caches nothing.  The memo is bounded at 1024 = 4 * 16**2
+entries, every label of one rank up to the CLI's largest, since an
+unbounded one keeps every lattice of ``verify --n-max 16`` alive.  The
+memoised lattices share one copy of each distinct order and witness
+tuple through ``_shared``.
 """
 
 from __future__ import annotations
@@ -53,7 +68,7 @@ from dataclasses import dataclass
 from .errors import DomainError, VerificationError
 from .moment import Degree
 from .neighborhoods import SchubertUnion, gamma_closed_form
-from .weyl import FlagLabel, _bits, bruhat_masks, letter_rank, top_label
+from .weyl import FlagLabel, _bits, _by_letters, bruhat_masks, letter_rank, top_label
 
 __all__ = [
     "REPRESENTATIVE_DEGREES",
@@ -176,9 +191,18 @@ def build_cn_lattice(w: FlagLabel) -> CNLattice:
     """Collect the distinct neighborhood values of w and order them.
 
     Repeated values and containment are read off the lower-set masks
-    (module docstring), so no pair of labels is compared.
+    (module docstring), so no pair of labels is compared.  Each label's
+    lattice is built once and then served from a bounded memo on its
+    letters and rank; its ``base`` is the label object that
+    ``enumerate_labels(w.n)`` holds, equal to w.
     """
-    index, below, _covered, _level = bruhat_masks(w.n)
+    return _lattice(w.a, w.b, w.n)
+
+
+@functools.lru_cache(maxsize=1024)  # 4 * 16**2: every label of a rank up to 16
+def _lattice(a: int, b: int, n: int) -> CNLattice:
+    w = _by_letters(n)[a, b]
+    index, below, _covered, _level = bruhat_masks(n)
     elements: list[SchubertUnion] = []
     witnesses: list[Degree] = []
     lower: list[int] = []
@@ -191,8 +215,14 @@ def build_cn_lattice(w: FlagLabel) -> CNLattice:
             elements.append(value)
             witnesses.append(d)
             lower.append(mask)
-    order = tuple(tuple(x & y == x for y in lower) for x in lower)
-    return CNLattice(w, tuple(elements), order, tuple(witnesses))
+    order = _shared(tuple(tuple(x & y == x for y in lower) for x in lower))
+    return CNLattice(w, tuple(elements), order, _shared(tuple(witnesses)))
+
+
+@functools.lru_cache(maxsize=256)
+def _shared(key: tuple) -> tuple:
+    """The first-seen tuple equal to key, so memoised lattices share rows."""
+    return key
 
 
 BoundTable = tuple[tuple[int | None, ...], ...]

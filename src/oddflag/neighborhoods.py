@@ -294,7 +294,8 @@ def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
     n = w.n
     a, b = w.a, w.b
     one = _unions_by_letters(n)
-    reg = (min(d.d1, 1), min(d.d2, 2))
+    d1, d2 = d.d1, d.d2
+    reg = (d1 if d1 < 1 else 1, d2 if d2 < 2 else 2)
     if reg == (0, 0):
         return one[a, b]
     if reg == (1, 0):

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from oddflag.errors import DomainError, VerificationError
-from oddflag import lattice, neighborhoods, verify, weyl
+from oddflag import cli, lattice, neighborhoods, verify, weyl
 from oddflag.lattice import (
     REPRESENTATIVE_DEGREES,
     CNLattice,
@@ -23,7 +23,7 @@ from oddflag.lattice import (
 from oddflag.moment import Degree
 from oddflag.neighborhoods import SchubertUnion, degree_grid, gamma_closed_form, union_leq
 from oddflag.verify import load_golden
-from oddflag.weyl import enumerate_labels, label, top_label
+from oddflag.weyl import enumerate_labels, label, parse_label, top_label
 from helpers import bound_tables_oracle, m3_poset, n5_poset, poset_from_covers
 
 
@@ -34,6 +34,7 @@ CACHES = ("_poset_rows", "_tables", "_distributive", "_structural_shape")
 def clear_caches():
     for name in CACHES:
         getattr(lattice, name).cache_clear()
+    lattice._lattice.cache_clear()  # the per-label lattice memo
 
 
 def test_build_examples():
@@ -443,9 +444,78 @@ def test_building_a_lattice_compares_no_pair(monkeypatch, n):
     for module in (neighborhoods, lattice):
         monkeypatch.setattr(module, "union_leq", spy("union_leq", union_leq), raising=False)
     weyl.bruhat_masks.cache_clear()
+    lattice._lattice.cache_clear()  # a memo hit would build nothing
     for w in enumerate_labels(n):
         assert build_cn_lattice(w).size >= 1
+    assert lattice._lattice.cache_info().misses == len(enumerate_labels(n))
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_memoised_lattices_equal_fresh_builds(n):
+    lattice._lattice.cache_clear()
+    lats = []
+    for w in enumerate_labels(n):
+        lat = build_cn_lattice(w)
+        assert lat == lattice._lattice.__wrapped__(w.a, w.b, n), w
+        assert build_cn_lattice(w) is lat
+        lats.append(lat)
+    # Lattices with equal orders share their rows, and equal witnesses are
+    # one tuple.
+    assert len({tuple(map(id, lat.order)) for lat in lats}) == len({lat.order for lat in lats})
+    assert len({id(lat.witnesses) for lat in lats}) == len({lat.witnesses for lat in lats})
+
+
+def test_a_parsed_label_gets_the_table_label_lattice():
+    for n in (2, 4, 12):
+        for w in enumerate_labels(n):
+            copy = parse_label(str(w), n)
+            assert copy == w and copy is not w
+            lat = build_cn_lattice(copy)
+            assert build_cn_lattice(w) is lat
+            assert lat.base is w
+            assert lat.elements[-1].components[0] is top_label(n)
+
+
+def test_a_second_query_builds_nothing(monkeypatch):
+    # The guard on the memo: a repeated query of one label, by the table
+    # label or a parsed copy, reads no closed-form value.
+    calls = []
+    real = lattice.gamma_closed_form
+
+    def counted(w, d):
+        calls.append((w, d))
+        return real(w, d)
+
+    monkeypatch.setattr(lattice, "gamma_closed_form", counted)
+    lattice._lattice.cache_clear()
+    for n in (2, 12):
+        for w in enumerate_labels(n):
+            first = build_cn_lattice(w)
+            built = len(calls)
+            assert built > 0
+            assert build_cn_lattice(w) is first
+            assert build_cn_lattice(parse_label(str(w), n)) is first
+            assert len(calls) == built, w
+    assert len(calls) == len(REPRESENTATIVE_DEGREES) * len(
+        enumerate_labels(2) + enumerate_labels(12)
+    )
+
+
+def test_a_failed_build_raises_every_time_and_caches_nothing(monkeypatch):
+    # With a wrong top, CNLattice's extreme check raises; no lattice is kept.
+    monkeypatch.setattr(lattice, "top_label", lambda n: label(1, 2, n))
+    lattice._lattice.cache_clear()
+    for _ in range(3):
+        with pytest.raises(VerificationError, match="minimum"):
+            build_cn_lattice(label(1, 2, 2))
+    info = lattice._lattice.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 3)
+
+
+def test_the_lattice_memo_holds_a_whole_rank():
+    assert lattice._lattice.cache_info().maxsize >= 4 * cli.MAX_RANK**2
+    assert len(enumerate_labels(cli.MAX_RANK)) == 4 * cli.MAX_RANK**2
 
 
 def test_dot_and_json_exports():
