@@ -43,8 +43,6 @@ from .qbg import (
     QBGraph,
     build_qbg,
     chern_data,
-    cycle_length_gcd,
-    is_strongly_connected,
     moment_discrepancies,
     property_o_verdict,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "classify_shape",
     "covers",
     "cross_check",
-    "cycle_length_gcd",
     "degree_of_root",
     "down_set",
     "enumerate_labels",
@@ -79,7 +76,6 @@ __all__ = [
     "gamma_closed_form",
     "is_distributive",
     "is_lattice",
-    "is_strongly_connected",
     "label",
     "length",
     "moment_discrepancies",

@@ -17,28 +17,25 @@ the u and L(y) is a lower set.  The same masks drop repeated values:
 two antichains with equal masks are equal, since an antichain is the set
 of maxima of its L.
 
-The poset axioms, the bound tables and the shape read the order's rows
-as bitmasks: ``up[k]`` and ``down[k]``, the up-set and down-set of
-element k.  ``_poset_rows`` builds them and checks the axioms on them in
-O(k^2) mask operations: bit i lies in up[i] (reflexive), up[i] & down[i]
-is {i} (antisymmetric), and up[j] lies inside up[i] for every j in up[i]
-(transitive).  The rows give the bound tables: the upper bounds of a and
-b are ``up[a] & up[b]``, and k is their least upper bound exactly when
-``up[k]`` equals that set (see ``_bound_tables``).
+Every fact the module reads of an order matrix comes from one record,
+``_poset(order) -> (order, up, down, join, meet)``.  ``up[k]`` and
+``down[k]`` are the up-set and down-set of element k as bitmasks; the
+axioms are checked on them in O(k^2) mask operations, and the join and
+meet tables are read off them (see ``_poset``).  The record is a pure
+function of ``order``, so it is computed once per distinct order, in an
+``lru_cache`` bounded at 256 keys (``FinitePoset`` takes any order).  Its
+``order`` is the first-seen tuple equal to the key, and ``FinitePoset``
+and ``CNLattice`` store that one, so instances with equal orders share
+one order tuple.  An invalid order raises on every call, since a call
+that raises caches nothing.  The instances still accept list rows.
 
-Every poset fact is keyed on the order matrix, not on an instance.  The
-rows, the join and meet tables and the distributivity verdict are pure
-functions of ``order``, and the structural shape is one of ``order`` and
-``witnesses``; nothing else of a lattice enters them.  Two lattices with
-equal keys therefore get equal facts, and a check run on one key has
-seen everything that check can see of any lattice with that key.  So
-each fact is computed once per distinct key, in an ``lru_cache`` bounded
-at 256 keys (``FinitePoset`` takes any order), and is shared as immutable
-tuples.  Every check still runs, once for each distinct order: the
-axioms, both distributivity routes and their agreement.  A check that
-raises caches nothing, so an invalid order raises on every call.  The
-instances store ``order`` as a tuple of tuples, the key, so list rows are
-still accepted.  The lattices have six orders at every rank from 2 to 16.
+Two facts stay lazy, each in its own ``lru_cache`` of 256 keys: the
+distributivity verdict, a function of ``order`` (both routes and their
+agreement), and the structural shape, a function of ``order`` and
+``witnesses``.  Both raise on some valid input (a non-lattice, an
+unrecognised shape), so they run only when a caller asks.  Two lattices
+with equal keys get equal facts, so every check still runs once for each
+distinct key.  The lattices have six orders at every rank from 2 to 16.
 ``CNLattice`` still checks its base and its top on every instance, and
 ``classify_shape`` compares the cached shape with the base-label
 predicate on every call.
@@ -54,9 +51,7 @@ by identity.  Every check still runs once per label: ``CNLattice``
 checks its axioms, base and top when the memo builds it, and a build
 that raises caches nothing.  The memo is bounded at 1024 = 4 * 16**2
 entries, every label of one rank up to the CLI's largest, since an
-unbounded one keeps every lattice of ``verify --n-max 16`` alive.  The
-memoised lattices share one copy of each distinct order and witness
-tuple through ``_shared``.
+unbounded one keeps every lattice of ``verify --n-max 16`` alive.
 """
 
 from __future__ import annotations
@@ -105,15 +100,29 @@ SHAPE_TAGS = (
 
 OrderMatrix = tuple[tuple[bool, ...], ...]
 Rows = tuple[int, ...]  # one bitmask per element
+BoundTable = tuple[tuple[int | None, ...], ...]
+Poset = tuple[OrderMatrix, Rows, Rows, BoundTable, BoundTable]
 
 
 @functools.lru_cache(maxsize=256)
-def _poset_rows(order: OrderMatrix) -> tuple[Rows, Rows]:
-    """Up-set and down-set rows of a partial order, as bitmasks.
+def _poset(order: OrderMatrix) -> Poset:
+    """The record ``(order, up, down, join, meet)`` of a partial order.
 
-    Bit j of ``up[i]`` and bit i of ``down[j]`` are set iff order[i][j].
-    Raises ``DomainError`` unless the matrix is square, reflexive,
-    antisymmetric and transitive.
+    ``order`` is the first-seen tuple equal to the key.  Bit j of
+    ``up[i]`` and bit i of ``down[j]`` are set iff order[i][j].  Raises
+    ``DomainError`` unless the matrix is square, reflexive (bit i in
+    up[i]), antisymmetric (up[i] & down[i] is {i}) and transitive (up[j]
+    inside up[i] for every j in up[i]).
+
+    ``join`` and ``meet`` are the least-upper-bound and
+    greatest-lower-bound tables, None where missing.  The upper bounds of
+    a and b form the set U = up[a] & up[b].  An element k is their least
+    upper bound iff up[k] == U.  If k is least, every member of U lies
+    above k, so U is inside up[k]; and k lies in U, which is an up-set (an
+    intersection of up-sets), so up[k] is inside U.  Conversely up[k] == U
+    puts k in U, below every member of U.  Antisymmetry makes k unique
+    (up[k] == up[k'] gives k <= k' <= k), so the join is ``by_up.get(U)``
+    and the meet is the same with down-sets.
     """
     size = len(order)
     if any(len(row) != size for row in order):
@@ -139,7 +148,11 @@ def _poset_rows(order: OrderMatrix) -> tuple[Rows, Rows]:
             if missed:
                 k = (missed & -missed).bit_length() - 1
                 raise DomainError(f"order not transitive at ({i},{j},{k})")
-    return tuple(up), tuple(down)
+    by_up = {mask: k for k, mask in enumerate(up)}
+    by_down = {mask: k for k, mask in enumerate(down)}
+    join = tuple(tuple(by_up.get(ua & ub) for ub in up) for ua in up)
+    meet = tuple(tuple(by_down.get(da & db) for db in down) for da in down)
+    return order, tuple(up), tuple(down), join, meet
 
 
 @dataclass(frozen=True)
@@ -149,8 +162,8 @@ class FinitePoset:
     order: OrderMatrix
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "order", tuple(map(tuple, self.order)))
-        _poset_rows(self.order)  # checks the partial-order axioms
+        # _poset checks the partial-order axioms.
+        object.__setattr__(self, "order", _poset(tuple(map(tuple, self.order)))[0])
 
     @property
     def size(self) -> int:
@@ -172,8 +185,9 @@ class CNLattice:
     witnesses: tuple[Degree, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "order", tuple(map(tuple, self.order)))
-        up, down = _poset_rows(self.order)  # checks the partial-order axioms
+        # _poset checks the partial-order axioms.
+        order, up, down, _join, _meet = _poset(tuple(map(tuple, self.order)))
+        object.__setattr__(self, "order", order)
         comps = [e.components for e in self.elements]
         bottom, top = (self.base,), (top_label(self.base.n),)
         if bottom not in comps or top not in comps:
@@ -215,43 +229,8 @@ def _lattice(a: int, b: int, n: int) -> CNLattice:
             elements.append(value)
             witnesses.append(d)
             lower.append(mask)
-    order = _shared(tuple(tuple(x & y == x for y in lower) for x in lower))
-    return CNLattice(w, tuple(elements), order, _shared(tuple(witnesses)))
-
-
-@functools.lru_cache(maxsize=256)
-def _shared(key: tuple) -> tuple:
-    """The first-seen tuple equal to key, so memoised lattices share rows."""
-    return key
-
-
-BoundTable = tuple[tuple[int | None, ...], ...]
-
-
-def _bound_tables(up: Rows, down: Rows) -> tuple[BoundTable, BoundTable]:
-    """Least-upper-bound and greatest-lower-bound tables, None where missing.
-
-    ``up[k]`` and ``down[k]`` are the up-set and down-set of k as
-    bitmasks (``_poset_rows``).  The upper bounds of a and b form the set
-    U = up[a] & up[b].  An element k is their least upper bound iff
-    up[k] == U.  If k is least, every member of U lies above k, so U is
-    inside up[k]; and k lies in U, which is an up-set (an intersection of
-    up-sets), so up[k] is inside U.  Conversely up[k] == U puts k in U,
-    below every member of U.  Antisymmetry makes k unique (up[k] ==
-    up[k'] gives k <= k' <= k), so the join is ``by_up.get(U)`` and the
-    meet is the same with down-sets.
-    """
-    by_up = {mask: k for k, mask in enumerate(up)}
-    by_down = {mask: k for k, mask in enumerate(down)}
-    join = tuple(tuple(by_up.get(ua & ub) for ub in up) for ua in up)
-    meet = tuple(tuple(by_down.get(da & db) for db in down) for da in down)
-    return join, meet
-
-
-@functools.lru_cache(maxsize=256)
-def _tables(order: OrderMatrix) -> tuple[BoundTable, BoundTable]:
-    """The join and meet tables of ``order``, shared by every lattice with it."""
-    return _bound_tables(*_poset_rows(order))
+    order = tuple(tuple(x & y == x for y in lower) for x in lower)
+    return CNLattice(w, tuple(elements), order, tuple(witnesses))
 
 
 def _complete(join: BoundTable, meet: BoundTable) -> bool:
@@ -260,7 +239,8 @@ def _complete(join: BoundTable, meet: BoundTable) -> bool:
 
 def is_lattice(lat: CNLattice | FinitePoset) -> bool:
     """Every pair has a unique least upper and greatest lower bound."""
-    return _complete(*_tables(lat.order))
+    _order, _up, _down, join, meet = _poset(lat.order)
+    return _complete(join, meet)
 
 
 def _violates_triple_law(join: BoundTable, meet: BoundTable) -> bool:
@@ -314,11 +294,11 @@ def is_distributive(lat: CNLattice | FinitePoset) -> bool:
 
 @functools.lru_cache(maxsize=256)
 def _distributive(order: OrderMatrix) -> bool:
-    join, meet = _tables(order)
+    _order, up, down, join, meet = _poset(order)
     if not _complete(join, meet):
         raise DomainError("distributivity is only defined for lattices")
     by_law = not _violates_triple_law(join, meet)
-    by_shape = not _sublattice_shapes(*_poset_rows(order), join, meet)
+    by_shape = not _sublattice_shapes(up, down, join, meet)
     if by_law != by_shape:
         raise VerificationError(
             f"distributivity verdicts disagree: triple law {by_law}, "
@@ -354,7 +334,7 @@ def figure_shape_predicate(w: FlagLabel) -> str:
 
 @functools.lru_cache(maxsize=256)
 def _structural_shape(order: OrderMatrix, witnesses: tuple[Degree, ...]) -> str:
-    up, down = _poset_rows(order)
+    _order, up, down, _join, _meet = _poset(order)
     size = len(order)
     full = (1 << size) - 1
     # A chain: every element is comparable with all the others.
@@ -400,17 +380,16 @@ def classify_shape(lat: CNLattice) -> str:
 
 
 def hasse_edges(lat: CNLattice | FinitePoset) -> tuple[tuple[int, int], ...]:
-    """Cover pairs (i, j) with element i covered by element j."""
-    order = lat.order
-    size = len(order)
-    out = []
-    for i, j in itertools.permutations(range(size), 2):
-        if not order[i][j]:
-            continue
-        if any(k not in (i, j) and order[i][k] and order[k][j] for k in range(size)):
-            continue
-        out.append((i, j))
-    return tuple(sorted(out))
+    """Cover pairs (i, j) with element i covered by element j.
+
+    j covers i iff the interval up[i] & down[j] is exactly {i, j}.
+    """
+    _order, up, down, _join, _meet = _poset(lat.order)
+    return tuple(
+        (i, j)
+        for i, j in itertools.permutations(range(len(up)), 2)
+        if up[i] & down[j] == 1 << i | 1 << j
+    )
 
 
 def to_dot(lat: CNLattice) -> str:

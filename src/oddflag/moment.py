@@ -80,9 +80,6 @@ class Degree:
     def __le__(self, other: Degree) -> bool:
         return self.d1 <= other.d1 and self.d2 <= other.d2
 
-    def __ge__(self, other: Degree) -> bool:
-        return other <= self
-
     def join(self, other: Degree) -> Degree:
         return Degree(max(self.d1, other.d1), max(self.d2, other.d2))
 

@@ -68,8 +68,6 @@ __all__ = [
     "build_qbg",
     "strongly_connected",
     "digraph_period",
-    "is_strongly_connected",
-    "cycle_length_gcd",
     "witness_cycles",
     "PropertyOVerdict",
     "property_o_verdict",
@@ -129,12 +127,17 @@ class QBGraph:
 
     @functools.cached_property
     def successors(self) -> dict[FlagLabel, tuple[FlagLabel, ...]]:
+        """The targets of each vertex's edges, each target once.
+
+        No built graph has two edges u -> v, so none is dropped: an edge's
+        length change fixes its kind and degree (a classical edge loses
+        one, a quantum edge of degree (1,0), (0,1) or (1,1) gains 1, 2n - 2
+        or 2n, distinct for n >= 2), ``covers`` lists each cover once and
+        ``_bits`` each quantum target of one degree once.
+        """
         adj: dict[FlagLabel, list[FlagLabel]] = {v: [] for v in self.vertices}
-        seen = set()
         for e in self.edges:
-            if (e.u, e.v) not in seen:
-                seen.add((e.u, e.v))
-                adj[e.u].append(e.v)
+            adj[e.u].append(e.v)
         return {v: tuple(xs) for v, xs in adj.items()}
 
     def has_edge(self, u: FlagLabel, v: FlagLabel) -> bool:
@@ -235,14 +238,6 @@ def digraph_period(succ: Mapping[T, Sequence[T]]) -> int:
     return g
 
 
-def is_strongly_connected(g: QBGraph) -> bool:
-    return strongly_connected(g.successors)
-
-
-def cycle_length_gcd(g: QBGraph) -> int:
-    return digraph_period(g.successors)
-
-
 def witness_cycles(n: int) -> tuple[tuple[FlagLabel, ...], ...]:
     """The explicit cycles of lengths 2 and 2n-1 through (1|2).
 
@@ -280,8 +275,8 @@ def property_o_verdict(n: int) -> PropertyOVerdict:
         for u, v in zip(cycle, cycle[1:]):
             if not g.has_edge(u, v):
                 raise VerificationError(f"witness edge {u} -> {v} missing at n={n}")
-    sc = is_strongly_connected(g)
-    gcd = cycle_length_gcd(g) if sc else None
+    sc = strongly_connected(g.successors)
+    gcd = digraph_period(g.successors) if sc else None
     return PropertyOVerdict(
         n=n,
         strongly_connected=sc,

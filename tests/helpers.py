@@ -411,6 +411,22 @@ def bound_tables_oracle(order):
     return join, meet
 
 
+def hasse_edges_oracle(order):
+    """Cover pairs (i, j) of an order matrix by a scan over every k.
+
+    j covers i iff i < j and no third element k has i <= k <= j.
+    """
+    size = len(order)
+    out = []
+    for i, j in itertools.permutations(range(size), 2):
+        if not order[i][j]:
+            continue
+        if any(k not in (i, j) and order[i][k] and order[k][j] for k in range(size)):
+            continue
+        out.append((i, j))
+    return tuple(sorted(out))
+
+
 def reference_qbg_oracle():
     """The rank-2 quantum Bruhat graph rebuilt from the shipped references.
 

@@ -24,11 +24,17 @@ from oddflag.moment import Degree
 from oddflag.neighborhoods import SchubertUnion, degree_grid, gamma_closed_form, union_leq
 from oddflag.verify import load_golden
 from oddflag.weyl import enumerate_labels, label, parse_label, top_label
-from helpers import bound_tables_oracle, m3_poset, n5_poset, poset_from_covers
+from helpers import (
+    bound_tables_oracle,
+    hasse_edges_oracle,
+    m3_poset,
+    n5_poset,
+    poset_from_covers,
+)
 
 
 # The per-order caches of the poset facts (lattice module docstring).
-CACHES = ("_poset_rows", "_tables", "_distributive", "_structural_shape")
+CACHES = ("_poset", "_distributive", "_structural_shape")
 
 
 def clear_caches():
@@ -90,11 +96,20 @@ def test_bound_tables_match_the_list_scan_oracle():
     posets += [build_cn_lattice(w) for n in (2, 3, 4) for w in enumerate_labels(n)]
     incomplete = 0
     for p in posets:
-        join, meet = lattice._bound_tables(*lattice._poset_rows(p.order))
+        _order, _up, _down, join, meet = lattice._poset(p.order)
         oracle = bound_tables_oracle(p.order)
         assert (join, meet) == tuple(tuple(map(tuple, table)) for table in oracle)
         incomplete += not is_lattice(p)
     assert incomplete > 0  # the sweep includes non-lattices, so None entries
+
+
+def test_hasse_edges_match_the_triple_loop_oracle():
+    posets = [p for size in range(1, 6) for p in _closures(size)]
+    posets += [m3_poset(), n5_poset()]
+    posets += [build_cn_lattice(w) for n in range(2, 9) for w in enumerate_labels(n)]
+    assert len(posets) == 1099 + 2 + sum(4 * n * n for n in range(2, 9))
+    for p in posets:
+        assert hasse_edges(p) == hasse_edges_oracle(p.order), p.order
 
 
 def test_is_lattice_on_chains_and_all_bases():
@@ -140,11 +155,10 @@ def test_each_route_decides_on_its_own():
     bad = [m3_poset(), n5_poset(), pentagon_plus_atom]
     good = [build_cn_lattice(w) for n in (2, 3) for w in enumerate_labels(n)]
     for p in bad + good:
-        rows = lattice._poset_rows(p.order)
-        join, meet = lattice._bound_tables(*rows)
+        _order, up, down, join, meet = lattice._poset(p.order)
         expected = p in bad
         assert lattice._violates_triple_law(join, meet) is expected
-        assert lattice._sublattice_shapes(*rows, join, meet) is expected
+        assert lattice._sublattice_shapes(up, down, join, meet) is expected
 
 
 def test_triple_law_finds_the_pentagon_under_every_labelling():
@@ -156,7 +170,7 @@ def test_triple_law_finds_the_pentagon_under_every_labelling():
         moved = [[False] * 5 for _ in range(5)]
         for i, j in itertools.product(range(5), repeat=2):
             moved[perm[i]][perm[j]] = base[i][j]
-        join, meet = lattice._bound_tables(*lattice._poset_rows(FinitePoset(moved).order))
+        _order, _up, _down, join, meet = lattice._poset(FinitePoset(moved).order)
         assert lattice._violates_triple_law(join, meet), perm
 
 
@@ -170,42 +184,35 @@ def test_is_distributive_consults_both_routes(monkeypatch, route):
         is_distributive(build_cn_lattice(label(1, 2, 2)))
 
 
-def test_is_distributive_builds_the_tables_once(monkeypatch):
-    calls = []
-    build = lattice._bound_tables
-
-    def counted(up, down):
-        calls.append((up, down))
-        return build(up, down)
-
+def test_is_distributive_builds_the_tables_once():
+    # is_lattice and is_distributive read one poset record per order,
+    # which holds the rows and the tables.
     clear_caches()
-    monkeypatch.setattr(lattice, "_bound_tables", counted)
     posets = (build_cn_lattice(label(1, 2, 2)), m3_poset(), n5_poset())
     for p in posets + posets:
         is_lattice(p)
         is_distributive(p)
     assert len({p.order for p in posets}) == 3
-    assert len(calls) == 3
+    assert lattice._poset.cache_info().misses == 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_check_lattices_builds_one_row_pair_and_one_table_pair_per_base(monkeypatch, n):
+def test_check_lattices_builds_one_row_pair_and_one_table_pair_per_base(n):
     # verify's lattice row calls is_lattice and then is_distributive; they
-    # share the tables cached for the lattice's order, and the rows come
-    # from the same per-order cache as the axiom check.  The lattices of
-    # every rank have six orders (test_lattice_orders_are_few), so a cold
-    # run computes six row pairs and six table pairs, however many bases
-    # share them.
+    # read the poset record cached for the lattice's order, which holds
+    # the rows and the tables, and the axiom check builds the same record.
+    # The lattices of every rank have six orders
+    # (test_lattice_orders_are_few), so a cold run computes six records,
+    # however many bases share them.
     clear_caches()
     assert verify._check_lattices(n)[0] == "pass"
     assert len(enumerate_labels(n)) > 6
-    assert lattice._poset_rows.cache_info().misses == 6
-    assert lattice._tables.cache_info().misses == 6
+    assert lattice._poset.cache_info().misses == 6
 
 
 def test_threads_sharing_lattices_whose_tables_are_not_built_yet():
-    # The tables, the verdicts and the shapes are cached per order and
-    # cleared before the threads start, so the first calls race on the
+    # The poset records, the verdicts and the shapes are cached per order
+    # and cleared before the threads start, so the first calls race on the
     # cached builders.
     bases = enumerate_labels(3)
     want = [
@@ -252,8 +259,8 @@ def test_lattice_orders_are_few():
 
 def test_check_lattices_computes_each_fact_once_per_order(monkeypatch):
     # The guard on the lattice's cost: verify's lattice rows of ranks 2..8
-    # compute the rows, the tables, each distributivity route and the
-    # shape once for each distinct key, not once per base.
+    # compute the poset record, each distributivity route and the shape
+    # once for each distinct key, not once per base.
     calls = Counter()
 
     def spy(name):
@@ -265,7 +272,7 @@ def test_check_lattices_computes_each_fact_once_per_order(monkeypatch):
 
         return counted
 
-    routes = ("_bound_tables", "_violates_triple_law", "_sublattice_shapes")
+    routes = ("_violates_triple_law", "_sublattice_shapes")
     for name in routes:
         monkeypatch.setattr(lattice, name, spy(name))
     clear_caches()
@@ -276,8 +283,7 @@ def test_check_lattices_computes_each_fact_once_per_order(monkeypatch):
     pairs = {(lat.order, lat.witnesses) for lat in lats}
     misses = {name: getattr(lattice, name).cache_info().misses for name in CACHES}
     assert misses == {
-        "_poset_rows": len(orders),
-        "_tables": len(orders),
+        "_poset": len(orders),
         "_distributive": len(orders),
         "_structural_shape": len(pairs),
     }
@@ -460,10 +466,9 @@ def test_memoised_lattices_equal_fresh_builds(n):
         assert lat == lattice._lattice.__wrapped__(w.a, w.b, n), w
         assert build_cn_lattice(w) is lat
         lats.append(lat)
-    # Lattices with equal orders share their rows, and equal witnesses are
-    # one tuple.
+        assert lat.order is lattice._poset(lat.order)[0], w
+    # Lattices with equal orders share their rows.
     assert len({tuple(map(id, lat.order)) for lat in lats}) == len({lat.order for lat in lats})
-    assert len({id(lat.witnesses) for lat in lats}) == len({lat.witnesses for lat in lats})
 
 
 def test_a_parsed_label_gets_the_table_label_lattice():

@@ -58,6 +58,9 @@ def test_degree_validation_and_arithmetic():
     assert Degree(1, 0) + Degree(0, 2) == Degree(1, 2)
     assert Degree(1, 1) <= Degree(2, 1)
     assert not Degree(1, 1) <= Degree(0, 5)
+    # >= is the reflected <=, with no method of its own.
+    assert Degree(2, 2) >= Degree(1, 1)
+    assert not Degree(1, 3) >= Degree(2, 1)
     assert Degree(2, 1).join(Degree(1, 3)) == Degree(2, 3)
 
 

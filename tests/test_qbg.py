@@ -11,9 +11,7 @@ from oddflag.neighborhoods import gamma_closed_form
 from oddflag.qbg import (
     build_qbg,
     chern_data,
-    cycle_length_gcd,
     digraph_period,
-    is_strongly_connected,
     moment_discrepancies,
     property_o_verdict,
     strongly_connected,
@@ -102,6 +100,16 @@ def test_length_cut_keeps_the_uncut_edges_in_order(n, strict):
     # every target of every degree with bruhat_leq.
     got = [(e.u, e.v, e.degree) for e in build_qbg(n, strict).edges]
     assert got == uncut_qbg_edges(n, strict)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_no_two_edges_join_one_pair(n, strict):
+    # QBGraph.successors keeps every edge's target, since no pair repeats
+    # (the argument is in its docstring).
+    g = build_qbg(n, strict)
+    assert len({(e.u, e.v) for e in g.edges}) == len(g.edges)
+    assert sum(map(len, g.successors.values())) == len(g.edges)
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -253,7 +261,7 @@ def test_degree_one_zero_edges_are_column_swaps():
 
 def test_strong_connectivity():
     for n in (2, 3):
-        assert is_strongly_connected(build_qbg(n))
+        assert strongly_connected(build_qbg(n).successors)
     assert strongly_connected({1: []})
     assert not strongly_connected({1: [2], 2: [1], 3: []})
     with pytest.raises(DomainError):
@@ -275,7 +283,7 @@ def test_cycle_gcd_matches_simple_cycle_oracle():
     lengths = simple_cycle_lengths(g.successors, 8)
     assert 2 in lengths and 3 in lengths
     assert math.gcd(*lengths) == 1
-    assert cycle_length_gcd(g) == 1
+    assert digraph_period(g.successors) == 1
 
 
 def test_witness_cycles_shape():
