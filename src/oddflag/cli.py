@@ -2,14 +2,15 @@
 
 Subcommands: enumerate, moment-graph, nbhd, lattice, qbg, verify.  Output
 is byte-deterministic for fixed flags.  Exit codes: 0 success, 1 a
-verification failed, 2 usage error (including an ``--out`` file that
-cannot be written).
+verification failed, 2 usage error (including an ``--out`` file or a
+standard output that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -44,7 +45,17 @@ def _parse_degree(text: str) -> Degree:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # The text that failed stays buffered.  Point the descriptor at
+            # the null device, so the interpreter's final flush cannot fail
+            # a second time and print its own traceback.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise DomainError(f"cannot write <stdout>: {exc.strerror}") from None
         return
     try:
         with open(out, "w") as fh:

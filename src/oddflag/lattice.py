@@ -8,14 +8,11 @@ over all triples and, independently, hunts for five-element sublattices
 shaped like the diamond M3 or the pentagon N5, and insists the two verdicts
 agree.
 
-Containment is inclusion of lower-set masks, so ``build_cn_lattice``
-compares no labels.  Give a union y the mask L(y), the OR of ``below[v]``
-over its components v (``weyl.bruhat_masks``).  Then x <= y iff every
-component u of x lies below some v in y, iff u is in L(y) for each u,
-iff L(x) is inside L(y), since L(x) is the union of the lower sets of
-the u and L(y) is a lower set.  The same masks drop repeated values:
-two antichains with equal masks are equal, since an antichain is the set
-of maxima of its L.
+Containment is inclusion of lower-set masks L(x), the rule that
+``neighborhoods.union_leq`` states and proves, so ``build_cn_lattice``
+compares no labels.  The same masks drop repeated values: two antichains
+with equal masks are equal, since an antichain is the set of maxima of
+its L.
 
 Every fact the module reads of an order matrix comes from one record,
 ``_poset(order) -> (order, up, down, join, meet)``.  ``up[k]`` and
@@ -62,8 +59,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, VerificationError
 from .moment import Degree
-from .neighborhoods import SchubertUnion, gamma_closed_form
-from .weyl import FlagLabel, _bits, _by_letters, bruhat_masks, letter_rank, top_label
+from .neighborhoods import SchubertUnion, _lower_mask, gamma_closed_form
+from .weyl import FlagLabel, _bits, _by_letters, letter_rank, top_label
 
 __all__ = [
     "REPRESENTATIVE_DEGREES",
@@ -189,11 +186,13 @@ class CNLattice:
         order, up, down, _join, _meet = _poset(tuple(map(tuple, self.order)))
         object.__setattr__(self, "order", order)
         comps = [e.components for e in self.elements]
-        bottom, top = (self.base,), (top_label(self.base.n),)
-        if bottom not in comps or top not in comps:
-            raise VerificationError("lattice must contain its base and the top")
+        try:
+            bottom = comps.index((self.base,))
+            top = comps.index((top_label(self.base.n),))
+        except ValueError:
+            raise VerificationError("lattice must contain its base and the top") from None
         full = (1 << len(comps)) - 1
-        if up[comps.index(bottom)] != full or down[comps.index(top)] != full:
+        if up[bottom] != full or down[top] != full:
             raise VerificationError("base must be the minimum and the top the maximum")
 
     @property
@@ -216,20 +215,17 @@ def build_cn_lattice(w: FlagLabel) -> CNLattice:
 @functools.lru_cache(maxsize=1024)  # 4 * 16**2: every label of a rank up to 16
 def _lattice(a: int, b: int, n: int) -> CNLattice:
     w = _by_letters(n)[a, b]
-    index, below, _covered, _level = bruhat_masks(n)
     elements: list[SchubertUnion] = []
     witnesses: list[Degree] = []
     lower: list[int] = []
     for d in REPRESENTATIVE_DEGREES:
         value = gamma_closed_form(w, d)
-        mask = 0
-        for v in value:
-            mask |= below[index[v]]
+        mask = _lower_mask(value)
         if mask not in lower:
             elements.append(value)
             witnesses.append(d)
             lower.append(mask)
-    order = tuple(tuple(x & y == x for y in lower) for x in lower)
+    order = tuple([tuple([x & y == x for y in lower]) for x in lower])
     return CNLattice(w, tuple(elements), order, tuple(witnesses))
 
 

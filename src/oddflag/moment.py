@@ -80,9 +80,6 @@ class Degree:
     def __le__(self, other: Degree) -> bool:
         return self.d1 <= other.d1 and self.d2 <= other.d2
 
-    def join(self, other: Degree) -> Degree:
-        return Degree(max(self.d1, other.d1), max(self.d2, other.d2))
-
     @property
     def key(self) -> tuple[int, int]:
         return (self.d1, self.d2)

@@ -135,10 +135,30 @@ def maximal_union(labels: Iterable[FlagLabel]) -> SchubertUnion:
 
 
 def union_leq(lhs: SchubertUnion, rhs: SchubertUnion) -> bool:
-    """Containment of the represented varieties."""
+    """Containment of the represented varieties, read off lower-set masks.
+
+    Give a union y the mask L(y), the OR of ``below[v]`` over its
+    components v (``weyl.bruhat_masks``).  Then x <= y iff every
+    component u of x lies below some v in y, iff u is in L(y) for each u,
+    iff L(x) is inside L(y), since L(x) is the union of the lower sets of
+    the u and L(y) is a lower set.  So no pair of labels is compared.
+    """
     if lhs.n != rhs.n:
         raise DomainError(f"rank mismatch: {lhs.n} vs {rhs.n}")
-    return all(any(bruhat_leq(u, v) for v in rhs) for u in lhs)
+    x = _lower_mask(lhs)
+    return x & _lower_mask(rhs) == x
+
+
+def _lower_mask(value: SchubertUnion) -> int:
+    """L(value), the labels below some component, as a mask over ``enumerate_labels(n)``.
+
+    ``union_leq`` and the lattice order read it; neither neighborhood route does.
+    """
+    index, below, _covered, _level = weyl.bruhat_masks(value.components[0].n)
+    mask = 0
+    for v in value.components:
+        mask |= below[index[v]]
+    return mask
 
 
 # A reached set as a bitmask over the label indices, and its Bruhat maxima.

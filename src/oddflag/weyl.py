@@ -33,7 +33,8 @@ and third key entries are at most k (prefix ORs over the ranks), the
 lower set of v is A[k1] & L[k2] & H[k3] at v's key.  The order is graded
 by length, so the labels v covers are its lower set cut to length
 l(v) - 1.  ``bruhat_masks`` holds these lower sets and covers as bitmasks;
-``down_set``, ``covers``, the search and the quantum graph read them.
+``down_set``, ``covers``, the search, ``union_leq``, the lattice order
+and the quantum graph read them.
 
 ``enumerate_labels(n)`` holds one object per label of rank n, and
 ``_by_letters(n)`` finds it by its letters (a, b).  ``top_label`` and the
@@ -141,8 +142,16 @@ def top_label(n: int) -> FlagLabel:
     return _by_letters(n)[-2, -3]
 
 
+@functools.lru_cache(maxsize=1024, typed=True)  # 4 * 16**2: a whole rank up to 16
 def parse_label(text: str, n: int) -> FlagLabel:
-    """Parse the ``a|b`` syntax, with a leading ``-`` denoting a bar."""
+    """Parse the ``a|b`` syntax, with a leading ``-`` denoting a bar.
+
+    Memoised on ``(text, n)``: a repeated text returns the label its first
+    parse built, which is immutable.  A parse that raises caches nothing,
+    and the key is typed, so a float rank stays an error after the int
+    rank is cached.  The first parse builds its own label instead of
+    reading ``_by_letters(n)``, so a parse builds no per-rank table.
+    """
     parts = text.strip().split("|")
     if len(parts) != 2:
         raise DomainError(f"label must look like 'a|b', got {text!r}")

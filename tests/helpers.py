@@ -362,6 +362,20 @@ class BitExpandingSearch:
         return reached
 
 
+def union_leq_oracle(lhs, rhs):
+    """Containment of two unions by pairwise ``bruhat_leq``, independent of the masks.
+
+    Every component of lhs lies below some component of rhs.  The package's
+    ``union_leq`` and the lattice order read lower-set masks instead.
+    """
+    return all(any(bruhat_leq(u, v) for v in rhs) for u in lhs)
+
+
+def degree_join(d, e):
+    """The componentwise maximum of two degrees."""
+    return Degree(max(d.d1, e.d1), max(d.d2, e.d2))
+
+
 def poset_from_covers(size, cover_pairs):
     """Reflexive-transitive closure of a cover relation (i covered by j)."""
     leq = [[i == j for j in range(size)] for i in range(size)]

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +327,29 @@ def test_strict_verify_matches_pinned_digest(capsys):
     code, out, _ = run(capsys, *argv.split())
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("enumerate", "--n", "16"),  # fails inside the write
+        ("nbhd", "--n", "2", "--w", "1|2", "--d", "1,1"),  # fails at the flush
+    ],
+)
+def test_a_failed_stdout_write_is_a_usage_error(args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddflag.cli", *args],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "oddflag: cannot write <stdout>: No space left on device\n"

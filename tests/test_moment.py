@@ -22,7 +22,7 @@ from oddflag.weyl import (
     parse_label,
     reflect,
 )
-from helpers import even_moment_edges, moment_neighbors
+from helpers import degree_join, even_moment_edges, moment_neighbors
 
 
 def test_degree_examples():
@@ -61,7 +61,7 @@ def test_degree_validation_and_arithmetic():
     # >= is the reflected <=, with no method of its own.
     assert Degree(2, 2) >= Degree(1, 1)
     assert not Degree(1, 3) >= Degree(2, 1)
-    assert Degree(2, 1).join(Degree(1, 3)) == Degree(2, 3)
+    assert degree_join(Degree(2, 1), Degree(1, 3)) == Degree(2, 3)
 
 
 def test_neighbors_of_bottom_at_rank_two():

@@ -5,7 +5,12 @@ import threading
 
 import pytest
 
-from helpers import BitExpandingSearch, moment_neighbors, reference_gamma_bfs
+from helpers import (
+    BitExpandingSearch,
+    moment_neighbors,
+    reference_gamma_bfs,
+    union_leq_oracle,
+)
 from oddflag import moment, neighborhoods, qbg, weyl
 from oddflag.errors import DomainError, VerificationError
 from oddflag.moment import Degree, MomentEdge, MomentGraph, build_moment_graph
@@ -152,6 +157,19 @@ def test_union_leq_examples():
     assert union_leq(su(label(2, 1, 2)), su(label(-3, 2, 2), label(-2, 1, 2)))
     with pytest.raises(DomainError):
         union_leq(su(label(1, 2, 2)), su(label(1, 2, 3)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_union_leq_matches_the_pairwise_oracle(n):
+    # union_leq reads lower-set masks, the rule the lattice order shares;
+    # the oracle compares components pairwise with bruhat_leq.
+    values = sorted(
+        {gamma_closed_form(w, d) for w in enumerate_labels(n) for d in degree_grid(Degree(1, 2))},
+        key=str,
+    )
+    assert sum(len(v.components) == 2 for v in values) == 2
+    for x, y in itertools.permutations(values, 2):
+        assert union_leq(x, y) == union_leq_oracle(x, y), (x, y)
 
 
 def test_maximal_union():

@@ -301,9 +301,47 @@ def test_label_text_round_trip():
 
 
 def test_label_parse_errors():
-    for text in ("12", "1|2|3", "a|b", "0|2", "-1|2"):
-        with pytest.raises(DomainError):
-            parse_label(text, 2)
+    # A parse that raises caches nothing, so it raises on every call.
+    parse_label.cache_clear()
+    for _ in range(3):
+        for text in ("12", "1|2|3", "a|b", "0|2", "-1|2", "1|1"):
+            with pytest.raises(DomainError):
+                parse_label(text, 2)
+    assert parse_label.cache_info().currsize == 0
+
+
+def test_a_repeated_parse_builds_no_label(monkeypatch):
+    parse_label.cache_clear()
+    first = {text: parse_label(text, 3) for text in ("1|2", "-2|1", " 3 | -4 ")}
+    built = []
+    init = FlagLabel.__post_init__
+
+    def spy(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(FlagLabel, "__post_init__", spy)
+    for text, w in first.items():
+        assert parse_label(text, 3) is w
+    assert built == []
+
+
+def test_a_cached_parse_keeps_a_float_rank_an_error():
+    parse_label.cache_clear()
+    assert parse_label("1|2", 2) == label(1, 2, 2)
+    with pytest.raises(DomainError, match="rank"):
+        parse_label("1|2", 2.0)
+
+
+def test_every_label_of_rank_16_fits_in_the_parse_memo():
+    parse_label.cache_clear()
+    texts = [str(w) for w in enumerate_labels(16)]
+    assert len(texts) == 1024
+    first = [parse_label(text, 16) for text in texts]
+    assert [parse_label(text, 16) for text in texts] == first
+    assert all(parse_label(text, 16) is w for text, w in zip(texts, first))
+    info = parse_label.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1024, 1024, 2048)
 
 
 def test_signed_permutation_validation():
