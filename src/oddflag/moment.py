@@ -27,9 +27,14 @@ the swap and the bar-swap change both, and (b|a) = (-b|-a) would need
 b = -b.
 
 ``moment_masks`` builds the per-class neighbour masks from this rule, and
-the search reads them; ``build_moment_graph`` builds the graph as objects
-by reflecting every label by every root, for the ``moment-graph`` export
-and as the reference route, and ``verify`` compares the two at every rank.
+the search reads them.  The reference route reflects letters, not
+labels: ``_reflections`` sends the letters of every label through every
+root with ``weyl._reflect_letters`` and looks the result up by its
+letters.  ``verify`` ORs those reflections into masks and compares them
+with ``moment_masks`` at every rank.  ``build_moment_graph`` builds the
+graph as objects from the same reflections, for output only: the
+``moment-graph`` export, and the rank-2 reference figure and edge counts
+in ``verify``.  It keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -37,15 +42,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import DomainError
 from .weyl import (
     FlagLabel,
     Root,
+    _reflect_letters,
     enumerate_labels,
     moment_roots,
-    reflect,
 )
 
 __all__ = [
@@ -133,26 +138,37 @@ class MomentGraph:
         return counts
 
 
-@functools.lru_cache(maxsize=None)
 def build_moment_graph(n: int) -> MomentGraph:
-    """Assemble the graph by reflecting every vertex by every root.
+    """Assemble the graph from the reflection of every vertex by every root.
 
     Reflections that leave the odd index set are dropped; the surviving
     edges form the full subgraph, on odd vertices, of the even-case graph.
+    Each pair is stored once, with the root that reflects its lower-index
+    end, in order of the two indices.  Built anew on every call.
     """
     vertices = enumerate_labels(n)
-    index = {v: i for i, v in enumerate(vertices)}
-    roots = [(root, degree_of_root(root)) for root in moment_roots(n)]
-    edges: list[MomentEdge] = []
-    for w in vertices:
-        for root, degree in roots:
-            r = reflect(w, root)
-            if r is None:
-                continue
-            if index[w] < index[r]:
-                edges.append(MomentEdge(w, r, degree, root))
-    edges.sort(key=lambda e: (index[e.u], index[e.v]))  # one root per pair
-    return MomentGraph(n, vertices, tuple(edges))
+    degrees = {root: degree_of_root(root) for root in moment_roots(n)}
+    ends = sorted((e for e in _reflections(n) if e[0] < e[1]), key=lambda e: e[:2])
+    edges = tuple(
+        MomentEdge(vertices[i], vertices[j], degrees[root], root) for i, j, root in ends
+    )
+    return MomentGraph(n, vertices, edges)
+
+
+def _reflections(n: int) -> Iterator[tuple[int, int, Root]]:
+    """``(i, j, root)`` for each label i that ``root`` reflects to label j.
+
+    Indices are positions in ``enumerate_labels(n)``; reflections that
+    leave the odd index set are skipped.  Every pair appears twice, once
+    from each end, with roots of one degree class.
+    """
+    at = {(w.a, w.b): i for i, w in enumerate(enumerate_labels(n))}
+    roots = moment_roots(n)
+    for (a, b), i in at.items():  # in label order
+        for root in roots:
+            new = _reflect_letters(a, b, root)
+            if new is not None:
+                yield i, at[new], root
 
 
 # Per-class neighbour masks over a label list: bit j of near[c][i] is set
@@ -181,21 +197,6 @@ def moment_masks(n: int) -> NeighbourMasks:
         (1, 1): tuple(col[b] & ~(1 << i) for (a, b), i in at.items()),
         (1, 2): tuple(1 << at[-b, -a] if (-b, -a) in at else 0 for a, b in at),
     })
-
-
-def _edge_masks(g: MomentGraph) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Per-class neighbour masks read off ``g.edges``, aligned with ``g.vertices``.
-
-    Only the classes that carry an edge appear, in increasing order.
-    """
-    index = {v: i for i, v in enumerate(g.vertices)}
-    near: dict[tuple[int, int], list[int]] = {}
-    for e in g.edges:
-        masks = near.setdefault(e.degree.key, [0] * len(g.vertices))
-        i, j = index[e.u], index[e.v]
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    return {c: tuple(masks) for c, masks in sorted(near.items())}
 
 
 def to_dot(g: MomentGraph, degree: Degree | None = None) -> str:

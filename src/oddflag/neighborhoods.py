@@ -4,9 +4,10 @@
 starting from the full lower set of the base label, and returns the Bruhat
 maxima of everything reached.  ``gamma_closed_form`` evaluates the closed
 expressions directly, looking its values up by their letters in a table of
-one-component unions built from ``weyl._by_letters``; the search reads
-neither.  ``cross_check`` asserts the two agree cell by cell; they are
-deliberately kept independent of each other and share no helper.
+one-component unions built from ``weyl._by_letters``, or in a table of its
+two two-component values; the search reads none of them.  ``cross_check``
+asserts the two agree cell by cell; they are deliberately kept
+independent of each other and share no helper.
 
 The search works on integers, labels numbered by their position in
 ``enumerate_labels(n)`` and sets held as bitmasks.  It reads the moment
@@ -307,9 +308,9 @@ def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
 
     Here > and max are the alphabet order, read through ``letter_rank``.
     A one-component value is read by its letters from a per-rank table of
-    unions over the label objects of ``enumerate_labels(n)``, so no label
-    and no union is built; only the two two-component values are built per
-    call, from the same label objects.
+    unions over the label objects of ``enumerate_labels(n)``, and the two
+    two-component values from a second per-rank table built on first use
+    from the same label objects, so a call builds no label and no union.
     """
     n = w.n
     a, b = w.a, w.b
@@ -322,11 +323,11 @@ def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
         return one[a, b] if letter_rank(a, n) > letter_rank(b, n) else one[b, a]
     if reg[0] == 0:  # (0, d2 >= 1)
         if a == 2:
-            return SchubertUnion((*one[2, -3], *one[1, -2]))
+            return _two_component_unions(n)[0]
         return one[a, -3 if a == -2 else -2]
     if reg == (1, 1):
         if {a, b} == {1, 2}:
-            return SchubertUnion((*one[-3, 2], *one[-2, 1]))
+            return _two_component_unions(n)[1]
         if -2 in (a, b):
             return one[-2, -3]
         return one[-2, a if letter_rank(a, n) > letter_rank(b, n) else b]
@@ -338,6 +339,22 @@ def _unions_by_letters(n: int) -> Mapping[tuple[int, int], SchubertUnion]:
     """Each label of ``weyl._by_letters(n)`` as a one-component union, read-only."""
     return MappingProxyType(
         {ab: SchubertUnion((w,)) for ab, w in weyl._by_letters(n).items()}
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _two_component_unions(n: int) -> tuple[SchubertUnion, SchubertUnion]:
+    """X(2|-3) u X(1|-2) and X(-3|2) u X(-2|1), from ``_unions_by_letters(n)``.
+
+    Built on the first call that needs one, not with the one-component
+    table: checking that the components are incomparable compares them in
+    Bruhat order, and a caller that fills the one-component table ahead
+    of time makes no such comparison.
+    """
+    one = _unions_by_letters(n)
+    return (
+        SchubertUnion((*one[2, -3], *one[1, -2])),
+        SchubertUnion((*one[-3, 2], *one[-2, 1])),
     )
 
 

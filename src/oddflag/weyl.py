@@ -142,16 +142,22 @@ def top_label(n: int) -> FlagLabel:
     return _by_letters(n)[-2, -3]
 
 
-@functools.lru_cache(maxsize=1024, typed=True)  # 4 * 16**2: a whole rank up to 16
 def parse_label(text: str, n: int) -> FlagLabel:
     """Parse the ``a|b`` syntax, with a leading ``-`` denoting a bar.
 
-    Memoised on ``(text, n)``: a repeated text returns the label its first
-    parse built, which is immutable.  A parse that raises caches nothing,
-    and the key is typed, so a float rank stays an error after the int
-    rank is cached.  The first parse builds its own label instead of
+    Memoised on ``(text, n)`` after the rank is checked, so a rank that is
+    not an int >= 2 (a float, a bool, an unhashable value) raises
+    ``DomainError`` whatever the memo holds.  A repeated text returns the
+    label its first parse built, which is immutable.  A parse that raises
+    caches nothing.  The first parse builds its own label instead of
     reading ``_by_letters(n)``, so a parse builds no per-rank table.
     """
+    _check_rank(n)
+    return _parse_label(text, n)
+
+
+@functools.lru_cache(maxsize=1024)  # 4 * 16**2: a whole rank up to 16
+def _parse_label(text: str, n: int) -> FlagLabel:
     parts = text.strip().split("|")
     if len(parts) != 2:
         raise DomainError(f"label must look like 'a|b', got {text!r}")
@@ -247,28 +253,42 @@ def reflect(w: FlagLabel, root: Root) -> FlagLabel | None:
 
     Returns None when the resulting coset leaves the odd index set (its
     label would contain -1).  The coset always changes: every root
-    outside the parabolic subsystem moves a letter of (a|b).  A root with
-    j >= 3 brings in the j-th value of the minimal representative, the
-    (j-2)-th unused letter, barred for t_i + t_j.
+    outside the parabolic subsystem moves a letter of (a|b).  Raises
+    ``DomainError`` for a root inside the parabolic subsystem or beyond
+    the rank; the letters themselves are reflected by
+    ``_reflect_letters``.
     """
     if root.i > 2:
         raise DomainError(f"root {root} lies in the parabolic subsystem")
     if root.j is not None and root.j > w.n + 1:
         raise DomainError(f"root {root} exceeds rank {w.n}")
-    a, b = w.a, w.b
+    new = _reflect_letters(w.a, w.b, root)
+    return None if new is None else FlagLabel(new[0], new[1], w.n)
+
+
+def _reflect_letters(a: int, b: int, root: Root) -> tuple[int, int] | None:
+    """The letters of (a|b) reflected by a moment root, None if -1 appears.
+
+    2t_i bars the i-th letter, t1 - t2 swaps the two and t1 + t2 swaps and
+    bars them.  A root t_i -+ t_j with j >= 3 puts in place of the i-th
+    letter the j-th value of the minimal representative, the (j-2)-th
+    unused letter, barred for t_i + t_j.  That letter is found by counting
+    up past the used letters |a| and |b|, lower one first.  The root is
+    taken to be a moment root within the rank, as ``reflect`` checks.
+    """
     if root.kind == "long":
         new = (-a, b) if root.i == 1 else (a, -b)
     elif root.j == 2:  # i == 1
         new = (b, a) if root.kind == "diff" else (-b, -a)
     else:
-        unused = [k for k in range(1, w.n + 2) if k != abs(a) and k != abs(b)]
-        h = unused[root.j - 3]  # type: ignore[operator]
+        h, ka, kb = root.j - 2, abs(a), abs(b)  # type: ignore[operator]
+        lo, hi = (ka, kb) if ka < kb else (kb, ka)
+        h += lo <= h
+        h += hi <= h
         if root.kind == "sum":
             h = -h
         new = (h, b) if root.i == 1 else (a, h)
-    if -1 in new:
-        return None
-    return FlagLabel(new[0], new[1], w.n)
+    return None if -1 in new else new
 
 
 @functools.lru_cache(maxsize=None)

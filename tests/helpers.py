@@ -272,6 +272,21 @@ def moment_neighbors(
     return {v: tuple(xs) for v, xs in adj.items()}
 
 
+def edge_masks(g: MomentGraph) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Per-class neighbour masks read off ``g.edges``, aligned with ``g.vertices``.
+
+    Only the classes that carry an edge appear, in increasing order.
+    """
+    index = {v: i for i, v in enumerate(g.vertices)}
+    near: dict[tuple[int, int], list[int]] = {}
+    for e in g.edges:
+        masks = near.setdefault(e.degree.key, [0] * len(g.vertices))
+        i, j = index[e.u], index[e.v]
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return {c: tuple(masks) for c, masks in sorted(near.items())}
+
+
 def reference_gamma_bfs(w, d, graph=None):
     """Curve neighborhood of X(w) by a fresh search on label objects.
 

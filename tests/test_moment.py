@@ -3,10 +3,10 @@ from collections import Counter
 
 import pytest
 
+from oddflag import moment, verify
 from oddflag.errors import DomainError
 from oddflag.moment import (
     Degree,
-    _edge_masks,
     build_moment_graph,
     degree_of_root,
     moment_masks,
@@ -22,7 +22,7 @@ from oddflag.weyl import (
     parse_label,
     reflect,
 )
-from helpers import degree_join, even_moment_edges, moment_neighbors
+from helpers import degree_join, edge_masks, even_moment_edges, moment_neighbors
 
 
 def test_degree_examples():
@@ -103,13 +103,24 @@ def test_no_self_loops_and_unique_pairs():
         assert len(pairs) == len(set(pairs))
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", [*range(2, 17), 24])
 def test_letter_rule_masks_match_the_reflection_edges(n):
     # Rows and columns of (a|b) as cliques, plus the swap and the bar-swap,
-    # give exactly the graph that reflecting every label by every root does.
+    # give exactly the graph that reflecting every label by every root does:
+    # by the letters, as verify's moment-graph row reflects them, and up to
+    # rank 10 as the object graph.
     got = moment_masks(n)
-    assert got == _edge_masks(build_moment_graph(n))
     assert list(got) == [(0, 1), (1, 0), (1, 1), (1, 2)]
+    near = {c: [0] * len(masks) for c, masks in got.items()}
+    for i, j, root in moment._reflections(n):
+        near[degree_of_root(root).key][i] |= 1 << j
+    assert {c: tuple(masks) for c, masks in near.items()} == got
+    edges = sum(m.bit_count() for masks in got.values() for m in masks) // 2
+    assert verify._check_moment_graph(n) == ("pass", f"{edges} edges")
+    if n <= 10:
+        g = build_moment_graph(n)
+        assert got == edge_masks(g)
+        assert edges == len(g.edges)
     with pytest.raises(TypeError):
         got[0, 1] = ()
 

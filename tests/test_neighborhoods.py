@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     BitExpandingSearch,
+    edge_masks,
     moment_neighbors,
     reference_gamma_bfs,
     union_leq_oracle,
@@ -96,10 +97,12 @@ def test_closed_form_builds_no_label(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_closed_form_builds_no_single_component_union(monkeypatch, n):
-    # One-component values come from the rank's table of unions; only the
+    # One-component values come from the rank's table of unions, and the
     # two two-component values, of (2|b) at (0,1) and of (1|2), (2|1) at
-    # (1,1), are built per call.
+    # (1,1), from the rank's second table, so once both tables are built a
+    # call builds no union at all.
     table = neighborhoods._unions_by_letters(n)
+    two = neighborhoods._two_component_unions(n)
     built = []
     init = SchubertUnion.__post_init__
 
@@ -116,8 +119,9 @@ def test_closed_form_builds_no_single_component_union(monkeypatch, n):
                 (v,) = value
                 assert value is table[v.a, v.b]
             else:
+                assert value is two[0 if d.d1 == 0 else 1], (w, d)
                 pairs += 1
-    assert pairs > 0 and built == [2] * pairs
+    assert pairs > 0 and built == []
 
 
 def test_the_search_does_not_read_the_closed_form_table(monkeypatch):
@@ -135,6 +139,11 @@ def test_the_search_does_not_read_the_closed_form_table(monkeypatch):
         m.setattr(weyl, "_by_letters", refuse("the closed form's label table"))
         m.setattr(
             neighborhoods, "_unions_by_letters", refuse("the closed form's union table")
+        )
+        m.setattr(
+            neighborhoods,
+            "_two_component_unions",
+            refuse("the closed form's two-component table"),
         )
         neighborhoods._search_index.cache_clear()
         moment.moment_masks.cache_clear()
@@ -342,7 +351,7 @@ def _reference_cells(n):
 
 def _index_of(g):
     """A search index of the graph ``g``, read off its edges."""
-    return neighborhoods._SearchIndex(g.vertices, moment._edge_masks(g))
+    return neighborhoods._SearchIndex(g.vertices, edge_masks(g))
 
 
 def _search(index, w, d):

@@ -8,13 +8,15 @@ same patch; only the targeted row is asserted.
 """
 
 import dataclasses
+import sys
 
 import pytest
 
-from oddflag import cli, moment, neighborhoods, verify
+from oddflag import cli, neighborhoods, verify
 from oddflag.errors import VerificationError
 from oddflag.moment import Degree, MomentEdge
 from oddflag.weyl import parse_label
+from helpers import edge_masks
 
 REAL = {
     name: getattr(verify, name)
@@ -78,7 +80,7 @@ def _skipping_path_index(n):
     root = g.edges[0].root
     edges = tuple(MomentEdge(u, v, Degree(0, 1), root) for u, v in zip(path, path[1:]))
     path_graph = dataclasses.replace(g, edges=edges)
-    return neighborhoods._SearchIndex(g.vertices, moment._edge_masks(path_graph))
+    return neighborhoods._SearchIndex(g.vertices, edge_masks(path_graph))
 
 
 def _without_bar_swaps(n):
@@ -342,3 +344,23 @@ def test_nbhd_oracle_disagreement_exits_1(monkeypatch, capsys):
     assert captured.err == (
         "oddflag: closed form [1|2] disagrees with the search [2|1]\n"
     )
+
+
+def test_a_run_builds_the_object_graph_once_at_rank_two(monkeypatch):
+    # The moment-graph row compares every rank's reflections as masks and
+    # builds the graph as objects only for the rank-2 reference figure and
+    # edge counts.  One build keeps one id() for the whole run, so a tracer
+    # that counts each graph once by its id() counts its 48 edges exactly.
+    built = []
+
+    def spy(n):
+        built.append(n)
+        return REAL["build_moment_graph"](n)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "oddflag":
+            for attr, value in list(vars(module).items()):
+                if value is REAL["build_moment_graph"]:
+                    monkeypatch.setattr(module, attr, spy)
+    assert verify.suite_passed(verify.run_suite(4))
+    assert built == [2]

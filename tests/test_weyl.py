@@ -6,6 +6,8 @@ from oddflag.errors import DomainError
 from oddflag.weyl import (
     FlagLabel,
     Root,
+    _parse_label,
+    _reflect_letters,
     alphabet,
     bruhat_leq,
     bruhat_masks,
@@ -123,10 +125,11 @@ def test_reflect_matches_signed_permutation_arithmetic(n):
         for root in moment_roots(n):
             a, b = rep.apply_reflection(root).first_two()
             r = reflect(w, root)
+            letters = _reflect_letters(w.a, w.b, root)
             if -1 in (a, b):
-                assert r is None, (w, root)
+                assert r is None and letters is None, (w, root)
             else:
-                assert r == FlagLabel(a, b, n), (w, root)
+                assert r == FlagLabel(a, b, n) and letters == (a, b), (w, root)
 
 
 def test_reflect_examples():
@@ -302,16 +305,16 @@ def test_label_text_round_trip():
 
 def test_label_parse_errors():
     # A parse that raises caches nothing, so it raises on every call.
-    parse_label.cache_clear()
+    _parse_label.cache_clear()
     for _ in range(3):
         for text in ("12", "1|2|3", "a|b", "0|2", "-1|2", "1|1"):
             with pytest.raises(DomainError):
                 parse_label(text, 2)
-    assert parse_label.cache_info().currsize == 0
+    assert _parse_label.cache_info().currsize == 0
 
 
 def test_a_repeated_parse_builds_no_label(monkeypatch):
-    parse_label.cache_clear()
+    _parse_label.cache_clear()
     first = {text: parse_label(text, 3) for text in ("1|2", "-2|1", " 3 | -4 ")}
     built = []
     init = FlagLabel.__post_init__
@@ -327,20 +330,32 @@ def test_a_repeated_parse_builds_no_label(monkeypatch):
 
 
 def test_a_cached_parse_keeps_a_float_rank_an_error():
-    parse_label.cache_clear()
+    _parse_label.cache_clear()
     assert parse_label("1|2", 2) == label(1, 2, 2)
     with pytest.raises(DomainError, match="rank"):
         parse_label("1|2", 2.0)
 
 
+@pytest.mark.parametrize("rank", [[2], 2.0, True])
+def test_a_parse_rejects_a_rank_that_is_not_an_int(rank):
+    # The rank is checked before the memo is asked, so a rank the memo
+    # cannot hash, or would take for an equal int key, is a DomainError,
+    # before and after the int rank is cached.
+    _parse_label.cache_clear()
+    for _ in range(2):
+        with pytest.raises(DomainError, match="rank must be an integer >= 2"):
+            parse_label("1|2", rank)
+        assert parse_label("1|2", 2) == label(1, 2, 2)
+
+
 def test_every_label_of_rank_16_fits_in_the_parse_memo():
-    parse_label.cache_clear()
+    _parse_label.cache_clear()
     texts = [str(w) for w in enumerate_labels(16)]
     assert len(texts) == 1024
     first = [parse_label(text, 16) for text in texts]
     assert [parse_label(text, 16) for text in texts] == first
     assert all(parse_label(text, 16) is w for text, w in zip(texts, first))
-    info = parse_label.cache_info()
+    info = _parse_label.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1024, 1024, 2048)
 
 
