@@ -67,15 +67,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Degree:
-    """An effective curve class (d1, d2), ordered componentwise.
+    """An effective curve class (d1, d2) of two ints, ordered componentwise.
 
-    The order is partial; use ``key`` for deterministic sorting.
+    A bool or a float is not a degree part.  The order is partial; use
+    ``key`` for deterministic sorting.
     """
 
     d1: int
     d2: int
 
     def __post_init__(self) -> None:
+        if type(self.d1) is not int or type(self.d2) is not int:
+            raise DomainError(f"degrees are ints, got ({self.d1!r},{self.d2!r})")
         if self.d1 < 0 or self.d2 < 0:
             raise DomainError(f"degrees are nonnegative, got ({self.d1},{self.d2})")
 

@@ -3,9 +3,9 @@
 ``gamma_bfs`` searches the moment graph with a componentwise degree budget,
 starting from the full lower set of the base label, and returns the Bruhat
 maxima of everything reached.  ``gamma_closed_form`` evaluates the closed
-expressions directly, looking its values up by their letters in a table of
-one-component unions built from ``weyl._by_letters``, or in a table of its
-two two-component values; the search reads none of them.  ``cross_check``
+expressions directly, reading its values from one per-rank table: the
+one-component unions of ``weyl._by_letters`` keyed by their letters, and
+its two two-component values.  The search never reads it.  ``cross_check``
 asserts the two agree cell by cell; they are deliberately kept
 independent of each other and share no helper.
 
@@ -38,29 +38,32 @@ R[min(e, k)] by the window.  So ``_SearchIndex.reached`` tests the first
 window, k = min(d, m), and widens k to min(d, k + m) while the test fails.
 
 A cell expands only maxima, never every label it holds.  For each label x
-and class c the index keeps DN_c[x] = N_c(below[x]) and its down-closure
-D_c[x].  Since below[x] = {x} | OR over the labels y covered by x of
-below[y], and N_c distributes over unions,
+and class c the index keeps DN_c[x] = N_c(below[x]).  Since below[x] =
+{x} | OR over the labels y covered by x of below[y], and N_c distributes
+over unions,
 
     DN_c[x] = N_c({x})  |  OR over y covered by x of  DN_c[y].
 
-Labels come in length order, so one pass along the covers fills DN_c, and
-D_c[x] is the union of below[m] over the maxima m of DN_c[x].  Maxima are
-peeled off a set S one by one: its highest bit is a longest label of S,
-hence maximal, and removing its lower set leaves the other maxima.  A cell
-with maxima M(S) for each earlier cell S then takes
+Labels come in length order, so one pass along the covers fills DN_c.  A
+cell with maxima M(S) for each earlier cell S then takes
 
     R[d] = below[w]  |  OR over classes c <= d and m in M(R[d - c]) of  DN_c[m].
 
-Certificate, checked on every cell: R[d] contains every D_c[m] it was
-built from.  If R[d - c] is a lower set with maxima M, it is the union of
-below[m] over m in M, so N_c(R[d - c]) is the union of the DN_c[m]: the
-formula is the recursion.  And R[d] is a lower set iff it passes: a
-lower set holds the down-closure D_c[m] of its part DN_c[m], and a cell
-that holds them all is below[w] | OR of the D_c[m], a union of lower sets.
-R[0,0] = below[w] is one, so by induction every certified cell equals the
-recursion's.  A cell that fails raises ``VerificationError``; there is no
-second route.
+Maxima are peeled off a set S one by one: the highest bit left is a
+longest label left, and a label of S above it would be longer, hence
+already dropped with the lower set of an earlier maximum, which then holds
+this label too.  So it is a maximum of S, and dropping its lower set
+leaves the others.  Every label of S lies below one of them.
+
+Certificate, checked on every cell while its maxima are peeled: R[d]
+holds below[m] for each of its maxima m.  A set passes iff it is a lower
+set: a lower set holds the lower set of each of its labels, and a set that
+passes is the union of the below[m], since each of its labels lies below
+one of its maxima.  If R[d - c] is a lower
+set with maxima M, it is that union over m in M, so N_c(R[d - c]) is the
+union of the DN_c[m]: the formula is the recursion.  R[0,0] = below[w] is
+one, so by induction every certified cell equals the recursion's.  A cell
+that fails raises ``VerificationError``; there is no second route.
 """
 
 from __future__ import annotations
@@ -174,8 +177,8 @@ class _SearchIndex:
     of the labels in that order (``moment.moment_masks``).  ``below[i]``,
     the Bruhat lower set of label i (including i), and the labels i covers
     come from ``weyl.bruhat_masks``.  ``steps`` holds, for each class c,
-    ``(c, DN, D)``: bitmasks ``DN[x]`` of N_c(below[x]) and ``D[x]`` of
-    its down-closure (module docstring).  ``reach`` is the componentwise
+    ``(c, DN)``: the bitmasks ``DN[x]`` of N_c(below[x]) (module
+    docstring).  ``reach`` is the componentwise
     largest class, (1, 2) for every moment graph.  No attribute changes
     after ``__init__``, so threads may share the index.
     """
@@ -183,35 +186,17 @@ class _SearchIndex:
     def __init__(self, labels: Sequence[FlagLabel], near: NeighbourMasks) -> None:
         self.labels = labels
         self.index, self.below, covered, _level = weyl.bruhat_masks(labels[0].n)
-        size = len(labels)
         steps = []
         for c, masks in sorted(near.items()):
             # Lengths ascend with the index, so covers come first.
             dn = list(masks)
-            for x in range(size):
+            for x in range(len(labels)):
                 for y in _bits(covered[x]):
                     dn[x] |= dn[y]
-            down = [0] * size
-            for x in range(size):
-                for m in self._maxima(dn[x]):
-                    down[x] |= self.below[m]
-            steps.append((c, tuple(dn), tuple(down)))
+            steps.append((c, tuple(dn)))
         self.steps = tuple(steps)
-        classes = [c for c, _dn, _down in self.steps]
+        classes = [c for c, _dn in self.steps]
         self.reach = (max(c1 for c1, _ in classes), max(c2 for _, c2 in classes))
-
-    def _maxima(self, s: int) -> tuple[int, ...]:
-        """The Bruhat maxima of the labels in s, longest first.
-
-        Lengths ascend with the index, so the highest bit left is a longest
-        label left, hence maximal; dropping its lower set leaves the rest.
-        """
-        tops = []
-        while s:
-            m = s.bit_length() - 1
-            tops.append(m)
-            s &= ~self.below[m]
-        return tuple(tops)
 
     def reached(self, w: int, d1: int, d2: int) -> _Cell:
         """Bitmask of the labels base w reaches within (d1, d2), and their maxima.
@@ -244,21 +229,27 @@ class _SearchIndex:
     ) -> _Cell:
         """(R[e], its maxima) from the maxima of the cells e - c, already in grid.
 
-        Raises ``VerificationError`` when R[e] fails the certificate of the
-        module docstring.
+        Peels the maxima off R[e], longest first, and raises
+        ``VerificationError`` when the lower set of one is not inside R[e]:
+        the certificate of the module docstring.
         """
-        reached = closed = self.below[w]
-        for (c1, c2), dn, down in self.steps:
+        reached = self.below[w]
+        for (c1, c2), dn in self.steps:
             if c1 <= e1 and c2 <= e2:
                 for m in grid[e1 - c1, e2 - c2][1]:
                     reached |= dn[m]
-                    closed |= down[m]
-        if closed != reached:
-            raise VerificationError(
-                f"search from {self.labels[w]}: the labels reached within "
-                f"({e1},{e2}) do not form a Bruhat lower set"
-            )
-        return reached, self._maxima(reached)
+        maxima = []
+        rest = reached
+        while rest:
+            m = rest.bit_length() - 1
+            if self.below[m] & ~reached:
+                raise VerificationError(
+                    f"search from {self.labels[w]}: the labels reached within "
+                    f"({e1},{e2}) do not form a Bruhat lower set"
+                )
+            maxima.append(m)
+            rest &= ~self.below[m]
+        return reached, tuple(maxima)
 
     def neighborhood(self, w: int, d1: int, d2: int) -> SchubertUnion:
         """Bruhat maxima of the labels reached from base w within (d1, d2)."""
@@ -307,14 +298,13 @@ def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
     * (d1>=1, d2>=2): the top.
 
     Here > and max are the alphabet order, read through ``letter_rank``.
-    A one-component value is read by its letters from a per-rank table of
-    unions over the label objects of ``enumerate_labels(n)``, and the two
-    two-component values from a second per-rank table built on first use
-    from the same label objects, so a call builds no label and no union.
+    Every value is read from one per-rank table of unions over the label
+    objects of ``enumerate_labels(n)`` (``_closed_form_table``), built on
+    first use, so a call builds no label and no union.
     """
     n = w.n
     a, b = w.a, w.b
-    one = _unions_by_letters(n)
+    one, two = _closed_form_table(n)
     d1, d2 = d.d1, d.d2
     reg = (d1 if d1 < 1 else 1, d2 if d2 < 2 else 2)
     if reg == (0, 0):
@@ -323,11 +313,11 @@ def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
         return one[a, b] if letter_rank(a, n) > letter_rank(b, n) else one[b, a]
     if reg[0] == 0:  # (0, d2 >= 1)
         if a == 2:
-            return _two_component_unions(n)[0]
+            return two[0]
         return one[a, -3 if a == -2 else -2]
     if reg == (1, 1):
         if {a, b} == {1, 2}:
-            return _two_component_unions(n)[1]
+            return two[1]
         if -2 in (a, b):
             return one[-2, -3]
         return one[-2, a if letter_rank(a, n) > letter_rank(b, n) else b]
@@ -335,27 +325,23 @@ def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
 
 
 @functools.lru_cache(maxsize=None)
-def _unions_by_letters(n: int) -> Mapping[tuple[int, int], SchubertUnion]:
-    """Each label of ``weyl._by_letters(n)`` as a one-component union, read-only."""
-    return MappingProxyType(
+def _closed_form_table(
+    n: int,
+) -> tuple[Mapping[tuple[int, int], SchubertUnion], tuple[SchubertUnion, SchubertUnion]]:
+    """The closed form's values at rank n, as ``(one, two)``, built on first use.
+
+    ``one`` maps the letters of each label of ``weyl._by_letters(n)`` to
+    its one-component union, read-only; ``two`` holds X(2|-3) u X(1|-2)
+    and X(-3|2) u X(-2|1), over the same label objects.
+    """
+    one = MappingProxyType(
         {ab: SchubertUnion((w,)) for ab, w in weyl._by_letters(n).items()}
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _two_component_unions(n: int) -> tuple[SchubertUnion, SchubertUnion]:
-    """X(2|-3) u X(1|-2) and X(-3|2) u X(-2|1), from ``_unions_by_letters(n)``.
-
-    Built on the first call that needs one, not with the one-component
-    table: checking that the components are incomparable compares them in
-    Bruhat order, and a caller that fills the one-component table ahead
-    of time makes no such comparison.
-    """
-    one = _unions_by_letters(n)
-    return (
+    two = (
         SchubertUnion((*one[2, -3], *one[1, -2])),
         SchubertUnion((*one[-3, 2], *one[-2, 1])),
     )
+    return one, two
 
 
 def degree_grid(dmax: Degree) -> tuple[Degree, ...]:

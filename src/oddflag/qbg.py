@@ -185,30 +185,31 @@ def _build_qbg(n: int, strict: bool) -> QBGraph:
     return QBGraph(n, strict, vertices, tuple(edges))
 
 
-def _closure(succ: Mapping[T, Sequence[T]], start: T) -> set[T]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
+def _depths(succ: Mapping[T, Sequence[T]], root: T) -> dict[T, int]:
+    """Breadth-first depths from root of the vertices it reaches."""
+    depth = {root: 0}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
         for v in succ[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+            if v not in depth:
+                depth[v] = depth[u] + 1
+                queue.append(v)
+    return depth
 
 
 def strongly_connected(succ: Mapping[T, Sequence[T]]) -> bool:
-    """One component spans all keys: forward and backward closures do."""
+    """One component spans all keys: forward and backward searches do."""
     verts = list(succ)
     if not verts:
         raise DomainError("empty graph")
-    if len(_closure(succ, verts[0])) != len(verts):
+    if len(_depths(succ, verts[0])) != len(verts):
         return False
     pred: dict[T, list[T]] = {v: [] for v in verts}
     for u in verts:
         for v in succ[u]:
             pred[v].append(u)
-    return len(_closure(pred, verts[0])) == len(verts)
+    return len(_depths(pred, verts[0])) == len(verts)
 
 
 def digraph_period(succ: Mapping[T, Sequence[T]]) -> int:
@@ -219,18 +220,9 @@ def digraph_period(succ: Mapping[T, Sequence[T]]) -> int:
     """
     if not strongly_connected(succ):
         raise DomainError("period is defined for strongly connected graphs")
-    verts = list(succ)
-    root = verts[0]
-    depth = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in succ[u]:
-            if v not in depth:
-                depth[v] = depth[u] + 1
-                queue.append(v)
+    depth = _depths(succ, next(iter(succ)))
     g = 0
-    for u in verts:
+    for u in succ:
         for v in succ[u]:
             g = math.gcd(g, abs(depth[u] + 1 - depth[v]))
     if g == 0:

@@ -103,9 +103,9 @@ def _check_rank(n: int) -> None:
 class FlagLabel:
     """A coset label (a|b) of rank n, with the odd restriction.
 
-    a and b are signed letters, negative meaning barred.  Invariants: the
-    unsigned letters |a| and |b| are distinct, both lie in 1..n+1, and
-    neither value is -1.
+    a and b are signed letters, ints (a bool is not one), negative meaning
+    barred.  Invariants: the unsigned letters |a| and |b| are distinct,
+    both lie in 1..n+1, and neither value is -1.
     """
 
     a: int
@@ -115,6 +115,8 @@ class FlagLabel:
     def __post_init__(self) -> None:
         _check_rank(self.n)
         for k in (self.a, self.b):
+            if type(k) is not int:
+                raise DomainError(f"letters are ints, got {k!r}")
             if not 1 <= abs(k) <= self.n + 1:
                 raise DomainError(f"letter {k} out of range for rank {self.n}")
             if k == -1:

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from oddflag.errors import DomainError
 from oddflag.lattice import FinitePoset
-from oddflag.moment import Degree, MomentGraph, build_moment_graph
+from oddflag.moment import Degree, MomentEdge, MomentGraph, build_moment_graph
 from oddflag.neighborhoods import gamma_closed_form, maximal_union
 from oddflag.weyl import (
     FlagLabel,
@@ -285,6 +285,19 @@ def edge_masks(g: MomentGraph) -> dict[tuple[int, int], tuple[int, ...]]:
         masks[i] |= 1 << j
         masks[j] |= 1 << i
     return {c: tuple(masks) for c, masks in sorted(near.items())}
+
+
+def skipping_path(n: int) -> MomentGraph:
+    """Every other rank-n label, joined in one path of (0,1) edges.
+
+    A walk along it skips the labels between its stops, so the reached sets
+    of a search on it are not Bruhat lower sets.
+    """
+    g = build_moment_graph(n)
+    path = g.vertices[::2]
+    root = g.edges[0].root
+    edges = tuple(MomentEdge(u, v, Degree(0, 1), root) for u, v in zip(path, path[1:]))
+    return MomentGraph(n, g.vertices, edges)
 
 
 def reference_gamma_bfs(w, d, graph=None):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import sys
 import threading
 
@@ -10,6 +11,7 @@ from helpers import (
     edge_masks,
     moment_neighbors,
     reference_gamma_bfs,
+    skipping_path,
     union_leq_oracle,
 )
 from oddflag import moment, neighborhoods, qbg, weyl
@@ -27,6 +29,7 @@ from oddflag.neighborhoods import (
 from oddflag.verify import load_golden
 from oddflag.weyl import (
     FlagLabel,
+    _bits,
     alphabet,
     down_set,
     enumerate_labels,
@@ -97,12 +100,10 @@ def test_closed_form_builds_no_label(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_closed_form_builds_no_single_component_union(monkeypatch, n):
-    # One-component values come from the rank's table of unions, and the
-    # two two-component values, of (2|b) at (0,1) and of (1|2), (2|1) at
-    # (1,1), from the rank's second table, so once both tables are built a
-    # call builds no union at all.
-    table = neighborhoods._unions_by_letters(n)
-    two = neighborhoods._two_component_unions(n)
+    # One-component values come from the rank's table of unions, and so do
+    # the two two-component values, of (2|b) at (0,1) and of (1|2), (2|1)
+    # at (1,1), so once the table is built a call builds no union at all.
+    table, two = neighborhoods._closed_form_table(n)
     built = []
     init = SchubertUnion.__post_init__
 
@@ -138,12 +139,7 @@ def test_the_search_does_not_read_the_closed_form_table(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(weyl, "_by_letters", refuse("the closed form's label table"))
         m.setattr(
-            neighborhoods, "_unions_by_letters", refuse("the closed form's union table")
-        )
-        m.setattr(
-            neighborhoods,
-            "_two_component_unions",
-            refuse("the closed form's two-component table"),
+            neighborhoods, "_closed_form_table", refuse("the closed form's union table")
         )
         neighborhoods._search_index.cache_clear()
         moment.moment_masks.cache_clear()
@@ -156,6 +152,23 @@ def test_the_search_does_not_read_the_closed_form_table(monkeypatch):
     for w in enumerate_labels(3):
         for d in degree_grid(Degree(2, 2)):
             assert gamma_closed_form(w, d).n == 3
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+@pytest.mark.parametrize("route", [gamma_bfs, gamma_closed_form])
+def test_letters_and_degree_parts_must_be_ints(route, bad):
+    # A float letter would have a fractional length, a bool letter would
+    # print as True yet equal the letter 1, and a float degree part would
+    # let the closed form answer where the search cannot, so each is
+    # refused before either route sees it.
+    with pytest.raises(DomainError, match="letters are ints"):
+        route(label(bad, 2, 3), Degree(0, 1))
+    with pytest.raises(DomainError, match="letters are ints"):
+        route(label(1, bad, 3), Degree(0, 1))
+    with pytest.raises(DomainError, match="degrees are ints"):
+        route(label(1, 2, 3), Degree(bad, 0))
+    with pytest.raises(DomainError, match="degrees are ints"):
+        route(label(1, 2, 3), Degree(0, bad))
 
 
 def test_union_leq_examples():
@@ -388,7 +401,7 @@ def test_building_the_search_index_compares_no_pair(monkeypatch, n):
     index = neighborhoods._SearchIndex(enumerate_labels(n), moment.moment_masks(n))
     assert calls == []
     assert len(index.below) == 4 * n * n
-    assert all(len(dn) == len(down) == 4 * n * n for _c, dn, down in index.steps)
+    assert all(len(dn) == 4 * n * n for _c, dn in index.steps)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -452,6 +465,19 @@ def test_reached_sets_are_stable_beyond_degree_one_two(n, monkeypatch):
         assert filled == [d.key for d in degree_grid(Degree(2, 4))]
 
 
+class _RecordingIndex(neighborhoods._SearchIndex):
+    """A search index that records each cell it fills, and its reached set."""
+
+    def __init__(self, labels, near):
+        super().__init__(labels, near)
+        self.filled = []
+
+    def _cell(self, grid, w, e1, e2):
+        cell = super()._cell(grid, w, e1, e2)
+        self.filled.append(((e1, e2), cell[0]))
+        return cell
+
+
 def test_search_refuses_reached_sets_that_are_not_lower_sets():
     # Every other rank-3 label joined in one path whose edge classes cycle:
     # a walk along the path skips the labels between its stops, so the
@@ -481,6 +507,36 @@ def test_search_refuses_reached_sets_that_are_not_lower_sets():
             except VerificationError:
                 continue
             assert got == reference_gamma_bfs(w, d, chain), (w, d)
+    # The certificate against the bit-expanding oracle, on this chain and on
+    # the skipping paths of verify's certificate case at n = 2..4: every
+    # base raises at the first cell, in fill order, whose reached set is not
+    # a lower set, and fills the oracle's cells before it, where the maxima
+    # recursion is exact.
+    for g in (chain, *(skipping_path(n) for n in (2, 3, 4))):
+        below = weyl.bruhat_masks(g.n)[1]
+        oracle = BitExpandingSearch(g)
+        index = _RecordingIndex(g.vertices, edge_masks(g))
+        refused = 0
+        for w in range(len(g.vertices)):
+            oracle.reached(w, 10**6, 10**6)
+            cells = list(oracle.grids[w].items())
+            lower = [all(below[x] & ~s == 0 for x in _bits(s)) for _e, s in cells]
+            index.filled.clear()
+            if all(lower):
+                index.reached(w, 10**6, 10**6)
+                assert index.filled == cells, g.vertices[w]
+                continue
+            first = lower.index(False)
+            e1, e2 = cells[first][0]
+            message = (
+                f"search from {g.vertices[w]}: the labels reached within "
+                f"({e1},{e2}) do not form a Bruhat lower set"
+            )
+            with pytest.raises(VerificationError, match=re.escape(message)):
+                index.reached(w, 10**6, 10**6)
+            assert index.filled == cells[:first], g.vertices[w]
+            refused += 1
+        assert refused > 0, g.n
 
 
 def test_window_widens_while_the_reached_sets_grow():

@@ -14,9 +14,9 @@ import pytest
 
 from oddflag import cli, neighborhoods, verify
 from oddflag.errors import VerificationError
-from oddflag.moment import Degree, MomentEdge
+from oddflag.moment import Degree
 from oddflag.weyl import parse_label
-from helpers import edge_masks
+from helpers import edge_masks, skipping_path
 
 REAL = {
     name: getattr(verify, name)
@@ -75,12 +75,8 @@ def _skipping_path_index(n):
     A walk along it skips the labels between its stops, so the search's
     reached sets are not Bruhat lower sets and its certificate raises.
     """
-    g = REAL["build_moment_graph"](n)
-    path = g.vertices[::2]
-    root = g.edges[0].root
-    edges = tuple(MomentEdge(u, v, Degree(0, 1), root) for u, v in zip(path, path[1:]))
-    path_graph = dataclasses.replace(g, edges=edges)
-    return neighborhoods._SearchIndex(g.vertices, edge_masks(path_graph))
+    g = skipping_path(n)
+    return neighborhoods._SearchIndex(g.vertices, edge_masks(g))
 
 
 def _without_bar_swaps(n):
