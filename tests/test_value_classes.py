@@ -1,0 +1,277 @@
+"""The contract of the package's immutable value classes.
+
+Each class is built positionally and by keyword, prints in the
+``Name(field=value, ...)`` form, equals only objects of its own class with
+equal fields, hashes as the tuple of its fields (so sets and dicts of
+values iterate in a fixed order), refuses assignment and deletion, and
+raises the same validation messages.
+"""
+
+import pytest
+
+from oddflag.errors import DomainError, VerificationError
+from oddflag.lattice import CNLattice, FinitePoset, build_cn_lattice
+from oddflag.moment import Degree, MomentEdge, MomentGraph
+from oddflag.neighborhoods import CrossCheckReport, SchubertUnion
+from oddflag.qbg import (
+    ChernData,
+    PropertyOVerdict,
+    QBGEdge,
+    QBGraph,
+    chern_data,
+    property_o_verdict,
+)
+from oddflag.verify import CheckResult
+from oddflag.weyl import FlagLabel, Root, label, top_label
+
+W = FlagLabel(1, 2, 2)
+V = FlagLabel(2, 1, 2)
+W_REPR = "FlagLabel(a=1, b=2, n=2)"
+V_REPR = "FlagLabel(a=2, b=1, n=2)"
+R_REPR = "Root(kind='diff', i=1, j=2)"
+D_REPR = "Degree(d1=1, d2=0)"
+EDGE = MomentEdge(W, V, Degree(1, 0), Root("diff", 1, 2))
+EDGE_REPR = f"MomentEdge(u={W_REPR}, v={V_REPR}, degree={D_REPR}, root={R_REPR})"
+QEDGE = QBGEdge(W, V, None)
+QEDGE_REPR = f"QBGEdge(u={W_REPR}, v={V_REPR}, degree=None)"
+TOP = top_label(2)
+TOP_REPR = "FlagLabel(a=-2, b=-3, n=2)"
+TOP_VALUE = SchubertUnion((TOP,))
+CHERN = chern_data(2)
+VERDICT = property_o_verdict(2)
+CYCLE_REPRS = (
+    f"(({W_REPR}, {V_REPR}, {W_REPR}), "
+    f"({W_REPR}, FlagLabel(a=1, b=-3, n=2), FlagLabel(a=1, b=3, n=2), {W_REPR}))"
+)
+
+# (class, field names, field values as given, expected repr); the values
+# are given in the form the class stores them.
+CASES = [
+    (FlagLabel, ("a", "b", "n"), (1, 2, 2), W_REPR),
+    (Root, ("kind", "i", "j"), ("diff", 1, 2), R_REPR),
+    (Root, ("kind", "i", "j"), ("long", 1, None), "Root(kind='long', i=1, j=None)"),
+    (Degree, ("d1", "d2"), (1, 0), D_REPR),
+    (MomentEdge, ("u", "v", "degree", "root"), (W, V, Degree(1, 0), Root("diff", 1, 2)), EDGE_REPR),
+    (
+        MomentGraph,
+        ("n", "vertices", "edges"),
+        (2, (W, V), (EDGE,)),
+        f"MomentGraph(n=2, vertices=({W_REPR}, {V_REPR}), edges=({EDGE_REPR},))",
+    ),
+    (
+        SchubertUnion,
+        ("components",),
+        ((V, FlagLabel(1, -3, 2)),),
+        f"SchubertUnion(components=({V_REPR}, FlagLabel(a=1, b=-3, n=2)))",
+    ),
+    (
+        CrossCheckReport,
+        ("n", "dmax", "cells", "mismatches"),
+        (2, Degree(0, 1), 16, ()),
+        "CrossCheckReport(n=2, dmax=Degree(d1=0, d2=1), cells=16, mismatches=())",
+    ),
+    (
+        FinitePoset,
+        ("order",),
+        (((True, True), (False, True)),),
+        "FinitePoset(order=((True, True), (False, True)))",
+    ),
+    (
+        CNLattice,
+        ("base", "elements", "order", "witnesses"),
+        (TOP, (TOP_VALUE,), ((True,),), (Degree(0, 0),)),
+        f"CNLattice(base={TOP_REPR}, elements=(SchubertUnion(components=({TOP_REPR},)),), "
+        "order=((True,),), witnesses=(Degree(d1=0, d2=0),))",
+    ),
+    (
+        ChernData,
+        ("n", "a1", "a2", "div1", "div2", "fano_index"),
+        (2, 2, 3, CHERN.div1, CHERN.div2, 1),
+        "ChernData(n=2, a1=2, a2=3, div1=FlagLabel(a=-3, b=-2, n=2), "
+        "div2=FlagLabel(a=-2, b=3, n=2), fano_index=1)",
+    ),
+    (QBGEdge, ("u", "v", "degree"), (W, V, None), QEDGE_REPR),
+    (
+        QBGraph,
+        ("n", "strict", "vertices", "edges"),
+        (2, False, (W, V), (QEDGE,)),
+        f"QBGraph(n=2, strict=False, vertices=({W_REPR}, {V_REPR}), edges=({QEDGE_REPR},))",
+    ),
+    (
+        PropertyOVerdict,
+        ("n", "strongly_connected", "gcd", "fano_index", "holds", "witness_cycles"),
+        (2, True, 1, 1, True, VERDICT.witness_cycles),
+        "PropertyOVerdict(n=2, strongly_connected=True, gcd=1, fano_index=1, "
+        f"holds=True, witness_cycles={CYCLE_REPRS})",
+    ),
+    (
+        CheckResult,
+        ("name", "n", "status", "detail"),
+        ("enumeration", 2, "pass", "16 labels"),
+        "CheckResult(name='enumeration', n=2, status='pass', detail='16 labels')",
+    ),
+]
+IDS = [f"{cls.__name__}-{i}" for i, (cls, *_rest) in enumerate(CASES)]
+
+
+def test_every_value_class_has_a_case():
+    classes = {cls for cls, *_rest in CASES}
+    assert len(classes) == 14
+
+
+@pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
+def test_positional_and_keyword_construction_agree(cls, names, values, text):
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(names, values)))
+    for obj in (by_position, by_keyword):
+        assert type(obj) is cls
+        assert tuple(getattr(obj, name) for name in names) == values
+        assert repr(obj) == text
+    assert by_position == by_keyword
+    assert not by_position != by_keyword
+
+
+def test_root_takes_one_index_by_default():
+    assert Root("long", 2) == Root("long", 2, None) == Root(kind="long", i=2)
+    assert Root("long", 2).j is None
+
+
+@pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
+def test_equality_holds_only_within_a_class(cls, names, values, text):
+    obj = cls(*values)
+    assert obj != values and values != obj
+    assert obj.__eq__(values) is NotImplemented
+    others = [c(*v) for c, _n, v, _t in CASES if c is not cls]
+    for other in others:
+        assert obj != other
+        assert obj.__eq__(other) is NotImplemented
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (FlagLabel(1, 2, 2), FlagLabel(2, 1, 2)),
+        (FlagLabel(1, 2, 2), FlagLabel(1, 2, 3)),
+        (Root("diff", 1, 2), Root("sum", 1, 2)),
+        (Degree(1, 0), Degree(0, 1)),
+        (SchubertUnion((W,)), SchubertUnion((V,))),
+        (CheckResult("a", 2, "pass", ""), CheckResult("a", 2, "fail", "")),
+        (QBGEdge(W, V, None), QBGEdge(W, V, Degree(0, 1))),
+    ],
+)
+def test_a_differing_field_makes_values_unequal(first, second):
+    assert first != second and not first == second
+
+
+@pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
+def test_equal_values_hash_as_the_tuple_of_their_fields(cls, names, values, text):
+    obj = cls(*values)
+    copy = cls(**dict(zip(names, values)))
+    assert obj is not copy and obj == copy
+    assert hash(obj) == hash(copy) == hash(values)
+    assert {obj: 1}[copy] == 1
+
+
+def test_hashes_follow_the_stored_fields():
+    # SchubertUnion stores its components sorted, FinitePoset its order as
+    # tuples; the hash is that of the stored form.
+    u = SchubertUnion([FlagLabel(1, -3, 2), V])
+    assert u.components == (V, FlagLabel(1, -3, 2))
+    assert hash(u) == hash((u.components,))
+    p = FinitePoset([[True, True], [False, True]])
+    assert p == FinitePoset(((True, True), (False, True)))
+    assert hash(p) == hash((((True, True), (False, True)),))
+
+
+@pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
+def test_values_refuse_assignment_and_deletion(cls, names, values, text):
+    obj = cls(*values)
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(obj, name, 0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(obj, name)
+    assert tuple(getattr(obj, name) for name in names) == values
+    assert not hasattr(obj, "extra")
+
+
+def test_qbg_successors_are_cached_per_instance():
+    g = QBGraph(2, False, (W, V), (QEDGE,))
+    first = g.successors
+    assert first == {W: (V,), V: ()}
+    assert g.successors is first
+    assert vars(g)["successors"] is first
+    other = QBGraph(2, False, (W, V), (QEDGE,))
+    assert "successors" not in vars(other)
+    assert other == g and hash(other) == hash(g)
+    assert other.successors == first and other.successors is not first
+
+
+def _message(call):
+    try:
+        call()
+    except (DomainError, VerificationError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no error raised")
+
+
+LATTICE = build_cn_lattice(label(1, 2, 2))
+TRANSPOSED = tuple(zip(*LATTICE.order))
+
+VALIDATION = [
+    (lambda: FlagLabel(1, 2, 1), DomainError, "rank must be an integer >= 2, got 1"),
+    (lambda: FlagLabel(1, 2, 2.0), DomainError, "rank must be an integer >= 2, got 2.0"),
+    (lambda: FlagLabel(1.0, 2, 2), DomainError, "letters are ints, got 1.0"),
+    (lambda: FlagLabel(1, True, 2), DomainError, "letters are ints, got True"),
+    (lambda: FlagLabel(4, 2, 2), DomainError, "letter 4 out of range for rank 2"),
+    (lambda: FlagLabel(1, 0, 2), DomainError, "letter 0 out of range for rank 2"),
+    (lambda: FlagLabel(-1, 2, 2), DomainError, "odd labels may not contain -1"),
+    (lambda: FlagLabel(2, -2, 2), DomainError, "positions share the letter 2"),
+    (lambda: Root("short", 1, 2), DomainError, "unknown root kind 'short'"),
+    (lambda: Root("long", 1, 2), DomainError, "long roots take a single index"),
+    (lambda: Root("diff", 2, 1), DomainError, "need i < j, got (2, 1)"),
+    (lambda: Root("sum", 1), DomainError, "need i < j, got (1, None)"),
+    (lambda: Root("long", 0), DomainError, "root indices start at 1"),
+    (lambda: Degree(1.0, 0), DomainError, "degrees are ints, got (1.0,0)"),
+    (lambda: Degree(0, True), DomainError, "degrees are ints, got (0,True)"),
+    (lambda: Degree(-1, 0), DomainError, "degrees are nonnegative, got (-1,0)"),
+    (lambda: SchubertUnion(()), DomainError, "a Schubert union has at least one component"),
+    (
+        lambda: SchubertUnion((W, FlagLabel(2, 1, 3))),
+        DomainError,
+        "components must share one rank",
+    ),
+    (lambda: SchubertUnion([V, W]), DomainError, "components 1|2 and 2|1 are comparable"),
+    (lambda: FinitePoset([[True, True]]), DomainError, "order matrix must be square"),
+    (lambda: FinitePoset([[False]]), DomainError, "order must be reflexive"),
+    (
+        lambda: FinitePoset([[True, True], [True, True]]),
+        DomainError,
+        "order not antisymmetric at (0,1)",
+    ),
+    (
+        lambda: FinitePoset([[True, True, False], [False, True, True], [False, False, True]]),
+        DomainError,
+        "order not transitive at (0,1,2)",
+    ),
+    (
+        lambda: CNLattice(W, (TOP_VALUE,), ((True,),), (Degree(0, 0),)),
+        VerificationError,
+        "lattice must contain its base and the top",
+    ),
+    (
+        lambda: CNLattice(LATTICE.base, LATTICE.elements, TRANSPOSED, LATTICE.witnesses),
+        VerificationError,
+        "base must be the minimum and the top the maximum",
+    ),
+    (
+        lambda: CNLattice(TOP, (TOP_VALUE,), ((False,),), (Degree(0, 0),)),
+        DomainError,
+        "order must be reflexive",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, kind, message", VALIDATION)
+def test_validation_messages_are_unchanged(call, kind, message):
+    assert _message(call) == (kind, message)
