@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of its values."""
 
 
 class DomainError(ValueError):
@@ -11,3 +11,38 @@ class VerificationError(RuntimeError):
     Raised when two routes that must agree (e.g. a closed form and its
     search oracle, or a shape tag and its defining predicate) disagree.
     """
+
+
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__match_args__`` and writes its own
+    ``__init__``, which sets them with ``object.__setattr__``.  The base
+    gives the ``Name(field=value, ...)`` repr, equality with objects of the
+    same class only, the hash of the tuple of fields, and refuses
+    assignment and deletion.  Classes compared or hashed in hot loops spell
+    out their own ``__eq__`` and ``__hash__``.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -55,9 +55,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
-from .errors import DomainError, VerificationError
+from .errors import DomainError, VerificationError, _Frozen
 from .moment import Degree
 from .neighborhoods import SchubertUnion, _lower_mask, gamma_closed_form
 from .weyl import FlagLabel, _bits, _by_letters, letter_rank, top_label
@@ -152,11 +151,15 @@ def _poset(order: OrderMatrix) -> Poset:
     return order, tuple(up), tuple(down), join, meet
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(_Frozen):
     """A finite poset given by its full order matrix; order[i][j] iff i <= j."""
 
     order: OrderMatrix
+    __match_args__ = ("order",)
+
+    def __init__(self, order: OrderMatrix) -> None:
+        object.__setattr__(self, "order", order)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # _poset checks the partial-order axioms.
@@ -167,8 +170,7 @@ class FinitePoset:
         return len(self.order)
 
 
-@dataclass(frozen=True)
-class CNLattice:
+class CNLattice(_Frozen):
     """The poset of curve neighborhoods of one base label.
 
     ``elements[i]`` is witnessed by ``witnesses[i]``, the first
@@ -180,6 +182,20 @@ class CNLattice:
     elements: tuple[SchubertUnion, ...]
     order: OrderMatrix
     witnesses: tuple[Degree, ...]
+    __match_args__ = ("base", "elements", "order", "witnesses")
+
+    def __init__(
+        self,
+        base: FlagLabel,
+        elements: tuple[SchubertUnion, ...],
+        order: OrderMatrix,
+        witnesses: tuple[Degree, ...],
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "witnesses", witnesses)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # _poset checks the partial-order axioms.

@@ -40,11 +40,10 @@ in ``verify``.  It keeps nothing between calls.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import DomainError
+from .errors import DomainError, _Frozen
 from .weyl import (
     FlagLabel,
     Root,
@@ -65,16 +64,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Degree:
+class Degree(_Frozen):
     """An effective curve class (d1, d2) of two ints, ordered componentwise.
 
     A bool or a float is not a degree part.  The order is partial; use
-    ``key`` for deterministic sorting.
+    ``key`` for deterministic sorting.  Sums and comparisons take another
+    ``Degree`` only.
     """
 
     d1: int
     d2: int
+    __match_args__ = ("d1", "d2")
+
+    def __init__(self, d1: int, d2: int) -> None:
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.d1, self.d2) == (other.d1, other.d2)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.d1, self.d2))
 
     def __post_init__(self) -> None:
         if type(self.d1) is not int or type(self.d2) is not int:
@@ -83,9 +96,13 @@ class Degree:
             raise DomainError(f"degrees are nonnegative, got ({self.d1},{self.d2})")
 
     def __add__(self, other: Degree) -> Degree:
+        if other.__class__ is not Degree:
+            return NotImplemented
         return Degree(self.d1 + other.d1, self.d2 + other.d2)
 
     def __le__(self, other: Degree) -> bool:
+        if other.__class__ is not Degree:
+            return NotImplemented
         return self.d1 <= other.d1 and self.d2 <= other.d2
 
     @property
@@ -118,21 +135,34 @@ def degree_of_root(root: Root) -> Degree:
     return Degree(1, 1) if root.i == 1 else Degree(0, 1)
 
 
-@dataclass(frozen=True)
-class MomentEdge:
+class MomentEdge(_Frozen):
     u: FlagLabel
     v: FlagLabel
     degree: Degree
     root: Root
+    __match_args__ = ("u", "v", "degree", "root")
+
+    def __init__(self, u: FlagLabel, v: FlagLabel, degree: Degree, root: Root) -> None:
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "root", root)
 
 
-@dataclass(frozen=True)
-class MomentGraph:
+class MomentGraph(_Frozen):
     """Immutable unoriented multigraph; edges stored once per pair+root."""
 
     n: int
     vertices: tuple[FlagLabel, ...]
     edges: tuple[MomentEdge, ...]
+    __match_args__ = ("n", "vertices", "edges")
+
+    def __init__(
+        self, n: int, vertices: tuple[FlagLabel, ...], edges: tuple[MomentEdge, ...]
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     def degree_counts(self) -> dict[Degree, int]:
         counts: dict[Degree, int] = {}

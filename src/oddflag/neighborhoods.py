@@ -70,12 +70,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import weyl
-from .errors import DomainError, VerificationError
+from .errors import DomainError, VerificationError, _Frozen
 from .moment import Degree, NeighbourMasks, moment_masks
 from .weyl import FlagLabel, _bits, bruhat_leq, enumerate_labels, letter_rank
 
@@ -91,8 +90,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SchubertUnion:
+class SchubertUnion(_Frozen):
     """A finite union of Schubert varieties, recorded by its maximal labels.
 
     Components must form a nonempty Bruhat antichain of a single rank;
@@ -100,6 +98,19 @@ class SchubertUnion:
     """
 
     components: tuple[FlagLabel, ...]
+    __match_args__ = ("components",)
+
+    def __init__(self, components: Iterable[FlagLabel]) -> None:
+        object.__setattr__(self, "components", components)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.components,) == (other.components,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.components,))
 
     def __post_init__(self) -> None:
         comps = self.components
@@ -353,14 +364,25 @@ def degree_grid(dmax: Degree) -> tuple[Degree, ...]:
     )
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+_Mismatch = tuple[FlagLabel, Degree, SchubertUnion, SchubertUnion]
+
+
+class CrossCheckReport(_Frozen):
     """Outcome of comparing the search and the closed form on a full grid."""
 
     n: int
     dmax: Degree
     cells: int
-    mismatches: tuple[tuple[FlagLabel, Degree, SchubertUnion, SchubertUnion], ...]
+    mismatches: tuple[_Mismatch, ...]
+    __match_args__ = ("n", "dmax", "cells", "mismatches")
+
+    def __init__(
+        self, n: int, dmax: Degree, cells: int, mismatches: tuple[_Mismatch, ...]
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dmax", dmax)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "mismatches", mismatches)
 
     @property
     def ok(self) -> bool:

@@ -42,10 +42,9 @@ import functools
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
 from typing import Hashable, Iterator, Mapping, Sequence, TypeVar
 
-from .errors import DomainError, VerificationError
+from .errors import DomainError, VerificationError, _Frozen
 from .moment import EDGE_COLORS, Degree, moment_masks
 from .neighborhoods import gamma_closed_form
 from .weyl import (
@@ -79,8 +78,7 @@ __all__ = [
 T = TypeVar("T", bound=Hashable)
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(_Frozen):
     """Divisor-class coefficients of the anticanonical class and Fano index."""
 
     n: int
@@ -89,6 +87,17 @@ class ChernData:
     div1: FlagLabel
     div2: FlagLabel
     fano_index: int
+    __match_args__ = ("n", "a1", "a2", "div1", "div2", "fano_index")
+
+    def __init__(
+        self, n: int, a1: int, a2: int, div1: FlagLabel, div2: FlagLabel, fano_index: int
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "div1", div1)
+        object.__setattr__(self, "div2", div2)
+        object.__setattr__(self, "fano_index", fano_index)
 
 
 def chern_data(n: int) -> ChernData:
@@ -105,25 +114,38 @@ def chern_data(n: int) -> ChernData:
     )
 
 
-@dataclass(frozen=True)
-class QBGEdge:
+class QBGEdge(_Frozen):
     """Directed edge; degree is None on classical (cover) edges."""
 
     u: FlagLabel
     v: FlagLabel
     degree: Degree | None
+    __match_args__ = ("u", "v", "degree")
+
+    def __init__(self, u: FlagLabel, v: FlagLabel, degree: Degree | None) -> None:
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "degree", degree)
 
     @property
     def kind(self) -> str:
         return "classical" if self.degree is None else "quantum"
 
 
-@dataclass(frozen=True)
-class QBGraph:
+class QBGraph(_Frozen):
     n: int
     strict: bool
     vertices: tuple[FlagLabel, ...]
     edges: tuple[QBGEdge, ...]
+    __match_args__ = ("n", "strict", "vertices", "edges")
+
+    def __init__(
+        self, n: int, strict: bool, vertices: tuple[FlagLabel, ...], edges: tuple[QBGEdge, ...]
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "strict", strict)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     @functools.cached_property
     def successors(self) -> dict[FlagLabel, tuple[FlagLabel, ...]]:
@@ -244,14 +266,30 @@ def witness_cycles(n: int) -> tuple[tuple[FlagLabel, ...], ...]:
     return (short, long)
 
 
-@dataclass(frozen=True)
-class PropertyOVerdict:
+class PropertyOVerdict(_Frozen):
     n: int
     strongly_connected: bool
     gcd: int | None
     fano_index: int
     holds: bool
     witness_cycles: tuple[tuple[FlagLabel, ...], ...]
+    __match_args__ = ("n", "strongly_connected", "gcd", "fano_index", "holds", "witness_cycles")
+
+    def __init__(
+        self,
+        n: int,
+        strongly_connected: bool,
+        gcd: int | None,
+        fano_index: int,
+        holds: bool,
+        witness_cycles: tuple[tuple[FlagLabel, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "strongly_connected", strongly_connected)
+        object.__setattr__(self, "gcd", gcd)
+        object.__setattr__(self, "fano_index", fano_index)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witness_cycles", witness_cycles)
 
 
 def property_o_verdict(n: int) -> PropertyOVerdict:

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
-from importlib import resources
 
 from .lattice import build_cn_lattice, classify_shape, is_distributive, is_lattice
 from .moment import Degree, build_moment_graph, degree_of_root
@@ -27,7 +25,7 @@ from .moment import _reflections, moment_masks
 from .neighborhoods import cross_check, degree_grid, gamma_closed_form
 from .qbg import build_qbg, chern_data, moment_discrepancies, property_o_verdict
 from .weyl import enumerate_labels, length, moment_roots, parse_label, top_label
-from .errors import VerificationError
+from .errors import VerificationError, _Frozen
 
 __all__ = ["CheckResult", "run_suite", "suite_passed", "to_json_dict", "load_golden"]
 
@@ -39,12 +37,18 @@ KNOWN_EXTRA_QBG_EDGE = ("2|1", "1|-2", (0, 1))
 Outcome = tuple[str, str] | None
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Frozen):
     name: str
     n: int
     status: str  # "pass" | "fail" | "flagged"
     detail: str
+    __match_args__ = ("name", "n", "status", "detail")
+
+    def __init__(self, name: str, n: int, status: str, detail: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def ok(self) -> bool:
@@ -52,6 +56,8 @@ class CheckResult:
 
 
 def load_golden(name: str) -> dict:
+    from importlib import resources  # here, not at the top: ~11 ms of every import
+
     path = resources.files("oddflag") / "golden" / name
     return json.loads(path.read_text())
 

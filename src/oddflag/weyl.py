@@ -50,11 +50,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Literal, Mapping
 
-from .errors import DomainError
+from .errors import DomainError, _Frozen
 
 __all__ = [
     "FlagLabel",
@@ -99,8 +98,7 @@ def _check_rank(n: int) -> None:
         raise DomainError(f"rank must be an integer >= 2, got {n!r}")
 
 
-@dataclass(frozen=True)
-class FlagLabel:
+class FlagLabel(_Frozen):
     """A coset label (a|b) of rank n, with the odd restriction.
 
     a and b are signed letters, ints (a bool is not one), negative meaning
@@ -111,6 +109,21 @@ class FlagLabel:
     a: int
     b: int
     n: int
+    __match_args__ = ("a", "b", "n")
+
+    def __init__(self, a: int, b: int, n: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.n) == (other.a, other.b, other.n)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.n))
 
     def __post_init__(self) -> None:
         _check_rank(self.n)
@@ -147,14 +160,18 @@ def top_label(n: int) -> FlagLabel:
 def parse_label(text: str, n: int) -> FlagLabel:
     """Parse the ``a|b`` syntax, with a leading ``-`` denoting a bar.
 
-    Memoised on ``(text, n)`` after the rank is checked, so a rank that is
-    not an int >= 2 (a float, a bool, an unhashable value) raises
-    ``DomainError`` whatever the memo holds.  A repeated text returns the
-    label its first parse built, which is immutable.  A parse that raises
-    caches nothing.  The first parse builds its own label instead of
-    reading ``_by_letters(n)``, so a parse builds no per-rank table.
+    Memoised on ``(text, n)`` after the rank and the type of the text are
+    checked, so a rank that is not an int >= 2 (a float, a bool, an
+    unhashable value) or a text that is not a ``str`` (an int, bytes, a
+    list) raises ``DomainError`` whatever the memo holds.  A repeated text
+    returns the label its first parse built, which is immutable.  A parse
+    that raises caches nothing.  The first parse builds its own label
+    instead of reading ``_by_letters(n)``, so a parse builds no per-rank
+    table.
     """
     _check_rank(n)
+    if not isinstance(text, str):
+        raise DomainError(f"label must be a str like 'a|b', got {text!r}")
     return _parse_label(text, n)
 
 
@@ -173,13 +190,27 @@ def _parse_label(text: str, n: int) -> FlagLabel:
 RootKind = Literal["diff", "sum", "long"]
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(_Frozen):
     """A positive root: t_i - t_j, t_i + t_j (i < j) or 2 t_i."""
 
     kind: RootKind
     i: int
-    j: int | None = None
+    j: int | None
+    __match_args__ = ("kind", "i", "j")
+
+    def __init__(self, kind: RootKind, i: int, j: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.kind, self.i, self.j) == (other.kind, other.i, other.j)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.i, self.j))
 
     def __post_init__(self) -> None:
         if self.kind not in ("diff", "sum", "long"):

@@ -353,3 +353,21 @@ def test_a_failed_stdout_write_is_a_usage_error(args):
         )
     assert proc.returncode == 2
     assert proc.stderr == "oddflag: cannot write <stdout>: No space left on device\n"
+
+
+def test_starting_the_cli_imports_no_dataclasses():
+    # A fresh interpreter, since pytest itself imports dataclasses; -S
+    # keeps site from importing anything first.  The value classes write
+    # their own methods, so no process pays for dataclasses (with inspect,
+    # ast and tokenize) or for generating them.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, oddflag.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

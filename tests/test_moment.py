@@ -64,6 +64,21 @@ def test_degree_validation_and_arithmetic():
     assert degree_join(Degree(2, 1), Degree(1, 3)) == Degree(2, 3)
 
 
+@pytest.mark.parametrize("other", [5, (1, 1), [1, 1], "1,1", None])
+def test_degree_sums_and_comparisons_refuse_other_types(other):
+    # NotImplemented lets Python raise the TypeError of any unorderable
+    # pair, instead of an AttributeError from inside the method.
+    d = Degree(1, 1)
+    assert d.__le__(other) is NotImplemented
+    assert d.__add__(other) is NotImplemented
+    with pytest.raises(TypeError):
+        d <= other
+    with pytest.raises(TypeError):
+        d >= other
+    with pytest.raises(TypeError):
+        d + other
+
+
 def test_neighbors_of_bottom_at_rank_two():
     g = build_moment_graph(2)
     got = {(x, d.key) for x, d, _ in moment_neighbors(g)[label(1, 2, 2)]}

@@ -7,14 +7,14 @@ name, rank, status and detail text.  Other rows may fail as well under the
 same patch; only the targeted row is asserted.
 """
 
-import dataclasses
 import sys
 
 import pytest
 
 from oddflag import cli, neighborhoods, verify
 from oddflag.errors import VerificationError
-from oddflag.moment import Degree
+from oddflag.moment import Degree, MomentGraph
+from oddflag.qbg import ChernData, PropertyOVerdict
 from oddflag.weyl import parse_label
 from helpers import edge_masks, skipping_path
 
@@ -66,7 +66,17 @@ def _closed_form_at_01(replace):
 
 def _one_more_edge(n):
     g = REAL["build_moment_graph"](n)
-    return dataclasses.replace(g, edges=g.edges + g.edges[:1])
+    return MomentGraph(g.n, g.vertices, g.edges + g.edges[:1])
+
+
+def _verdict_with_holds_false(n):
+    v = REAL["property_o_verdict"](n)
+    return PropertyOVerdict(v.n, v.strongly_connected, v.gcd, v.fano_index, False, v.witness_cycles)
+
+
+def _chern_data_with_index_3(n):
+    c = REAL["chern_data"](n)
+    return ChernData(c.n, c.a1, c.a2, c.div1, c.div2, 3)
 
 
 def _skipping_path_index(n):
@@ -237,20 +247,14 @@ CASES = [
     ),
     (
         "property-o-negative",
-        (
-            "property_o_verdict",
-            lambda n: dataclasses.replace(REAL["property_o_verdict"](n), holds=False),
-        ),
+        ("property_o_verdict", _verdict_with_holds_false),
         False,
         "property-o",
         "holds=False strongly_connected=True gcd=1 fano_index=1",
     ),
     (
         "property-o-fano-index",
-        (
-            "chern_data",
-            lambda n: dataclasses.replace(REAL["chern_data"](n), fano_index=3),
-        ),
+        ("chern_data", _chern_data_with_index_3),
         False,
         "property-o",
         "holds=True strongly_connected=True gcd=1 fano_index=3",

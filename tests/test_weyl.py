@@ -348,6 +348,20 @@ def test_a_parse_rejects_a_rank_that_is_not_an_int(rank):
         assert parse_label("1|2", 2) == label(1, 2, 2)
 
 
+@pytest.mark.parametrize("text", [12, b"1|2", ["1|2"], ("1", "2"), None])
+def test_a_parse_rejects_a_text_that_is_not_a_str(text):
+    # The text is checked after the rank and before the memo is asked, so
+    # an unhashable text never reaches the memo and nothing is cached.
+    _parse_label.cache_clear()
+    for _ in range(2):
+        with pytest.raises(DomainError, match="label must be a str like 'a|b', got "):
+            parse_label(text, 2)
+        with pytest.raises(DomainError, match="rank must be an integer >= 2"):
+            parse_label(text, 1)
+    info = _parse_label.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (0, 0, 0)
+
+
 def test_every_label_of_rank_16_fits_in_the_parse_memo():
     _parse_label.cache_clear()
     texts = [str(w) for w in enumerate_labels(16)]
