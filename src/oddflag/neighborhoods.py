@@ -364,20 +364,21 @@ def degree_grid(dmax: Degree) -> tuple[Degree, ...]:
     )
 
 
-_Mismatch = tuple[FlagLabel, Degree, SchubertUnion, SchubertUnion]
-
-
 class CrossCheckReport(_Frozen):
     """Outcome of comparing the search and the closed form on a full grid."""
 
     n: int
     dmax: Degree
     cells: int
-    mismatches: tuple[_Mismatch, ...]
+    mismatches: tuple[tuple[FlagLabel, Degree, SchubertUnion, SchubertUnion], ...]
     __match_args__ = ("n", "dmax", "cells", "mismatches")
 
     def __init__(
-        self, n: int, dmax: Degree, cells: int, mismatches: tuple[_Mismatch, ...]
+        self,
+        n: int,
+        dmax: Degree,
+        cells: int,
+        mismatches: tuple[tuple[FlagLabel, Degree, SchubertUnion, SchubertUnion], ...],
     ) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dmax", dmax)
