@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import lattice as lattice_mod
 from . import moment as moment_mod
@@ -43,10 +43,12 @@ def _parse_degree(text: str) -> Degree:
     return Degree(d1, d2)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or each string of an iterable in turn, to ``out`` or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if out is None:
         try:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
         except OSError as exc:
             # The text that failed stays buffered.  Point the descriptor at
@@ -59,13 +61,44 @@ def _emit(text: str, out: str | None) -> None:
         return
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise DomainError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+# One record of an "edges" list as _json_text lays it out, per edge shape.
+# Labels, roots and degrees print as ASCII letters, digits, "|", "-" and
+# "+", which JSON writes unescaped.
+_QBG_CLASSICAL = '    {\n      "u": "%s",\n      "v": "%s",\n      "kind": "classical"\n    }'
+_QBG_QUANTUM = (
+    '    {\n      "u": "%s",\n      "v": "%s",\n      "kind": "quantum",\n'
+    '      "deg": [\n        %d,\n        %d\n      ]\n    }'
+)
+_MOMENT_EDGE = (
+    '    {\n      "u": "%s",\n      "v": "%s",\n'
+    '      "deg": [\n        %d,\n        %d\n      ],\n      "root": "%s"\n    }'
+)
+
+
+def _json_chunks(envelope: dict, records: Iterable[str]) -> Iterator[str]:
+    """``_json_text(envelope)`` in pieces, the records filling its empty "edges".
+
+    Each record must be an edge's entry as ``_json_text`` lays it out.
+    Writing them one by one from templates skips the payload's per-edge
+    dicts, the pure-Python encoder that ``indent`` selects and the whole
+    text at once.
+    """
+    head, tail = _json_text(envelope).split('"edges": []', 1)
+    yield head + '"edges": ['
+    sep = "\n"
+    for record in records:
+        yield sep + record
+        sep = ",\n"
+    yield ("]" if sep == "\n" else "\n  ]") + tail
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -88,7 +121,11 @@ def _cmd_moment_graph(args: argparse.Namespace) -> int:
     if args.format == "dot":
         _emit(moment_mod.to_dot(g), args.out)
     elif args.format == "json":
-        _emit(_json_text(moment_mod.to_json_dict(g)), args.out)
+        envelope = moment_mod.to_json_dict(moment_mod.MomentGraph(g.n, g.vertices, ()))
+        records = (
+            _MOMENT_EDGE % (e.u, e.v, e.degree.d1, e.degree.d2, e.root) for e in g.edges
+        )
+        _emit(_json_chunks(envelope, records), args.out)
     else:
         lines = [
             f"{str(e.u):>8} -- {str(e.v):<8} {e.degree}  {e.root}" for e in g.edges
@@ -149,7 +186,14 @@ def _cmd_qbg(args: argparse.Namespace) -> int:
     if args.format == "dot":
         _emit(qbg_mod.to_dot(g), args.out)
     elif args.format == "json":
-        _emit(_json_text(qbg_mod.to_json_dict(g, verdict)), args.out)
+        empty = qbg_mod.QBGraph(g.n, g.strict, g.vertices, ())
+        records = (
+            _QBG_CLASSICAL % (e.u, e.v)
+            if e.degree is None
+            else _QBG_QUANTUM % (e.u, e.v, e.degree.d1, e.degree.d2)
+            for e in g.edges
+        )
+        _emit(_json_chunks(qbg_mod.to_json_dict(empty, verdict), records), args.out)
     else:
         lines = [
             f"{str(e.u):>8} -> {str(e.v):<8} {e.kind}"

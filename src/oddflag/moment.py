@@ -40,8 +40,8 @@ in ``verify``.  It keeps nothing between calls.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator, Mapping
 from types import MappingProxyType
-from typing import Iterator, Mapping
 
 from .errors import DomainError, _Frozen
 from .weyl import (

@@ -70,8 +70,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 from . import weyl
 from .errors import DomainError, VerificationError, _Frozen

@@ -7,11 +7,11 @@ the degree-d curve neighborhood of X(u); a strict mode instead requires v
 to BE a component.  Property O asks for strong connectivity and for the
 cycle-length gcd to equal the Fano index gcd(2, 2n-1) = 1.
 
-Classical edges are ``weyl.covers``.  Quantum targets are read off the
-masks of ``weyl.bruhat_masks``: the targets of u in degree d are
-level[l(u) + gain] & reach, where reach ORs below[c] over the components
-c of Gamma_d(X(u)), or only the bits of the components themselves under
-the strict rule.
+Both kinds of edge are read off the masks of ``weyl.bruhat_masks``: the
+classical targets of u are covered[u], and its quantum targets in degree
+d are level[l(u) + gain] & reach, where reach ORs below[c] over the
+components c of Gamma_d(X(u)), or only the bits of the components
+themselves under the strict rule.
 
 Only the degrees (1,0), (0,1) and (1,1) carry quantum edges.  An edge of
 degree d from u needs a component c of Gamma_d(X(u)) with a rise
@@ -34,6 +34,16 @@ rank (this is ``weyl.length``; the tests check it).  For u = (a|b):
 
 The gain is the anticanonical degree minus one.  The test oracle
 ``uncut_qbg_edges`` (tests/helpers.py) still tries every degree.
+
+Property O takes one forward and one backward breadth-first search
+(``_depths``) from one vertex r, over the adjacency written as label
+indices.  The graph is strongly connected iff both reach every vertex.
+Its period p, the gcd of its closed walks' lengths, is then the gcd g
+over edges u -> v of depth(u) + 1 - depth(v), with the forward depths.
+With a path v -> r of length m, the walks r -> u -> v -> r and r -> v -> r
+are closed, of lengths depth(u) + 1 + m and depth(v) + m, so p divides
+their difference, the edge's term.  The terms of a closed walk's edges
+sum to its length, since the depths telescope away, so g divides it.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ import functools
 import math
 import operator
 from collections import deque
-from typing import Hashable, Iterator, Mapping, Sequence, TypeVar
+from collections.abc import Hashable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, VerificationError, _Frozen
 from .moment import EDGE_COLORS, Degree, moment_masks
@@ -52,7 +62,6 @@ from .weyl import (
     _bits,
     _check_rank,
     bruhat_masks,
-    covers,
     enumerate_labels,
     label,
     length,
@@ -74,9 +83,6 @@ __all__ = [
     "to_dot",
     "to_json_dict",
 ]
-
-T = TypeVar("T", bound=Hashable)
-
 
 class ChernData(_Frozen):
     """Divisor-class coefficients of the anticanonical class and Fano index."""
@@ -154,8 +160,8 @@ class QBGraph(_Frozen):
         No built graph has two edges u -> v, so none is dropped: an edge's
         length change fixes its kind and degree (a classical edge loses
         one, a quantum edge of degree (1,0), (0,1) or (1,1) gains 1, 2n - 2
-        or 2n, distinct for n >= 2), ``covers`` lists each cover once and
-        ``_bits`` each quantum target of one degree once.
+        or 2n, distinct for n >= 2), and ``_bits`` lists each cover and each
+        quantum target of one degree once.
         """
         adj: dict[FlagLabel, list[FlagLabel]] = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -193,11 +199,12 @@ def build_qbg(n: int, strict: bool = False) -> QBGraph:
 @functools.lru_cache(maxsize=None)
 def _build_qbg(n: int, strict: bool) -> QBGraph:
     vertices = enumerate_labels(n)
-    index, below, _covered, level = bruhat_masks(n)
-    edges = [QBGEdge(u, v, None) for u in vertices for v in covers(u)]
+    index, below, covered, level = bruhat_masks(n)
+    edges = [QBGEdge(u, vertices[j], None) for u, c in zip(vertices, covered) for j in _bits(c)]
+    lengths = [length(u) for u in vertices]
     for d, gain in _quantum_degrees(chern_data(n)):
-        for u in vertices:
-            targets = level.get(length(u) + gain, 0)
+        for u, lu in zip(vertices, lengths):
+            targets = level.get(lu + gain, 0)
             if not targets:
                 continue
             reach = 0
@@ -207,7 +214,7 @@ def _build_qbg(n: int, strict: bool) -> QBGraph:
     return QBGraph(n, strict, vertices, tuple(edges))
 
 
-def _depths(succ: Mapping[T, Sequence[T]], root: T) -> dict[T, int]:
+def _depths(succ: Mapping[Hashable, Sequence[Hashable]], root: Hashable) -> dict[Hashable, int]:
     """Breadth-first depths from root of the vertices it reaches."""
     depth = {root: 0}
     queue = deque([root])
@@ -220,33 +227,47 @@ def _depths(succ: Mapping[T, Sequence[T]], root: T) -> dict[T, int]:
     return depth
 
 
-def strongly_connected(succ: Mapping[T, Sequence[T]]) -> bool:
-    """One component spans all keys: forward and backward searches do."""
+def _period(succ: Mapping[Hashable, Sequence[Hashable]]) -> int | None:
+    """The gcd of the edges' depth terms, or None if not strongly connected.
+
+    One forward and one backward search from the first key (module
+    docstring).  Every successor must be a key.
+    """
     verts = list(succ)
     if not verts:
         raise DomainError("empty graph")
-    if len(_depths(succ, verts[0])) != len(verts):
-        return False
-    pred: dict[T, list[T]] = {v: [] for v in verts}
-    for u in verts:
-        for v in succ[u]:
-            pred[v].append(u)
-    return len(_depths(pred, verts[0])) == len(verts)
+    pred: dict[Hashable, list[Hashable]] = {v: [] for v in verts}
+    try:
+        for u in verts:
+            for v in succ[u]:
+                pred[v].append(u)
+    except KeyError as exc:
+        raise DomainError(f"successor {exc.args[0]} is not a vertex") from None
+    depth = _depths(succ, verts[0])
+    if len(depth) != len(verts) or len(_depths(pred, verts[0])) != len(verts):
+        return None
+    g = 0
+    for u, vs in succ.items():
+        rise = depth[u] + 1
+        for v in vs:
+            g = math.gcd(g, rise - depth[v])
+    return g
 
 
-def digraph_period(succ: Mapping[T, Sequence[T]]) -> int:
+def strongly_connected(succ: Mapping[Hashable, Sequence[Hashable]]) -> bool:
+    """One component spans all keys: forward and backward searches do."""
+    return _period(succ) is not None
+
+
+def digraph_period(succ: Mapping[Hashable, Sequence[Hashable]]) -> int:
     """Gcd of the lengths of all closed walks of a strongly connected graph.
 
     Computed from breadth-first depths: every edge (u, v) contributes
     depth(u) + 1 - depth(v) to the gcd.
     """
-    if not strongly_connected(succ):
+    g = _period(succ)
+    if g is None:
         raise DomainError("period is defined for strongly connected graphs")
-    depth = _depths(succ, next(iter(succ)))
-    g = 0
-    for u in succ:
-        for v in succ[u]:
-            g = math.gcd(g, abs(depth[u] + 1 - depth[v]))
     if g == 0:
         raise DomainError("graph has no closed walks")
     return g
@@ -300,13 +321,17 @@ def property_o_verdict(n: int) -> PropertyOVerdict:
     """
     data = chern_data(n)
     g = build_qbg(n)
+    index = bruhat_masks(n)[0]
+    succ: dict[int, list[int]] = {i: [] for i in range(len(g.vertices))}
+    for e in g.edges:
+        succ[index[e.u]].append(index[e.v])
     cycles = witness_cycles(n)
     for cycle in cycles:
         for u, v in zip(cycle, cycle[1:]):
-            if not g.has_edge(u, v):
+            if index[v] not in succ[index[u]]:
                 raise VerificationError(f"witness edge {u} -> {v} missing at n={n}")
-    sc = strongly_connected(g.successors)
-    gcd = digraph_period(g.successors) if sc else None
+    gcd = _period(succ)
+    sc = gcd is not None
     return PropertyOVerdict(
         n=n,
         strongly_connected=sc,

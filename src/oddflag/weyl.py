@@ -50,8 +50,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections.abc import Iterator, Mapping
 from types import MappingProxyType
-from typing import Iterator, Literal, Mapping
 
 from .errors import DomainError, _Frozen
 
@@ -187,18 +187,15 @@ def _parse_label(text: str, n: int) -> FlagLabel:
     return label(a, b, n)
 
 
-RootKind = Literal["diff", "sum", "long"]
-
-
 class Root(_Frozen):
-    """A positive root: t_i - t_j, t_i + t_j (i < j) or 2 t_i."""
+    """A positive root: t_i - t_j ("diff"), t_i + t_j ("sum"), i < j, or 2 t_i ("long")."""
 
-    kind: RootKind
+    kind: str
     i: int
     j: int | None
     __match_args__ = ("kind", "i", "j")
 
-    def __init__(self, kind: RootKind, i: int, j: int | None = None) -> None:
+    def __init__(self, kind: str, i: int, j: int | None = None) -> None:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)

@@ -252,6 +252,25 @@ def simple_cycle_lengths(succ, max_len):
     return lengths
 
 
+def strongly_connected_oracle(vertices, pairs):
+    """Strong connectivity of the digraph on vertices with edges pairs (u, v).
+
+    Takes the transitive closure as one reach bitmask per vertex
+    (Warshall's order: a path through k joins once k's row is final), so
+    it shares no code with a breadth-first search.
+    """
+    pos = {v: i for i, v in enumerate(vertices)}
+    reach = [1 << i for i in range(len(vertices))]
+    for u, v in pairs:
+        reach[pos[u]] |= 1 << pos[v]
+    for k in range(len(reach)):
+        for i, mask in enumerate(reach):
+            if mask >> k & 1:
+                reach[i] = mask | reach[k]
+    full = (1 << len(vertices)) - 1
+    return all(mask == full for mask in reach)
+
+
 def oracle_min_coset_member(members):
     """The unique shortest member of a coset, asserting uniqueness."""
     lens = sorted(members, key=lambda p: p.coxeter_length())

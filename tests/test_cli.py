@@ -359,9 +359,14 @@ def test_starting_the_cli_imports_no_dataclasses():
     # A fresh interpreter, since pytest itself imports dataclasses; -S
     # keeps site from importing anything first.  The value classes write
     # their own methods, so no process pays for dataclasses (with inspect,
-    # ast and tokenize) or for generating them.
+    # ast and tokenize) or for generating them.  Nor for typing: the
+    # annotations are never evaluated, and the abstract types come from
+    # collections.abc.
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = "import sys, oddflag.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = (
+        "import sys, oddflag.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,

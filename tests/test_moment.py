@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from oddflag import moment, verify
+from oddflag.cli import main
 from oddflag.errors import DomainError
 from oddflag.moment import (
     Degree,
@@ -195,6 +196,15 @@ def test_dot_output():
     filtered = to_dot(g, Degree(1, 2))
     assert sum(1 for l in filtered.splitlines() if "--" in l) == 4
     assert to_dot(g) == dot  # byte determinism
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 16])
+def test_the_json_export_is_the_payload_dump(capsys, n):
+    # The CLI writes each edge from a template; to_json_dict defines the
+    # payload.
+    assert main(["moment-graph", "--n", str(n), "--format", "json"]) == 0
+    want = json.dumps(to_json_dict(build_moment_graph(n)), indent=2) + "\n"
+    assert capsys.readouterr().out == want
 
 
 def test_json_round_trip():

@@ -37,6 +37,7 @@ from helpers import (
     moment_neighbors,
     reference_qbg_oracle,
     simple_cycle_lengths,
+    strongly_connected_oracle,
     uncut_qbg_edges,
 )
 
@@ -266,6 +267,10 @@ def test_strong_connectivity():
     assert not strongly_connected({1: [2], 2: [1], 3: []})
     with pytest.raises(DomainError):
         strongly_connected({})
+    with pytest.raises(DomainError, match="successor 2 is not a vertex"):
+        strongly_connected({1: [2]})
+    with pytest.raises(DomainError, match="successor 3 is not a vertex"):
+        strongly_connected({1: [], 2: [3]})  # 2 is not reached from 1
 
 
 def test_digraph_period_synthetic():
@@ -276,6 +281,8 @@ def test_digraph_period_synthetic():
         digraph_period({1: [2], 2: []})  # not strongly connected
     with pytest.raises(DomainError):
         digraph_period({1: []})  # no closed walks
+    with pytest.raises(DomainError, match="successor 2 is not a vertex"):
+        digraph_period({1: [2]})
 
 
 def test_cycle_gcd_matches_simple_cycle_oracle():
@@ -303,6 +310,66 @@ def test_property_o_verdict():
     assert v4.holds and [len(c) - 1 for c in v4.witness_cycles] == [2, 7]
     with pytest.raises(DomainError):
         property_o_verdict(1)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_verdict_agrees_with_the_label_keyed_functions(n):
+    # The verdict searches the adjacency by label index; the public
+    # functions search the same graph keyed by its labels.
+    g = build_qbg(n)
+    v = property_o_verdict(n)
+    assert v.strongly_connected is strongly_connected(g.successors) is True
+    assert v.gcd == digraph_period(g.successors) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_connectivity_matches_the_closure_oracle(n):
+    g = build_qbg(n)
+    pairs = [(e.u, e.v) for e in g.edges]
+    assert property_o_verdict(n).strongly_connected
+    assert strongly_connected_oracle(g.vertices, pairs)
+    # Classical edges alone only go down, so both routes must refuse them.
+    down = [(e.u, e.v) for e in g.edges if e.degree is None]
+    assert not strongly_connected_oracle(g.vertices, down)
+    succ = {w: [] for w in g.vertices}
+    for u, w in down:
+        succ[u].append(w)
+    assert not strongly_connected(succ)
+
+
+def test_a_verdict_runs_two_searches_over_label_indices(monkeypatch):
+    # One forward and one backward search, over int keys, and the graph's
+    # label-keyed successors are never built.
+    roots = []
+    real = qbg._depths
+
+    def spy(succ, root):
+        assert all(type(u) is int for u in succ)
+        roots.append(root)
+        return real(succ, root)
+
+    monkeypatch.setattr(qbg, "_depths", spy)
+    qbg._build_qbg.cache_clear()
+    try:
+        g = build_qbg(5)
+        verdict = property_o_verdict(5)
+    finally:
+        qbg._build_qbg.cache_clear()
+    assert verdict.holds
+    assert roots == [0, 0]
+    assert "successors" not in vars(g)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12, 16])
+def test_the_json_export_is_the_payload_dump(capsys, n, strict):
+    # The CLI writes each edge from a template; to_json_dict defines the
+    # payload.
+    argv = ["qbg", "--n", str(n), "--format", "json"] + ["--strict-qbg"] * strict
+    assert main(argv) == 0
+    verdict = None if strict else property_o_verdict(n)
+    want = json.dumps(to_json_dict(build_qbg(n, strict), verdict), indent=2) + "\n"
+    assert capsys.readouterr().out == want
 
 
 def test_moment_discrepancies():
