@@ -43,10 +43,12 @@ witnesses are all read off them.  So ``build_cn_lattice`` memoises the
 lattice on (a, b, n), and a repeated query returns the instance built by
 the first; the instance is immutable, so sharing it changes no answer.
 The lattice is built from the label object of ``weyl._by_letters(n)``,
-so its base and top are the table's objects and ``CNLattice`` finds them
-by identity.  Every check still runs once per label: ``CNLattice``
-checks its axioms, base and top when the memo builds it, and a build
-that raises caches nothing.  The memo is bounded at 1024 = 4 * 16**2
+so its base and top are the table's objects.  ``CNLattice`` finds them
+with ``list.index``, which tries identity first and falls back to
+equality, so a label from another build of the rank is found as well.
+Every check still runs once per label: ``CNLattice`` checks its axioms,
+base and top when the memo builds it, and a build that raises caches
+nothing.  The memo is bounded at 1024 = 4 * 16**2
 entries, every label of one rank up to the CLI's largest, since an
 unbounded one keeps every lattice of ``verify --n-max 16`` alive.
 """

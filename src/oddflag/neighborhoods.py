@@ -64,6 +64,19 @@ set with maxima M, it is that union over m in M, so N_c(R[d - c]) is the
 union of the DN_c[m]: the formula is the recursion.  R[0,0] = below[w] is
 one, so by induction every certified cell equals the recursion's.  A cell
 that fails raises ``VerificationError``; there is no second route.
+
+A cell R[e] depends on the base and on e, never on the degree asked, so
+one base's grid serves every degree.  ``gamma_bfs`` keeps the grid of the
+last base asked in a one-entry memo, ``_base_grid``, keyed on the index
+object and the base: a call fills only the cells its window lacks, and
+``cross_check``, which asks every degree of one base in a row, fills each
+base's grid once.  Only certified cells are stored, so a cell that fails
+is never kept and a repeated call raises again at the same cell.  Threads
+may share a grid.  A thread fills its window in (d1, d2) order, so every
+cell a new cell reads is already in the dict, stored whole and never
+removed; the new cell is written once, with ``setdefault``, after the
+cells it reads.  The window test reads its own window's cells by key and
+never iterates the dict, which may hold more cells and grow meanwhile.
 """
 
 from __future__ import annotations
@@ -209,28 +222,45 @@ class _SearchIndex:
         classes = [c for c, _dn in self.steps]
         self.reach = (max(c1 for c1, _ in classes), max(c2 for _, c2 in classes))
 
-    def reached(self, w: int, d1: int, d2: int) -> _Cell:
+    def reached(
+        self,
+        w: int,
+        d1: int,
+        d2: int,
+        grid: dict[tuple[int, int], _Cell] | None = None,
+    ) -> _Cell:
         """Bitmask of the labels base w reaches within (d1, d2), and their maxima.
 
-        Fills R on the window below min(d, k + m), with m = ``reach`` and
-        k = min(d, m) at first, and stops once R[e] = R[min(e, k)] on the
-        whole window; otherwise k widens to min(d, k + m).  At k = d the
-        test holds trivially, so the loop ends.  See the module docstring
-        for the recursion and for why the test is exact.  The maxima come
-        longest first.
+        Fills R on the window below t = min(d, k + m), with m = ``reach``
+        and k = min(d, m) at first, and stops once R[e] = R[min(e, k)] on
+        the whole window; otherwise k widens to t.  The test holds
+        trivially for e <= k, so it reads only the other cells of the
+        window, and at t = k it is skipped and the loop ends.  See the
+        module docstring for the recursion and for why the test is exact.
+        The maxima come longest first.
+
+        ``grid`` holds the cells of base w already filled, keyed by degree;
+        a cell found there is not filled again, and a fresh dict is used
+        when none is given.  It may hold cells outside the window, so the
+        test reads the window's cells by key.
         """
         m1, m2 = self.reach
         k1, k2 = min(d1, m1), min(d2, m2)
-        grid: dict[tuple[int, int], _Cell] = {}
+        if grid is None:
+            grid = {}
         while True:
             t1, t2 = min(d1, k1 + m1), min(d2, k2 + m2)
             for e1 in range(t1 + 1):
                 for e2 in range(t2 + 1):
                     if (e1, e2) not in grid:
-                        grid[e1, e2] = self._cell(grid, w, e1, e2)
-            if all(
-                cell[0] == grid[min(e1, k1), min(e2, k2)][0]
-                for (e1, e2), cell in grid.items()
+                        # Another thread may have stored the cell meanwhile;
+                        # the first value stored stays.
+                        grid.setdefault((e1, e2), self._cell(grid, w, e1, e2))
+            if (t1, t2) == (k1, k2) or all(
+                grid[e1, e2][0] == grid[min(e1, k1), min(e2, k2)][0]
+                for e1 in range(t1 + 1)
+                for e2 in range(t2 + 1)
+                if e1 > k1 or e2 > k2
             ):
                 return grid[k1, k2]
             k1, k2 = t1, t2
@@ -263,8 +293,11 @@ class _SearchIndex:
         return reached, tuple(maxima)
 
     def neighborhood(self, w: int, d1: int, d2: int) -> SchubertUnion:
-        """Bruhat maxima of the labels reached from base w within (d1, d2)."""
-        _reached, maxima = self.reached(w, d1, d2)
+        """Bruhat maxima of the labels reached from base w within (d1, d2).
+
+        Reads and extends the cells of base w kept by ``_base_grid``.
+        """
+        _reached, maxima = self.reached(w, d1, d2, _base_grid(self, w))
         return SchubertUnion(tuple(self.labels[x] for x in maxima))
 
 
@@ -274,17 +307,30 @@ def _search_index(n: int) -> _SearchIndex:
     return _SearchIndex(enumerate_labels(n), moment_masks(n))
 
 
+@functools.lru_cache(maxsize=1)
+def _base_grid(index: _SearchIndex, w: int) -> dict[tuple[int, int], _Cell]:
+    """The cells of base w filled so far on ``index``, for the last base asked.
+
+    Keyed on the index object itself, which the memo holds, so its identity
+    is not reused and a grid never serves another index.
+    ``_SearchIndex.reached`` stores only certified cells in it.
+    """
+    return {}
+
+
 def gamma_bfs(w: FlagLabel, d: Degree) -> SchubertUnion:
     """Degree-budgeted search for the curve neighborhood of X(w).
 
     Walks the moment graph from the lower set of w, spending edge degrees
     against the budget d componentwise, and returns the Bruhat maxima of
     every label reached.  The reached set comes from the degree-graded
-    recursion of the module docstring, filled afresh on each call in
-    (d1, d2) order up to the first window that passes the stability test;
-    only the per-rank index is kept between calls.  The search expands
-    only maxima, which is exact on Bruhat lower sets, so it raises
-    ``VerificationError`` when a reached set is not one.
+    recursion of the module docstring, filled in (d1, d2) order up to the
+    first window that passes the stability test.  The cells filled for w
+    are kept until a call asks another base or rank, so consecutive calls
+    on one base fill each cell once; threads may share them (module
+    docstring).  The search expands only maxima, which is exact on Bruhat
+    lower sets, so it raises ``VerificationError`` when a reached set is
+    not one, and stores no cell that fails.
     """
     index = _search_index(w.n)
     return index.neighborhood(index.index[w], d.d1, d.d2)
@@ -404,12 +450,14 @@ def cross_check(n: int, dmax: Degree) -> CrossCheckReport:
     """Compare gamma_bfs with gamma_closed_form everywhere below dmax.
 
     Each cell is one gamma_bfs call, made through the module attribute,
-    and one closed-form evaluation; the two share no helper.
+    and one closed-form evaluation; the two share no helper.  The cells of
+    one base come in a row, so the search fills that base's grid once.
     """
     mismatches = []
     cells = 0
+    degrees = degree_grid(dmax)
     for w in enumerate_labels(n):
-        for d in degree_grid(dmax):
+        for d in degrees:
             cells += 1
             found = gamma_bfs(w, d)
             stated = gamma_closed_form(w, d)

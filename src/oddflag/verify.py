@@ -24,7 +24,8 @@ from .moment import Degree, build_moment_graph, degree_of_root
 from .moment import _reflections, moment_masks
 from .neighborhoods import cross_check, degree_grid, gamma_closed_form
 from .qbg import build_qbg, chern_data, moment_discrepancies, property_o_verdict
-from .weyl import enumerate_labels, length, moment_roots, parse_label, top_label
+from .weyl import _check_rank, enumerate_labels, length, moment_roots, parse_label
+from .weyl import top_label
 from .errors import VerificationError, _Frozen
 
 __all__ = ["CheckResult", "run_suite", "suite_passed", "to_json_dict", "load_golden"]
@@ -288,6 +289,7 @@ _CHECKS = (
 
 def run_suite(n_max: int, strict_qbg: bool = False) -> tuple[CheckResult, ...]:
     """All checks for every rank 2..n_max, in deterministic order."""
+    _check_rank(n_max)
     results: list[CheckResult] = []
     for n in range(2, n_max + 1):
         for name, check, strict in _CHECKS:

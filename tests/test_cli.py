@@ -303,6 +303,9 @@ PINNED_STDOUT_SHA256 = {
     "lattice --n 16 --w=2|1 --format json": "bde205ed20ce591cebc87f5dc62266bf07c884c79a1e44a5fb058210ec95f9c7",
     "nbhd --n 16 --w=2|1 --d 0,1 --format json": "93a71a4cdb55e48b78449a5404c1e26fcf72a869e817ee2a565a7e7118af7ac7",
     "nbhd --n 16 --w=1|2 --d 1,1 --format json": "427efef559b805459e9662acdf6e4aa1beba824b353499c5620aaa2b0b2534c6",
+    # A verify whose cross-check covers ranks 2..12, recorded before the
+    # search kept a base's cells between calls.
+    "verify --n-max 12": "630429bf619396a2b58e8808cbb46449895c2a95eb0e451c6f12f584d53be5a7",
 }
 
 

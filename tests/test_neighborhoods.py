@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 import re
 import sys
 import threading
@@ -465,6 +466,128 @@ def test_reached_sets_are_stable_beyond_degree_one_two(n, monkeypatch):
         assert filled == [d.key for d in degree_grid(Degree(2, 4))]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cross_check_fills_each_base_grid_once(n, monkeypatch):
+    # cross_check asks the 9 degrees of one base in a row, and the search
+    # keeps that base's cells between the calls, so each base fills its 9
+    # cells once; refilling from (0,0) on every call would fill
+    # 1 + 2 + 3 + 2 + 4 + 6 + 3 + 6 + 9 = 36.
+    filled = []
+    fill = neighborhoods._SearchIndex._cell
+
+    def counted(self, grid, w, e1, e2):
+        filled.append((w, e1, e2))
+        return fill(self, grid, w, e1, e2)
+
+    neighborhoods._search_index.cache_clear()
+    monkeypatch.setattr(neighborhoods._SearchIndex, "_cell", counted)
+    assert cross_check(n, Degree(2, 2)).ok
+    assert len(filled) == 9 * 4 * n * n
+    assert len(set(filled)) == len(filled)
+
+
+def _outcome(call, *args):
+    """The value of ``call(*args)``, or the message of its ``VerificationError``."""
+    try:
+        return call(*args)
+    except VerificationError as exc:
+        return str(exc)
+
+
+def _fresh(index, w, d):
+    """The search's answer from a grid of its own, as ``_outcome`` gives it."""
+
+    def search():
+        _reached, maxima = index.reached(index.index[w], d.d1, d.d2)
+        return SchubertUnion(tuple(index.labels[x] for x in maxima))
+
+    return _outcome(search)
+
+
+# Degrees asked in an order that revisits cells a larger degree filled.
+MEMO_DEGREES = (
+    degree_grid(Degree(3, 5))
+    + (Degree(10**6, 10**6), Degree(0, 10**6), Degree(10**6, 1))
+    + tuple(reversed(degree_grid(Degree(2, 2))))
+)
+
+
+def test_a_refused_cell_is_refused_again_on_every_call(monkeypatch):
+    # On the skipping paths and the cycling chain some bases fail their
+    # certificate.  The grid kept between calls stores no failed cell, so
+    # every repeated call on such a base raises the same error, at the
+    # same cell, and every call that passes gives the answer of a search
+    # with a grid of its own.
+    for g in (_cycling_chain(), *(skipping_path(n) for n in (2, 3, 4))):
+        index = _index_of(g)
+        monkeypatch.setattr(neighborhoods, "_search_index", lambda n: index)
+        refused = 0
+        for w in g.vertices:
+            for d in MEMO_DEGREES:
+                want = _fresh(index, w, d)
+                for _ in range(3):
+                    assert _outcome(gamma_bfs, w, d) == want, (w, d)
+                refused += isinstance(want, str)
+        # Across bases, so that each call starts on another base's grid.
+        for d in MEMO_DEGREES:
+            for w in g.vertices:
+                assert _outcome(gamma_bfs, w, d) == _fresh(index, w, d), (w, d)
+        assert refused > 0, g.n
+
+
+def test_a_grid_never_serves_another_index(monkeypatch):
+    # Between two calls on one (n, w), the index changes: swapped for the
+    # skipping path's, or rebuilt after a cache clear from other masks.
+    # The second answer must follow the new index, never the cells the
+    # first one filled.
+    n = 3
+    real = neighborhoods._search_index(n)
+    other = _index_of(skipping_path(n))
+    current = [real]
+    monkeypatch.setattr(neighborhoods, "_search_index", lambda n: current[0])
+    differ = 0
+    for w in enumerate_labels(n):
+        for d in (Degree(10**6, 10**6), Degree(2, 2), Degree(0, 3)):
+            for index in (real, other, real):
+                current[0] = index
+                got = _outcome(gamma_bfs, w, d)
+                assert got == _fresh(index, w, d), (w, d)
+            differ += _fresh(real, w, d) != _fresh(other, w, d)
+    assert differ > 0
+    monkeypatch.undo()
+
+    def rows_only(n):
+        return {(0, 1): moment.moment_masks(n)[0, 1]}
+
+    w, d, top = label(1, 2, n), Degree(1, 2), SchubertUnion((top_label(n),))
+    neighborhoods._search_index.cache_clear()
+    assert gamma_bfs(w, d) == top
+    neighborhoods._search_index.cache_clear()
+    monkeypatch.setattr(neighborhoods, "moment_masks", rows_only)
+    rows = neighborhoods._search_index(n)
+    assert _outcome(gamma_bfs, w, d) == _fresh(rows, w, d) != top
+    neighborhoods._search_index.cache_clear()
+
+
+def test_calls_interleaved_across_bases_and_ranks_match_the_reference():
+    # The grid memo holds one base at a time.  Calls that hop between
+    # bases and ranks, and come back to a base after another one, must
+    # each give the reference answer.
+    cells = [(w, d) for n in (2, 3) for w, d in _reference_cells(n)]
+    order = list(range(len(cells)))
+    random.Random(27).shuffle(order)
+    neighborhoods._search_index.cache_clear()
+    for k in order:
+        w, d = cells[k]
+        assert gamma_bfs(w, d) == _reference_cells(w.n)[w, d], (w, d)
+    # Each base of rank 2 followed by the same base of rank 3, then again.
+    for w2 in enumerate_labels(2):
+        w3 = FlagLabel(w2.a, w2.b, 3)
+        for d in ORACLE_DEGREES:
+            for w in (w2, w3, w2):
+                assert gamma_bfs(w, d) == _reference_cells(w.n)[w, d], (w, d)
+
+
 class _RecordingIndex(neighborhoods._SearchIndex):
     """A search index that records each cell it fills, and its reached set."""
 
@@ -478,14 +601,12 @@ class _RecordingIndex(neighborhoods._SearchIndex):
         return cell
 
 
-def test_search_refuses_reached_sets_that_are_not_lower_sets():
-    # Every other rank-3 label joined in one path whose edge classes cycle:
-    # a walk along the path skips the labels between its stops, so the
-    # reached sets are not Bruhat lower sets and the maxima recursion does
-    # not apply.  The per-cell certificate must then raise; wherever it
-    # lets a cell through, the answer is the true one.  The path's edges
-    # are stored in alternating orientation, so a search that walks edges
-    # one way only stops early.
+def _cycling_chain():
+    """Every other rank-3 label, joined in one path whose edge classes cycle.
+
+    The path's edges are stored in alternating orientation, so a search
+    that walks edges one way only stops early.
+    """
     g = build_moment_graph(3)
     path = g.vertices[::2]
     classes = (Degree(1, 0), Degree(0, 1), Degree(1, 2), Degree(1, 1))
@@ -494,7 +615,16 @@ def test_search_refuses_reached_sets_that_are_not_lower_sets():
         MomentEdge(*((u, v) if k % 2 else (v, u)), classes[k % len(classes)], root)
         for k, (u, v) in enumerate(zip(path, path[1:]))
     )
-    chain = MomentGraph(3, g.vertices, edges)
+    return MomentGraph(3, g.vertices, edges)
+
+
+def test_search_refuses_reached_sets_that_are_not_lower_sets():
+    # A walk along the cycling chain skips the labels between its stops, so
+    # the reached sets are not Bruhat lower sets and the maxima recursion
+    # does not apply.  The per-cell certificate must then raise; wherever
+    # it lets a cell through, the answer is the true one.
+    chain = _cycling_chain()
+    path = chain.vertices[::2]
     index = _index_of(chain)
     huge = (Degree(10**6, 10**6), Degree(1, 10**6), Degree(10**6, 2), Degree(7, 10**6))
     for w in path[:4]:

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from oddflag import cli, neighborhoods, verify
-from oddflag.errors import VerificationError
+from oddflag.errors import DomainError, VerificationError
 from oddflag.moment import Degree, MomentGraph
 from oddflag.qbg import ChernData, PropertyOVerdict
 from oddflag.weyl import parse_label
@@ -309,6 +309,13 @@ def test_each_failure_branch_reports_its_row(monkeypatch, patch, strict, name, d
         (name, 2, "fail", detail)
     ]
     assert verify.suite_passed(results) is False
+
+
+@pytest.mark.parametrize("n_max", [1, 0, 2.5, True, "3"])
+def test_run_suite_refuses_a_rank_that_is_not_an_int_of_two_or_more(n_max):
+    # An empty suite would pass, so a rank below 2 must not yield one.
+    with pytest.raises(DomainError, match="rank must be an integer >= 2"):
+        verify.run_suite(n_max)
 
 
 def test_every_check_name_has_a_failure_case():
