@@ -77,9 +77,12 @@ class Degree(_Frozen):
     __match_args__ = ("d1", "d2")
 
     def __init__(self, d1: int, d2: int) -> None:
+        if type(d1) is not int or type(d2) is not int:
+            raise DomainError(f"degrees are ints, got ({d1!r},{d2!r})")
+        if d1 < 0 or d2 < 0:
+            raise DomainError(f"degrees are nonnegative, got ({d1},{d2})")
         object.__setattr__(self, "d1", d1)
         object.__setattr__(self, "d2", d2)
-        self.__post_init__()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -88,12 +91,6 @@ class Degree(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.d1, self.d2))
-
-    def __post_init__(self) -> None:
-        if type(self.d1) is not int or type(self.d2) is not int:
-            raise DomainError(f"degrees are ints, got ({self.d1!r},{self.d2!r})")
-        if self.d1 < 0 or self.d2 < 0:
-            raise DomainError(f"degrees are nonnegative, got ({self.d1},{self.d2})")
 
     def __add__(self, other: Degree) -> Degree:
         if other.__class__ is not Degree:

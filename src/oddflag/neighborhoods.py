@@ -2,10 +2,13 @@
 
 ``gamma_bfs`` searches the moment graph with a componentwise degree budget,
 starting from the full lower set of the base label, and returns the Bruhat
-maxima of everything reached.  ``gamma_closed_form`` evaluates the closed
-expressions directly, reading its values from one per-rank table: the
-one-component unions of ``weyl._by_letters`` keyed by their letters, and
-its two two-component values.  The search never reads it.  ``cross_check``
+maxima of everything reached.  ``gamma_closed_form`` states the answer in
+closed form.  The curve neighborhood stabilises at d = (1,2), so a label
+has at most five distinct values, one per regime (min(d1,1), min(d2,2)).
+The closed form evaluates its rules once per rank, in one pass over
+``weyl._by_letters(n)`` that gives every label a row of six values, one
+per regime, over the table's label objects (``_closed_form_rows``); a
+call reads one row.  The search never reads the rows.  ``cross_check``
 asserts the two agree cell by cell; they are deliberately kept
 independent of each other and share no helper.
 
@@ -114,8 +117,11 @@ class SchubertUnion(_Frozen):
     __match_args__ = ("components",)
 
     def __init__(self, components: Iterable[FlagLabel]) -> None:
+        if type(components) is not tuple:
+            components = tuple(components)
         object.__setattr__(self, "components", components)
-        self.__post_init__()
+        if len(components) != 1:  # no check below can fail on one label
+            self.__post_init__()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -126,13 +132,7 @@ class SchubertUnion(_Frozen):
         return hash((self.components,))
 
     def __post_init__(self) -> None:
-        comps = self.components
-        if type(comps) is not tuple:
-            comps = tuple(comps)
-            object.__setattr__(self, "components", comps)
-        if len(comps) == 1:  # no check below can fail on one label
-            return
-        comps = tuple(sorted(set(comps), key=lambda w: w.sort_key))
+        comps = tuple(sorted(set(self.components), key=lambda w: w.sort_key))
         if not comps:
             raise DomainError("a Schubert union has at least one component")
         if len({w.n for w in comps}) != 1:
@@ -147,7 +147,10 @@ class SchubertUnion(_Frozen):
         return self.components[0].n
 
     def __str__(self) -> str:
-        return ", ".join(str(w) for w in self.components)
+        comps = self.components
+        if len(comps) == 1:
+            return str(comps[0])
+        return ", ".join(map(str, comps))
 
     def __iter__(self):
         return iter(self.components)
@@ -355,50 +358,48 @@ def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
     * (d1>=1, d2>=2): the top.
 
     Here > and max are the alphabet order, read through ``letter_rank``.
-    Every value is read from one per-rank table of unions over the label
-    objects of ``enumerate_labels(n)`` (``_closed_form_table``), built on
-    first use, so a call builds no label and no union.
+    The rules are evaluated once per rank, not per call: each label has
+    one row of six values, one per regime, over the label objects of
+    ``enumerate_labels(n)`` (``_closed_form_rows``), so a call reads one
+    row at column 3*min(d1,1) + min(d2,2) and builds no label and no union.
     """
-    n = w.n
-    a, b = w.a, w.b
-    one, two = _closed_form_table(n)
     d1, d2 = d.d1, d.d2
-    reg = (d1 if d1 < 1 else 1, d2 if d2 < 2 else 2)
-    if reg == (0, 0):
-        return one[a, b]
-    if reg == (1, 0):
-        return one[a, b] if letter_rank(a, n) > letter_rank(b, n) else one[b, a]
-    if reg[0] == 0:  # (0, d2 >= 1)
-        if a == 2:
-            return two[0]
-        return one[a, -3 if a == -2 else -2]
-    if reg == (1, 1):
-        if {a, b} == {1, 2}:
-            return two[1]
-        if -2 in (a, b):
-            return one[-2, -3]
-        return one[-2, a if letter_rank(a, n) > letter_rank(b, n) else b]
-    return one[-2, -3]  # (d1 >= 1, d2 >= 2)
+    return _closed_form_rows(w.n)[w.a, w.b][(3 if d1 else 0) + (d2 if d2 < 2 else 2)]
 
 
 @functools.lru_cache(maxsize=None)
-def _closed_form_table(
-    n: int,
-) -> tuple[Mapping[tuple[int, int], SchubertUnion], tuple[SchubertUnion, SchubertUnion]]:
-    """The closed form's values at rank n, as ``(one, two)``, built on first use.
+def _closed_form_rows(n: int) -> Mapping[tuple[int, int], tuple[SchubertUnion, ...]]:
+    """The closed form's values at rank n, one row per label, read-only, built on first use.
 
-    ``one`` maps the letters of each label of ``weyl._by_letters(n)`` to
-    its one-component union, read-only; ``two`` holds X(2|-3) u X(1|-2)
-    and X(-3|2) u X(-2|1), over the same label objects.
+    Keyed by the letters (a, b) of each label of ``weyl._by_letters(n)``.
+    Column 3*r1 + r2 holds the value at the regime (r1, r2) = (min(d1,1),
+    min(d2,2)): (0,0), (0,1), (0,2), (1,0), (1,1), (1,2).  Columns (0,1) and
+    (0,2) hold one object, since with d1 = 0 the sweep of column two ends
+    at d2 = 1.  Every value is a union over the table's label objects, and
+    each one-component union is built once per label; the rules of
+    ``gamma_closed_form`` are written out here, one pass over the labels.
     """
-    one = MappingProxyType(
-        {ab: SchubertUnion((w,)) for ab, w in weyl._by_letters(n).items()}
-    )
-    two = (
-        SchubertUnion((*one[2, -3], *one[1, -2])),
-        SchubertUnion((*one[-3, 2], *one[-2, 1])),
-    )
-    return one, two
+    one = {ab: SchubertUnion((w,)) for ab, w in weyl._by_letters(n).items()}
+    top = one[-2, -3]
+    two_sweep = SchubertUnion((*one[2, -3], *one[1, -2]))  # (2|b) at (0, d2 >= 1)
+    two_bottom = SchubertUnion((*one[-3, 2], *one[-2, 1]))  # (1|2), (2|1) at (1,1)
+    rank = {k: letter_rank(k, n) for k in weyl.odd_letters(n)}
+    rows = {}
+    for ab, same in one.items():
+        a, b = ab
+        if rank[a] > rank[b]:
+            hi, swap = a, same
+        else:
+            hi, swap = b, one[b, a]
+        sweep = two_sweep if a == 2 else one[a, -3 if a == -2 else -2]
+        if a == -2 or b == -2:
+            both = top
+        elif hi == 2:  # (1|2) or (2|1)
+            both = two_bottom
+        else:
+            both = one[-2, hi]
+        rows[ab] = (same, sweep, sweep, swap, both, top)
+    return MappingProxyType(rows)
 
 
 def degree_grid(dmax: Degree) -> tuple[Degree, ...]:

@@ -37,9 +37,10 @@ The gain is the anticanonical degree minus one.  The test oracle
 
 Property O takes one forward and one backward breadth-first search
 (``_depths``) from one vertex r, over the adjacency written as label
-indices.  The graph is strongly connected iff both reach every vertex.
-Its period p, the gcd of its closed walks' lengths, is then the gcd g
-over edges u -> v of depth(u) + 1 - depth(v), with the forward depths.
+indices, which the cached build keeps beside the graph, so a verdict
+hashes no label.  The graph is strongly connected iff both reach every
+vertex.  Its period p, the gcd of its closed walks' lengths, is then the
+gcd g over edges u -> v of depth(u) + 1 - depth(v), with the forward depths.
 With a path v -> r of length m, the walks r -> u -> v -> r and r -> v -> r
 are closed, of lengths depth(u) + 1 + m and depth(v) + m, so p divides
 their difference, the edge's term.  The terms of a closed walk's edges
@@ -64,7 +65,6 @@ from .weyl import (
     bruhat_masks,
     enumerate_labels,
     label,
-    length,
 )
 from .weyl import bruhat_leq  # noqa: F401  perfbench/selftest.py checks qbg's alias
 
@@ -198,20 +198,31 @@ def build_qbg(n: int, strict: bool = False) -> QBGraph:
 
 @functools.lru_cache(maxsize=None)
 def _build_qbg(n: int, strict: bool) -> QBGraph:
+    """The graph, with its adjacency as label indices kept for the verdict.
+
+    The graph's private ``_targets`` maps each vertex's index in
+    ``enumerate_labels(n)`` to the indices of its edges' targets, in edge
+    order; ``property_o_verdict`` searches it.  Each label's length was
+    computed once, by the enumeration's sort.
+    """
     vertices = enumerate_labels(n)
     index, below, covered, level = bruhat_masks(n)
-    edges = [QBGEdge(u, vertices[j], None) for u, c in zip(vertices, covered) for j in _bits(c)]
-    lengths = [length(u) for u in vertices]
+    targets: list[list[int]] = [list(_bits(c)) for c in covered]
+    edges = [QBGEdge(u, vertices[j], None) for u, js in zip(vertices, targets) for j in js]
     for d, gain in _quantum_degrees(chern_data(n)):
-        for u, lu in zip(vertices, lengths):
-            targets = level.get(lu + gain, 0)
-            if not targets:
+        for i, u in enumerate(vertices):
+            candidates = level.get(u._length + gain, 0)
+            if not candidates:
                 continue
             reach = 0
             for c in gamma_closed_form(u, d).components:
                 reach |= (1 << index[c]) if strict else below[index[c]]
-            edges.extend(QBGEdge(u, vertices[j], d) for j in _bits(targets & reach))
-    return QBGraph(n, strict, vertices, tuple(edges))
+            js = list(_bits(candidates & reach))
+            targets[i].extend(js)
+            edges.extend(QBGEdge(u, vertices[j], d) for j in js)
+    g = QBGraph(n, strict, vertices, tuple(edges))
+    object.__setattr__(g, "_targets", {i: tuple(js) for i, js in enumerate(targets)})
+    return g
 
 
 def _depths(succ: Mapping[Hashable, Sequence[Hashable]], root: Hashable) -> dict[Hashable, int]:
@@ -320,15 +331,12 @@ def property_o_verdict(n: int) -> PropertyOVerdict:
     failure, not a negative verdict.
     """
     data = chern_data(n)
-    g = build_qbg(n)
-    index = bruhat_masks(n)[0]
-    succ: dict[int, list[int]] = {i: [] for i in range(len(g.vertices))}
-    for e in g.edges:
-        succ[index[e.u]].append(index[e.v])
+    succ = build_qbg(n)._targets
+    at = {(w.a, w.b): i for i, w in enumerate(enumerate_labels(n))}
     cycles = witness_cycles(n)
     for cycle in cycles:
         for u, v in zip(cycle, cycle[1:]):
-            if index[v] not in succ[index[u]]:
+            if at[v.a, v.b] not in succ[at[u.a, u.b]]:
                 raise VerificationError(f"witness edge {u} -> {v} missing at n={n}")
     gcd = _period(succ)
     sc = gcd is not None

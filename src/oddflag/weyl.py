@@ -39,7 +39,10 @@ and the quantum graph read them.
 ``enumerate_labels(n)`` holds one object per label of rank n, and
 ``_by_letters(n)`` finds it by its letters (a, b).  ``top_label`` and the
 closed-form neighborhoods take their labels from there instead of
-building new ones; the search does not read it.
+building new ones; the search does not read it.  A label keeps its
+length once computed (``FlagLabel._length``), so the enumeration's sort
+computes each length of a rank once, and ``bruhat_masks`` and the
+quantum graph read them off the same objects.
 
 Everything in this module is an immutable value; all operations are pure
 functions and safe to share across threads.
@@ -98,6 +101,30 @@ def _check_rank(n: int) -> None:
         raise DomainError(f"rank must be an integer >= 2, got {n!r}")
 
 
+class _Once:
+    """A read-only property computed on first read and then kept on the object.
+
+    A non-data descriptor, so the stored attribute shadows it; threads
+    that race compute the same value.  Unlike ``functools.cached_property``
+    it takes no lock (CPython 3.11 takes one on every first read: about
+    half a millisecond over the 576 labels of rank 12) and never reads
+    ``obj.__dict__``, which would give each label a dict of its own and
+    make every later attribute read of it slower.
+    """
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 class FlagLabel(_Frozen):
     """A coset label (a|b) of rank n, with the odd restriction.
 
@@ -140,11 +167,20 @@ class FlagLabel(_Frozen):
     def __str__(self) -> str:
         return f"{self.a}|{self.b}"
 
+    @_Once
+    def _length(self) -> int:
+        """``length(self)``, computed once per object.
+
+        ``enumerate_labels`` sorts by it, so a rank's lengths are computed
+        once, and ``bruhat_masks`` and the quantum graph read them here.
+        """
+        return length(self)
+
     @property
     def sort_key(self) -> tuple[int, int, int]:
         """Canonical enumeration key: (length, rank of a, rank of b)."""
         n = self.n
-        return (length(self), letter_rank(self.a, n), letter_rank(self.b, n))
+        return (self._length, letter_rank(self.a, n), letter_rank(self.b, n))
 
 
 def label(a: int, b: int, n: int) -> FlagLabel:
@@ -389,7 +425,7 @@ def bruhat_masks(n: int) -> tuple[Mapping, tuple[int, ...], tuple[int, ...], Map
     """
     labels = enumerate_labels(n)
     keys = [_bruhat_key(w) for w in labels]
-    lengths = [length(w) for w in labels]
+    lengths = [w._length for w in labels]  # computed by the sort
     at = [[0] * (2 * n + 3) for _ in range(3)]  # at[t][r]: key entry t is r
     level: dict[int, int] = {}
     for i, key in enumerate(keys):

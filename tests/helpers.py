@@ -20,7 +20,7 @@ from typing import Iterator
 from oddflag.errors import DomainError
 from oddflag.lattice import FinitePoset
 from oddflag.moment import Degree, MomentEdge, MomentGraph, build_moment_graph
-from oddflag.neighborhoods import gamma_closed_form, maximal_union
+from oddflag.neighborhoods import SchubertUnion, gamma_closed_form, maximal_union
 from oddflag.weyl import (
     FlagLabel,
     Root,
@@ -416,6 +416,40 @@ def union_leq_oracle(lhs, rhs):
     ``union_leq`` and the lattice order read lower-set masks instead.
     """
     return all(any(bruhat_leq(u, v) for v in rhs) for u in lhs)
+
+
+def closed_form_oracle(w, d):
+    """The closed form, dispatched rule by rule on every call, on fresh labels.
+
+    The rule table of ``gamma_closed_form``'s docstring, evaluated per
+    (label, degree): normalise d to (min(d1,1), min(d2,2)), then pick the
+    regime's rule.  The package writes the rules once per rank, in one pass
+    that builds every label's row (``neighborhoods._closed_form_rows``), and
+    a call reads one row; this oracle reads no row and no label table.
+    """
+    n, a, b = w.n, w.a, w.b
+
+    def x(*letters):
+        return FlagLabel(*letters, n)
+
+    later = a if letter_rank(a, n) > letter_rank(b, n) else b
+    reg = (min(d.d1, 1), min(d.d2, 2))
+    if reg == (0, 0):
+        comps = [x(a, b)]
+    elif reg == (1, 0):
+        comps = [x(a, b) if later == a else x(b, a)]
+    elif reg[0] == 0:  # (0, d2 >= 1)
+        comps = [x(2, -3), x(1, -2)] if a == 2 else [x(a, -3 if a == -2 else -2)]
+    elif reg == (1, 1):
+        if {a, b} == {1, 2}:
+            comps = [x(-3, 2), x(-2, 1)]
+        elif -2 in (a, b):
+            comps = [x(-2, -3)]
+        else:
+            comps = [x(-2, later)]
+    else:  # (d1 >= 1, d2 >= 2)
+        comps = [x(-2, -3)]
+    return SchubertUnion(tuple(comps))
 
 
 def degree_join(d, e):

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     BitExpandingSearch,
+    closed_form_oracle,
     edge_masks,
     moment_neighbors,
     reference_gamma_bfs,
@@ -101,34 +102,70 @@ def test_closed_form_builds_no_label(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_closed_form_builds_no_single_component_union(monkeypatch, n):
-    # One-component values come from the rank's table of unions, and so do
-    # the two two-component values, of (2|b) at (0,1) and of (1|2), (2|1)
-    # at (1,1), so once the table is built a call builds no union at all.
-    table, two = neighborhoods._closed_form_table(n)
+    # One-component values come from the rank's rows, each label's own
+    # union once, and so do the two two-component values, of (2|b) at
+    # (0,1) and of (1|2), (2|1) at (1,1), so once the rows are built a call
+    # builds no union at all.
+    rows = neighborhoods._closed_form_rows(n)
     built = []
-    init = SchubertUnion.__post_init__
+    init = SchubertUnion.__init__
 
-    def spy(self):
-        built.append(len(self.components))
-        init(self)
+    def spy(self, components):
+        built.append(components)
+        init(self, components)
 
-    monkeypatch.setattr(SchubertUnion, "__post_init__", spy)
+    monkeypatch.setattr(SchubertUnion, "__init__", spy)
     pairs = 0
     for w in enumerate_labels(n):
         for d in degree_grid(Degree(3, 3)):
             value = gamma_closed_form(w, d)
             if len(value.components) == 1:
                 (v,) = value
-                assert value is table[v.a, v.b]
+                assert value is rows[v.a, v.b][0]
             else:
-                assert value is two[0 if d.d1 == 0 else 1], (w, d)
+                assert value is (rows[2, 1][1] if d.d1 == 0 else rows[1, 2][4]), (w, d)
                 pairs += 1
     assert pairs > 0 and built == []
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_rows_match_the_closed_form_oracle(n):
+    # Every label's row against the rule-by-rule oracle on the (4,4) grid,
+    # past the stable regime (1,2) in both parts; each value is the row's
+    # object at column 3*min(d1,1) + min(d2,2).
+    rows = neighborhoods._closed_form_rows(n)
+    assert len(rows) == 4 * n * n
+    for w in enumerate_labels(n):
+        row = rows[w.a, w.b]
+        assert len(row) == 6 and row[1] is row[2]
+        for d in degree_grid(Degree(4, 4)):
+            value = gamma_closed_form(w, d)
+            assert value is row[3 * min(d.d1, 1) + min(d.d2, 2)], (w, d)
+            assert value == closed_form_oracle(w, d), (w, d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 12])
+def test_a_closed_form_call_reads_one_row(monkeypatch, n):
+    # The rules are evaluated once per rank, while the rows are built; a
+    # call on a built rank reads one row and never consults the alphabet
+    # order, for the table's labels and for equal copies of them.
+    labels = enumerate_labels(n)
+    copies = [label(w.a, w.b, n) for w in labels]
+    grid = degree_grid(Degree(3, 3))
+    want = [gamma_closed_form(w, d) for w in labels for d in grid]
+
+    def refuse(k, n):
+        raise AssertionError("a closed-form call ranked a letter")
+
+    monkeypatch.setattr(neighborhoods, "letter_rank", refuse)
+    for ws in (labels, copies):
+        got = [gamma_closed_form(w, d) for w in ws for d in grid]
+        assert all(x is y for x, y in zip(got, want)) and len(got) == len(want)
+
+
 def test_the_search_does_not_read_the_closed_form_table(monkeypatch):
-    # The search and the closed form share no helper: the label and union
-    # tables of the closed form stay out of the index and the search, and the
+    # The search and the closed form share no helper: the label table and
+    # the rows of the closed form stay out of the index and the search, and the
     # moment graph's masks, which the search reads, stay out of the
     # closed form.
     def refuse(what):
@@ -139,9 +176,7 @@ def test_the_search_does_not_read_the_closed_form_table(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(weyl, "_by_letters", refuse("the closed form's label table"))
-        m.setattr(
-            neighborhoods, "_closed_form_table", refuse("the closed form's union table")
-        )
+        m.setattr(neighborhoods, "_closed_form_rows", refuse("the closed form's rows"))
         neighborhoods._search_index.cache_clear()
         moment.moment_masks.cache_clear()
         for w in enumerate_labels(3):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,7 @@ from oddflag.verify import (
     run_suite,
 )
 from oddflag.weyl import (
+    FlagLabel,
     covers,
     enumerate_labels,
     label,
@@ -358,6 +363,52 @@ def test_a_verdict_runs_two_searches_over_label_indices(monkeypatch):
     assert verdict.holds
     assert roots == [0, 0]
     assert "successors" not in vars(g)
+
+
+def test_a_verdict_hashes_no_label(monkeypatch):
+    # The verdict searches the adjacency of label indices that the cached
+    # build keeps, and finds the witness labels by their letters, so it
+    # hashes no FlagLabel.
+    ranks = (2, 3, 5, 12)
+    want = {n: property_o_verdict(n) for n in ranks}
+
+    def refuse(self):
+        raise AssertionError(f"the verdict hashed {self}")
+
+    monkeypatch.setattr(FlagLabel, "__hash__", refuse)
+    for n in ranks:
+        assert property_o_verdict(n) == want[n] and want[n].holds
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a_cold_build_computes_each_length_once(n):
+    # A fresh interpreter, so every per-rank table is cold.  The label
+    # enumeration computes each label's length once, for its sort key, and
+    # the Bruhat masks, the quantum graph and the closed form's
+    # two-component unions read it from there.
+    code = (
+        "from oddflag import qbg, weyl\n"
+        "calls = []\n"
+        "real = weyl.length\n"
+        "def spy(w):\n"
+        "    calls.append((w.a, w.b, w.n))\n"
+        "    return real(w)\n"
+        "weyl.length = spy\n"
+        f"qbg.build_qbg({n})\n"
+        "print(len(calls), len(set(calls)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{4 * n * n} {4 * n * n}\n"
 
 
 @pytest.mark.parametrize("strict", [False, True])

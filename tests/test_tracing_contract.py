@@ -73,8 +73,8 @@ def test_hot_call_gate_holds_after_build_qbg(monkeypatch):
         fn.cache_clear()
     qbg._build_qbg.cache_clear()
     # The graph's only Bruhat comparisons check the closed form's two
-    # two-component values, which its per-rank table keeps once built.
-    neighborhoods._closed_form_table.cache_clear()
+    # two-component values, which its per-rank rows keep once built.
+    neighborhoods._closed_form_rows.cache_clear()
 
     tracer = TRACED.Tracer()
     tracer.install()
