@@ -10,9 +10,9 @@ agree.
 
 Containment is inclusion of lower-set masks L(x), the rule that
 ``neighborhoods.union_leq`` states and proves, so ``build_cn_lattice``
-compares no labels.  The same masks drop repeated values: two antichains
-with equal masks are equal, since an antichain is the set of maxima of
-its L.
+compares no labels; each value keeps its mask (``SchubertUnion._lower``).
+The same masks drop repeated values: two antichains with equal masks are
+equal, since an antichain is the set of maxima of its L.
 
 Every fact the module reads of an order matrix comes from one record,
 ``_poset(order) -> (order, up, down, join, meet)``.  ``up[k]`` and
@@ -33,9 +33,11 @@ agreement), and the structural shape, a function of ``order`` and
 unrecognised shape), so they run only when a caller asks.  Two lattices
 with equal keys get equal facts, so every check still runs once for each
 distinct key.  The lattices have six orders at every rank from 2 to 16.
-``CNLattice`` still checks its base and its top on every instance, and
-``classify_shape`` compares the cached shape with the base-label
-predicate on every call.
+``CNLattice`` still checks its base and its top on every instance.
+``classify_shape`` reads the shape that each lattice object keeps
+(``CNLattice._shape``): the cached structural shape is compared with the
+base-label predicate once per lattice object, and a mismatch keeps
+nothing, so it raises on every call.
 
 A lattice is a pure function of its base's letters and rank (a, b, n):
 the closed-form values, the lower-set masks and hence the order and the
@@ -60,8 +62,8 @@ import itertools
 
 from .errors import DomainError, VerificationError, _Frozen
 from .moment import Degree
-from .neighborhoods import SchubertUnion, _lower_mask, gamma_closed_form
-from .weyl import FlagLabel, _bits, _by_letters, letter_rank, top_label
+from .neighborhoods import SchubertUnion, gamma_closed_form
+from .weyl import FlagLabel, _bits, _by_letters, _Once, letter_rank, top_label
 
 __all__ = [
     "REPRESENTATIVE_DEGREES",
@@ -193,29 +195,45 @@ class CNLattice(_Frozen):
         order: OrderMatrix,
         witnesses: tuple[Degree, ...],
     ) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "witnesses", witnesses)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        # _poset checks the partial-order axioms.
-        order, up, down, _join, _meet = _poset(tuple(map(tuple, self.order)))
-        object.__setattr__(self, "order", order)
-        comps = [e.components for e in self.elements]
+        # _poset checks the partial-order axioms.  ``_lattice`` passes
+        # tuple rows, which key the record as they are; list rows cannot be
+        # hashed and are made tuples first.
         try:
-            bottom = comps.index((self.base,))
-            top = comps.index((top_label(self.base.n),))
+            order, up, down, _join, _meet = _poset(order)
+        except TypeError:
+            order, up, down, _join, _meet = _poset(tuple(map(tuple, order)))
+        comps = [e.components for e in elements]
+        try:
+            bottom = comps.index((base,))
+            top = comps.index((top_label(base.n),))
         except ValueError:
             raise VerificationError("lattice must contain its base and the top") from None
         full = (1 << len(comps)) - 1
         if up[bottom] != full or down[top] != full:
             raise VerificationError("base must be the minimum and the top the maximum")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "witnesses", witnesses)
 
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @_Once
+    def _shape(self) -> str:
+        """The structural shape, checked against the base-label predicate once.
+
+        Kept on the object; it takes no part in equality, hashing or the
+        repr.  A mismatch raises and keeps nothing, so it raises on every read.
+        """
+        shape = _structural_shape(self.order, self.witnesses)
+        expected = figure_shape_predicate(self.base)
+        if shape != expected:
+            raise VerificationError(
+                f"lattice of {self.base} is a {shape} but its label predicts {expected}"
+            )
+        return shape
 
 
 def build_cn_lattice(w: FlagLabel) -> CNLattice:
@@ -238,12 +256,15 @@ def _lattice(a: int, b: int, n: int) -> CNLattice:
     lower: list[int] = []
     for d in REPRESENTATIVE_DEGREES:
         value = gamma_closed_form(w, d)
-        mask = _lower_mask(value)
+        mask = value._lower
         if mask not in lower:
             elements.append(value)
             witnesses.append(d)
             lower.append(mask)
-    order = tuple([tuple([x & y == x for y in lower]) for x in lower])
+    # One flat pass over the pairs, cut into rows of len(lower) by zipping
+    # one iterator with itself; a comprehension per row costs a frame each.
+    flat = iter([x & y == x for x in lower for y in lower])
+    order = tuple(zip(*[flat] * len(lower)))
     return CNLattice(w, tuple(elements), order, tuple(witnesses))
 
 
@@ -383,14 +404,11 @@ def _structural_shape(order: OrderMatrix, witnesses: tuple[Degree, ...]) -> str:
 
 
 def classify_shape(lat: CNLattice) -> str:
-    """Structural shape tag, checked against the base-label predicate."""
-    shape = _structural_shape(lat.order, lat.witnesses)
-    expected = figure_shape_predicate(lat.base)
-    if shape != expected:
-        raise VerificationError(
-            f"lattice of {lat.base} is a {shape} but its label predicts {expected}"
-        )
-    return shape
+    """Structural shape tag, checked against the base-label predicate.
+
+    Read off ``lat._shape``, so the check runs once per lattice object.
+    """
+    return lat._shape
 
 
 def hasse_edges(lat: CNLattice | FinitePoset) -> tuple[tuple[int, int], ...]:

@@ -155,6 +155,20 @@ class SchubertUnion(_Frozen):
     def __iter__(self):
         return iter(self.components)
 
+    @weyl._Once
+    def _lower(self) -> int:
+        """L(self), the labels below some component, as a mask over ``enumerate_labels(n)``.
+
+        Computed once per object and kept on it; it takes no part in
+        equality, hashing or the repr.  ``union_leq``, the lattice order
+        and the quantum graph read it; neither neighborhood route does.
+        """
+        index, below, _covered, _level = weyl.bruhat_masks(self.components[0].n)
+        mask = 0
+        for v in self.components:
+            mask |= below[index[v]]
+        return mask
+
 
 def maximal_union(labels: Iterable[FlagLabel]) -> SchubertUnion:
     """The union spanned by the Bruhat-maximal elements of ``labels``."""
@@ -173,23 +187,14 @@ def union_leq(lhs: SchubertUnion, rhs: SchubertUnion) -> bool:
     component u of x lies below some v in y, iff u is in L(y) for each u,
     iff L(x) is inside L(y), since L(x) is the union of the lower sets of
     the u and L(y) is a lower set.  So no pair of labels is compared.
+    Each union keeps L on itself (``SchubertUnion._lower``), computed on
+    first read, and the closed form hands back the same union objects, so
+    a repeated containment query reads two ints.
     """
     if lhs.n != rhs.n:
         raise DomainError(f"rank mismatch: {lhs.n} vs {rhs.n}")
-    x = _lower_mask(lhs)
-    return x & _lower_mask(rhs) == x
-
-
-def _lower_mask(value: SchubertUnion) -> int:
-    """L(value), the labels below some component, as a mask over ``enumerate_labels(n)``.
-
-    ``union_leq`` and the lattice order read it; neither neighborhood route does.
-    """
-    index, below, _covered, _level = weyl.bruhat_masks(value.components[0].n)
-    mask = 0
-    for v in value.components:
-        mask |= below[index[v]]
-    return mask
+    x = lhs._lower
+    return x & rhs._lower == x
 
 
 # A reached set as a bitmask over the label indices, and its Bruhat maxima.

@@ -9,9 +9,10 @@ cycle-length gcd to equal the Fano index gcd(2, 2n-1) = 1.
 
 Both kinds of edge are read off the masks of ``weyl.bruhat_masks``: the
 classical targets of u are covered[u], and its quantum targets in degree
-d are level[l(u) + gain] & reach, where reach ORs below[c] over the
-components c of Gamma_d(X(u)), or only the bits of the components
-themselves under the strict rule.
+d are level[l(u) + gain] & reach, where reach is the lower-set mask
+that the union Gamma_d(X(u)) keeps (the OR of below[c] over its
+components c), or only the bits of the components themselves under the
+strict rule.
 
 Only the degrees (1,0), (0,1) and (1,1) carry quantum edges.  An edge of
 degree d from u needs a component c of Gamma_d(X(u)) with a rise
@@ -206,7 +207,7 @@ def _build_qbg(n: int, strict: bool) -> QBGraph:
     computed once, by the enumeration's sort.
     """
     vertices = enumerate_labels(n)
-    index, below, covered, level = bruhat_masks(n)
+    index, _below, covered, level = bruhat_masks(n)
     targets: list[list[int]] = [list(_bits(c)) for c in covered]
     edges = [QBGEdge(u, vertices[j], None) for u, js in zip(vertices, targets) for j in js]
     for d, gain in _quantum_degrees(chern_data(n)):
@@ -214,9 +215,13 @@ def _build_qbg(n: int, strict: bool) -> QBGraph:
             candidates = level.get(u._length + gain, 0)
             if not candidates:
                 continue
-            reach = 0
-            for c in gamma_closed_form(u, d).components:
-                reach |= (1 << index[c]) if strict else below[index[c]]
+            value = gamma_closed_form(u, d)
+            if strict:
+                reach = 0
+                for c in value.components:
+                    reach |= 1 << index[c]
+            else:
+                reach = value._lower
             js = list(_bits(candidates & reach))
             targets[i].extend(js)
             edges.extend(QBGEdge(u, vertices[j], d) for j in js)

@@ -109,7 +109,10 @@ class _Once:
     it takes no lock (CPython 3.11 takes one on every first read: about
     half a millisecond over the 576 labels of rank 12) and never reads
     ``obj.__dict__``, which would give each label a dict of its own and
-    make every later attribute read of it slower.
+    make every later attribute read of it slower.  A first read that raises
+    keeps nothing, so the next read computes again.  Three attributes use it:
+    ``FlagLabel._length``, ``neighborhoods.SchubertUnion._lower`` and
+    ``lattice.CNLattice._shape``.
     """
 
     def __init__(self, func) -> None:

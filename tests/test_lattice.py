@@ -311,6 +311,56 @@ def test_posets_take_list_rows_and_invalid_orders_raise_every_time():
             CNLattice(lat.base, lat.elements[::-1], lat.order, lat.witnesses)
 
 
+def test_a_second_shape_query_reads_the_kept_shape(monkeypatch):
+    # The first query of a lattice object computes its shape and checks it
+    # against the label; the shape is kept on the object, so a second
+    # query runs neither.
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(lattice, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    names = ("_structural_shape", "figure_shape_predicate")
+    for name in names:
+        monkeypatch.setattr(lattice, name, spy(name))
+    lattice._lattice.cache_clear()
+    lats = [build_cn_lattice(w) for w in enumerate_labels(3)]
+    first = [classify_shape(lat) for lat in lats]
+    assert calls == {name: len(lats) for name in names}
+    assert [classify_shape(lat) for lat in lats] == first
+    assert calls == {name: len(lats) for name in names}
+    assert first == [figure_shape_predicate(w) for w in enumerate_labels(3)]
+
+
+def test_a_mismatched_shape_raises_on_every_query_and_keeps_nothing(monkeypatch):
+    lattice._lattice.cache_clear()
+    lat = build_cn_lattice(label(1, 2, 3))
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "figure_shape_predicate", lambda w: "4-chain")
+        for _ in range(3):
+            with pytest.raises(VerificationError, match="predicts 4-chain"):
+                classify_shape(lat)
+            assert "_shape" not in vars(lat)
+    assert classify_shape(lat) == "diamond-plus-top"
+    assert vars(lat)["_shape"] == "diamond-plus-top"
+
+
+def test_a_kept_shape_changes_no_equality_hash_or_repr():
+    lat = build_cn_lattice(label(1, 2, 3))
+    fresh = CNLattice(lat.base, lat.elements, lat.order, lat.witnesses)
+    classify_shape(lat)
+    assert "_shape" in vars(lat) and "_shape" not in vars(fresh)
+    assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
+    # Rows that cannot be hashed are made tuples before the record is read.
+    assert CNLattice(lat.base, lat.elements, tuple(map(list, lat.order)), lat.witnesses) == lat
+
+
 def test_classify_shape_examples():
     assert classify_shape(build_cn_lattice(label(-3, 2, 2))) == "3-chain-via-(0,1)"
     assert classify_shape(build_cn_lattice(label(1, -2, 2))) == "3-chain-via-(1,0)"

@@ -230,6 +230,63 @@ def test_union_leq_matches_the_pairwise_oracle(n):
         assert union_leq(x, y) == union_leq_oracle(x, y), (x, y)
 
 
+def fresh_lower(value):
+    """L(value) ORed anew from the rank's Bruhat lower sets."""
+    index, below, _covered, _level = weyl.bruhat_masks(value.n)
+    mask = 0
+    for v in value.components:
+        mask |= below[index[v]]
+    return mask
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_every_row_value_keeps_its_lower_set_mask(n):
+    for row in neighborhoods._closed_form_rows(n).values():
+        for value in row:
+            assert value._lower == fresh_lower(value), value
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_every_searched_value_keeps_its_lower_set_mask(n):
+    for w in enumerate_labels(n):
+        for d in degree_grid(Degree(2, 2)):
+            value = gamma_bfs(w, d)
+            assert value._lower == fresh_lower(value), (w, d)
+
+
+def test_a_kept_mask_changes_no_equality_hash_or_repr():
+    comps = (label(-3, 2, 2), label(-2, 1, 2))
+    read, unread = SchubertUnion(comps), SchubertUnion(comps)
+    assert read._lower == fresh_lower(read)
+    assert "_lower" in vars(read) and "_lower" not in vars(unread)
+    assert read == unread and unread == read
+    assert hash(read) == hash(unread)
+    assert repr(read) == repr(unread)
+
+
+def test_a_repeated_containment_reads_no_bruhat_table(monkeypatch):
+    # The closed form hands back the same union objects, and each keeps its
+    # mask, so a containment query asked before reads no per-rank table.
+    grid = degree_grid(Degree(1, 2))
+    queries = [(w, d, v, e) for w in enumerate_labels(4)[::9] for d in grid
+               for v in enumerate_labels(4)[::7] for e in grid]
+    want = [
+        union_leq(gamma_closed_form(w, d), gamma_closed_form(v, e))
+        for w, d, v, e in queries
+    ]
+    assert True in want and False in want
+
+    def refuse(n):
+        raise AssertionError("a repeated containment read the Bruhat table")
+
+    monkeypatch.setattr(weyl, "bruhat_masks", refuse)
+    got = [
+        union_leq(gamma_closed_form(w, d), gamma_closed_form(v, e))
+        for w, d, v, e in queries
+    ]
+    assert got == want
+
+
 def test_maximal_union():
     got = maximal_union(down_set(label(-2, 1, 2)))
     assert got == su(label(-2, 1, 2))

@@ -411,6 +411,36 @@ def test_a_cold_build_computes_each_length_once(n):
     assert proc.stdout == f"{4 * n * n} {4 * n * n}\n"
 
 
+def test_a_cold_build_reads_each_reach_from_the_kept_mask():
+    # A fresh interpreter with the rank-12 Bruhat masks and closed-form rows
+    # built and the graph cold.  The non-strict reach is the union's kept
+    # lower-set mask, so the build hashes a label only for each distinct
+    # union whose mask it reads first.  An index lookup per component per
+    # (label, degree) hashed 1,199 labels here; the guard allows half.
+    code = (
+        "from oddflag import neighborhoods, qbg, weyl\n"
+        "weyl.bruhat_masks(12)\n"
+        "neighborhoods._closed_form_rows(12)\n"
+        "calls = []\n"
+        "real = weyl.FlagLabel.__hash__\n"
+        "def spy(w):\n"
+        "    calls.append(w)\n"
+        "    return real(w)\n"
+        "weyl.FlagLabel.__hash__ = spy\n"
+        "qbg.build_qbg(12)\n"
+        "print(len(calls))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < int(proc.stdout) <= 1199 // 2
+
+
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12, 16])
 def test_the_json_export_is_the_payload_dump(capsys, n, strict):
