@@ -195,13 +195,8 @@ class CNLattice(_Frozen):
         order: OrderMatrix,
         witnesses: tuple[Degree, ...],
     ) -> None:
-        # _poset checks the partial-order axioms.  ``_lattice`` passes
-        # tuple rows, which key the record as they are; list rows cannot be
-        # hashed and are made tuples first.
-        try:
-            order, up, down, _join, _meet = _poset(order)
-        except TypeError:
-            order, up, down, _join, _meet = _poset(tuple(map(tuple, order)))
+        # _poset checks the partial-order axioms.
+        order, up, down, _join, _meet = _poset(tuple(map(tuple, order)))
         comps = [e.components for e in elements]
         try:
             bottom = comps.index((base,))
@@ -261,10 +256,7 @@ def _lattice(a: int, b: int, n: int) -> CNLattice:
             elements.append(value)
             witnesses.append(d)
             lower.append(mask)
-    # One flat pass over the pairs, cut into rows of len(lower) by zipping
-    # one iterator with itself; a comprehension per row costs a frame each.
-    flat = iter([x & y == x for x in lower for y in lower])
-    order = tuple(zip(*[flat] * len(lower)))
+    order = tuple([tuple([x & y == x for y in lower]) for x in lower])
     return CNLattice(w, tuple(elements), order, tuple(witnesses))
 
 

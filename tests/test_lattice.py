@@ -357,7 +357,7 @@ def test_a_kept_shape_changes_no_equality_hash_or_repr():
     classify_shape(lat)
     assert "_shape" in vars(lat) and "_shape" not in vars(fresh)
     assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
-    # Rows that cannot be hashed are made tuples before the record is read.
+    # List rows are made tuples before the record is read.
     assert CNLattice(lat.base, lat.elements, tuple(map(list, lat.order)), lat.witnesses) == lat
 
 
