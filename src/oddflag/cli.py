@@ -21,14 +21,15 @@ from . import verify as verify_mod
 from .errors import DomainError, VerificationError
 from .moment import Degree
 from .neighborhoods import gamma_bfs, gamma_closed_form
-from .weyl import enumerate_labels, length, parse_label
+from .weyl import _plain_int, enumerate_labels, length, parse_label
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
-# Largest rank --n and --n-max accept.  verify --n-max 16 takes about 2.3 s
-# at a peak RSS of about 31 MB (qbg --n 16 about 0.2 s), so a larger rank
-# is refused up front rather than left to run for an unbounded time.
+# Largest rank --n and --n-max accept.  verify --n-max 16 takes about 1 s
+# at a peak RSS of about 28 MB (qbg --n 16 about 0.1 s; 2 vCPUs, CPython
+# 3.11), so a larger rank is refused up front rather than left to run for an
+# unbounded time.
 MAX_RANK = 16
 
 
@@ -37,7 +38,7 @@ def _parse_degree(text: str) -> Degree:
     if len(parts) != 2:
         raise DomainError(f"degree must look like 'd1,d2', got {text!r}")
     try:
-        d1, d2 = (int(p.strip()) for p in parts)
+        d1, d2 = map(_plain_int, parts)
     except ValueError:
         raise DomainError(f"degree parts must be integers, got {text!r}") from None
     return Degree(d1, d2)

@@ -22,12 +22,25 @@ class _Frozen:
     same class only, the hash of the tuple of fields, and refuses
     assignment and deletion.  Classes compared or hashed in hot loops spell
     out their own ``__eq__`` and ``__hash__``.
+
+    The base has no instance dict.  A class that keeps no computed
+    attribute declares ``__slots__ = __match_args__ = (...)``, so its
+    values hold their fields and nothing else; a class that keeps one
+    (``weyl._Once``, ``functools.cached_property``) declares no slots and
+    keeps it in its dict.  A copy or an unpickled value is rebuilt through
+    the class's own ``__init__`` from its fields (``__reduce__``), since
+    restoring state would assign to it: it is validated again and carries
+    no kept attribute.
     """
 
+    __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)

@@ -159,7 +159,7 @@ class FinitePoset(_Frozen):
     """A finite poset given by its full order matrix; order[i][j] iff i <= j."""
 
     order: OrderMatrix
-    __match_args__ = ("order",)
+    __slots__ = __match_args__ = ("order",)
 
     def __init__(self, order: OrderMatrix) -> None:
         object.__setattr__(self, "order", order)
@@ -200,7 +200,9 @@ class CNLattice(_Frozen):
         comps = [e.components for e in elements]
         try:
             bottom = comps.index((base,))
-            top = comps.index((top_label(base.n),))
+            # The top comes last in a built lattice, so search from the end:
+            # each earlier tuple would cost a FlagLabel.__eq__ call.
+            top = len(comps) - 1 - comps[::-1].index((top_label(base.n),))
         except ValueError:
             raise VerificationError("lattice must contain its base and the top") from None
         full = (1 << len(comps)) - 1

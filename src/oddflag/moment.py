@@ -74,7 +74,7 @@ class Degree(_Frozen):
 
     d1: int
     d2: int
-    __match_args__ = ("d1", "d2")
+    __slots__ = __match_args__ = ("d1", "d2")
 
     def __init__(self, d1: int, d2: int) -> None:
         if type(d1) is not int or type(d2) is not int:
@@ -137,7 +137,7 @@ class MomentEdge(_Frozen):
     v: FlagLabel
     degree: Degree
     root: Root
-    __match_args__ = ("u", "v", "degree", "root")
+    __slots__ = __match_args__ = ("u", "v", "degree", "root")
 
     def __init__(self, u: FlagLabel, v: FlagLabel, degree: Degree, root: Root) -> None:
         object.__setattr__(self, "u", u)
@@ -152,7 +152,7 @@ class MomentGraph(_Frozen):
     n: int
     vertices: tuple[FlagLabel, ...]
     edges: tuple[MomentEdge, ...]
-    __match_args__ = ("n", "vertices", "edges")
+    __slots__ = __match_args__ = ("n", "vertices", "edges")
 
     def __init__(
         self, n: int, vertices: tuple[FlagLabel, ...], edges: tuple[MomentEdge, ...]

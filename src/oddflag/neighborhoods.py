@@ -147,10 +147,16 @@ class SchubertUnion(_Frozen):
         return self.components[0].n
 
     def __str__(self) -> str:
-        comps = self.components
-        if len(comps) == 1:
-            return str(comps[0])
-        return ", ".join(map(str, comps))
+        return self._text
+
+    @weyl._Once
+    def _text(self) -> str:
+        """The components' texts joined by ", ", built once per object.
+
+        Kept on the object, outside equality, hashing and the repr, so the
+        closed form's shared values print their text once per process.
+        """
+        return ", ".join(map(str, self.components))
 
     def __iter__(self):
         return iter(self.components)
@@ -423,7 +429,7 @@ class CrossCheckReport(_Frozen):
     dmax: Degree
     cells: int
     mismatches: tuple[tuple[FlagLabel, Degree, SchubertUnion, SchubertUnion], ...]
-    __match_args__ = ("n", "dmax", "cells", "mismatches")
+    __slots__ = __match_args__ = ("n", "dmax", "cells", "mismatches")
 
     def __init__(
         self,

@@ -94,7 +94,7 @@ class ChernData(_Frozen):
     div1: FlagLabel
     div2: FlagLabel
     fano_index: int
-    __match_args__ = ("n", "a1", "a2", "div1", "div2", "fano_index")
+    __slots__ = __match_args__ = ("n", "a1", "a2", "div1", "div2", "fano_index")
 
     def __init__(
         self, n: int, a1: int, a2: int, div1: FlagLabel, div2: FlagLabel, fano_index: int
@@ -127,7 +127,7 @@ class QBGEdge(_Frozen):
     u: FlagLabel
     v: FlagLabel
     degree: Degree | None
-    __match_args__ = ("u", "v", "degree")
+    __slots__ = __match_args__ = ("u", "v", "degree")
 
     def __init__(self, u: FlagLabel, v: FlagLabel, degree: Degree | None) -> None:
         object.__setattr__(self, "u", u)
@@ -310,7 +310,9 @@ class PropertyOVerdict(_Frozen):
     fano_index: int
     holds: bool
     witness_cycles: tuple[tuple[FlagLabel, ...], ...]
-    __match_args__ = ("n", "strongly_connected", "gcd", "fano_index", "holds", "witness_cycles")
+    __slots__ = __match_args__ = (
+        "n", "strongly_connected", "gcd", "fano_index", "holds", "witness_cycles"
+    )
 
     def __init__(
         self,

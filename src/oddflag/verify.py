@@ -43,7 +43,7 @@ class CheckResult(_Frozen):
     n: int
     status: str  # "pass" | "fail" | "flagged"
     detail: str
-    __match_args__ = ("name", "n", "status", "detail")
+    __slots__ = __match_args__ = ("name", "n", "status", "detail")
 
     def __init__(self, name: str, n: int, status: str, detail: str) -> None:
         object.__setattr__(self, "name", name)

@@ -110,9 +110,9 @@ class _Once:
     half a millisecond over the 576 labels of rank 12) and never reads
     ``obj.__dict__``, which would give each label a dict of its own and
     make every later attribute read of it slower.  A first read that raises
-    keeps nothing, so the next read computes again.  Three attributes use it:
+    keeps nothing, so the next read computes again.  Four attributes use it:
     ``FlagLabel._length``, ``neighborhoods.SchubertUnion._lower`` and
-    ``lattice.CNLattice._shape``.
+    ``_text``, and ``lattice.CNLattice._shape``.
     """
 
     def __init__(self, func) -> None:
@@ -199,6 +199,9 @@ def top_label(n: int) -> FlagLabel:
 def parse_label(text: str, n: int) -> FlagLabel:
     """Parse the ``a|b`` syntax, with a leading ``-`` denoting a bar.
 
+    Each side, stripped of surrounding whitespace, is an optional sign and
+    ASCII digits (``_plain_int``); anything else raises ``DomainError``.
+
     Memoised on ``(text, n)`` after the rank and the type of the text are
     checked, so a rank that is not an int >= 2 (a float, a bool, an
     unhashable value) or a text that is not a ``str`` (an int, bytes, a
@@ -220,10 +223,23 @@ def _parse_label(text: str, n: int) -> FlagLabel:
     if len(parts) != 2:
         raise DomainError(f"label must look like 'a|b', got {text!r}")
     try:
-        a, b = (int(p.strip()) for p in parts)
+        a, b = map(_plain_int, parts)
     except ValueError:
         raise DomainError(f"label sides must be integers, got {text!r}") from None
     return label(a, b, n)
+
+
+def _plain_int(text: str) -> int:
+    """The int written by ``text``: after ``strip()``, an optional sign and ASCII digits.
+
+    Raises ``ValueError`` otherwise.  ``int`` alone would also read
+    underscores (``1_0``) and non-ASCII digits (a full-width ``２``).
+    """
+    text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a plain integer: {text!r}")
+    return int(text)
 
 
 class Root(_Frozen):
@@ -232,7 +248,7 @@ class Root(_Frozen):
     kind: str
     i: int
     j: int | None
-    __match_args__ = ("kind", "i", "j")
+    __slots__ = __match_args__ = ("kind", "i", "j")
 
     def __init__(self, kind: str, i: int, j: int | None = None) -> None:
         object.__setattr__(self, "kind", kind)

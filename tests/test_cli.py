@@ -168,6 +168,27 @@ def test_negative_degree_is_a_domain_error(capsys):
     assert code == 2 and "nonnegative" in err and "expected one argument" not in err
 
 
+@pytest.mark.parametrize("text", ["1_0,0", "0,1_0", "\uff12,0", "+,0", "1,", "1 0,0"])
+def test_degree_parts_are_a_sign_and_ascii_digits(capsys, text):
+    code, out, err = run(capsys, "nbhd", "--n", "2", "--w", "1|2", "--d", text)
+    assert code == 2 and out == ""
+    assert err == f"oddflag: degree parts must be integers, got {text!r}\n"
+
+
+@pytest.mark.parametrize("text", ["1_0|2", "\uff12|1"])
+def test_a_label_with_underscores_or_wide_digits_exits_2(capsys, text):
+    code, out, err = run(capsys, "nbhd", "--n", "12", "--w", text, "--d", "0,0")
+    assert code == 2 and out == ""
+    assert err == f"oddflag: label sides must be integers, got {text!r}\n"
+
+
+def test_signed_and_spaced_degree_parts_still_parse(capsys):
+    _, want, _ = run(capsys, "nbhd", "--n", "2", "--w", "1|2", "--d", "1,0")
+    for text in ("1 , 0", "+1,0", " 1,+0 "):
+        code, out, _ = run(capsys, "nbhd", "--n", "2", "--w", "1|2", "--d", text)
+        assert code == 0 and out == want
+
+
 def test_small_rank_reports_the_given_value(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "0")
     assert code == 2 and "got 0" in err

@@ -467,6 +467,26 @@ def test_cn_lattice_rejects_a_missing_or_misplaced_extreme():
         lattice.CNLattice(lat.base, lat.elements, flipped, lat.witnesses)
 
 
+def test_cn_lattice_finds_an_equal_top_and_refuses_a_missing_one():
+    # The top is found from the end of the elements, by identity or, as
+    # list.index does, by equality: an equal copy of the top label serves.
+    lat = build_cn_lattice(label(1, 2, 3))
+    top = top_label(3)
+    assert lat.elements[-1].components == (top,)
+    copy = weyl.FlagLabel(top.a, top.b, 3)
+    assert copy == top and copy is not top
+    elements = (*lat.elements[:-1], SchubertUnion((copy,)))
+    rebuilt = CNLattice(lat.base, elements, lat.order, lat.witnesses)
+    assert rebuilt == lat and rebuilt.elements[-1].components[0] is copy
+    moved = (elements[-1], *elements[:-1])
+    perm = (lat.size - 1, *range(lat.size - 1))
+    order = tuple(tuple(lat.order[i][j] for j in perm) for i in perm)
+    assert CNLattice(lat.base, moved, order, lat.witnesses).size == lat.size
+    below = SchubertUnion((label(-3, 2, 3),))
+    with pytest.raises(VerificationError, match="must contain its base and the top"):
+        CNLattice(lat.base, (*lat.elements[:-1], below), lat.order, lat.witnesses)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_order_matches_the_union_leq_oracle(n):
     for w in enumerate_labels(n):

@@ -264,6 +264,27 @@ def test_a_kept_mask_changes_no_equality_hash_or_repr():
     assert repr(read) == repr(unread)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_every_row_value_keeps_its_text(n):
+    # A closed-form value prints its text once; every later str() returns
+    # the same string object.
+    for row in neighborhoods._closed_form_rows(n).values():
+        for value in row:
+            text = str(value)
+            assert str(value) is text
+            assert text == ", ".join(str(c) for c in value.components)
+
+
+def test_a_kept_text_changes_no_equality_hash_or_repr():
+    comps = (label(-3, 2, 2), label(-2, 1, 2))
+    read, unread = SchubertUnion(comps), SchubertUnion(comps)
+    assert str(read) == "-3|2, -2|1"
+    assert "_text" in vars(read) and "_text" not in vars(unread)
+    assert read == unread and hash(read) == hash(unread)
+    assert repr(read) == repr(unread)
+    assert str(SchubertUnion((label(1, -3, 2),))) == "1|-3"
+
+
 def test_a_repeated_containment_reads_no_bruhat_table(monkeypatch):
     # The closed form hands back the same union objects, and each keeps its
     # mask, so a containment query asked before reads no per-rank table.

@@ -4,8 +4,14 @@ Each class is built positionally and by keyword, prints in the
 ``Name(field=value, ...)`` form, equals only objects of its own class with
 equal fields, hashes as the tuple of its fields (so sets and dicts of
 values iterate in a fixed order), refuses assignment and deletion, and
-raises the same validation messages.
+raises the same validation messages.  A copy or a pickled value is rebuilt
+through the class's ``__init__``, and the classes that keep no computed
+attribute store their fields in slots, with no instance dict.
 """
+
+import copy
+import pickle
+import tracemalloc
 
 import pytest
 
@@ -193,6 +199,59 @@ def test_values_refuse_assignment_and_deletion(cls, names, values, text):
             delattr(obj, name)
     assert tuple(getattr(obj, name) for name in names) == values
     assert not hasattr(obj, "extra")
+
+
+@pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
+def test_copies_and_pickles_are_equal_values_of_the_class(cls, names, values, text):
+    obj = cls(*values)
+    clones = [copy.copy(obj), copy.deepcopy(obj)]
+    clones += [
+        pickle.loads(pickle.dumps(obj, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for clone in clones:
+        assert type(clone) is cls and clone == obj and repr(clone) == text
+        assert hash(clone) == hash(obj)
+
+
+# The classes that keep no computed attribute (errors._Frozen docstring).
+PLAIN = (
+    Root,
+    Degree,
+    MomentEdge,
+    MomentGraph,
+    CrossCheckReport,
+    FinitePoset,
+    ChernData,
+    QBGEdge,
+    PropertyOVerdict,
+    CheckResult,
+)
+
+
+def test_plain_value_classes_have_no_instance_dict():
+    plain = [cls(*values) for cls, _names, values, _text in CASES if cls in PLAIN]
+    assert {type(obj) for obj in plain} == set(PLAIN)
+    for obj in plain:
+        assert not hasattr(obj, "__dict__"), type(obj)
+        assert type(obj).__slots__ == type(obj).__match_args__
+
+
+def test_a_degree_takes_at_most_64_bytes():
+    # Without slots each Degree also carries the per-instance attribute
+    # store behind a __dict__.  Small parts are shared ints, and the list
+    # is made first, so only the Degrees themselves are counted.
+    count = 20_000
+    kept = [None] * count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(count):
+            kept[i] = Degree(i % 7, i % 5)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert used / count <= 64, used / count
 
 
 def test_qbg_successors_are_cached_per_instance():

@@ -313,6 +313,22 @@ def test_label_parse_errors():
     assert _parse_label.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize(
+    "text", ["1_0|2", "1|0_2", "\uff12|1", "1|\u0662", "+|2", "1|-", "- 1|2", "1|2 3", "1|"]
+)
+def test_label_sides_are_a_sign_and_ascii_digits(text):
+    # int() alone reads "1_0" as 10 and the full-width or Arabic-Indic
+    # digit as 2; a side is an optional sign and ASCII digits, nothing else.
+    with pytest.raises(DomainError, match="label sides must be integers"):
+        parse_label(text, 12)
+
+
+def test_signed_and_spaced_label_sides_still_parse():
+    assert parse_label("+1|2", 2) == label(1, 2, 2)
+    assert parse_label(" -2 | 1 ", 2) == label(-2, 1, 2)
+    assert parse_label("-2|+3", 3) == label(-2, 3, 3)
+
+
 def test_a_repeated_parse_builds_no_label(monkeypatch):
     _parse_label.cache_clear()
     first = {text: parse_label(text, 3) for text in ("1|2", "-2|1", " 3 | -4 ")}
