@@ -42,17 +42,19 @@ nothing, so it raises on every call.
 A lattice is a pure function of its base's letters and rank (a, b, n):
 the closed-form values, the lower-set masks and hence the order and the
 witnesses are all read off them.  So ``build_cn_lattice`` memoises the
-lattice on (a, b, n), and a repeated query returns the instance built by
-the first; the instance is immutable, so sharing it changes no answer.
-The lattice is built from the label object of ``weyl._by_letters(n)``,
-so its base and top are the table's objects.  ``CNLattice`` finds them
-with ``list.index``, which tries identity first and falls back to
-equality, so a label from another build of the rank is found as well.
+lattice on its rank object, in a dict keyed on the letters a, then b
+(``weyl._Rank.lattices``), and a repeated query returns the instance
+built by the first; the instance is immutable, so sharing it changes no
+answer.  The memo holds at most one lattice per label, 4n^2, and goes
+with its rank when ``weyl._rank`` evicts it, together with the labels and
+values its lattices hold.  The lattice is built from the label object of
+the rank's table (``weyl._Rank.by_letters``), so its base and top are the
+table's objects.  ``CNLattice`` finds them with ``list.index``, which
+tries identity first and falls back to equality, so a label from another
+build of the rank, kept by a caller across an eviction, is found as well.
 Every check still runs once per label: ``CNLattice`` checks its axioms,
-base and top when the memo builds it, and a build that raises caches
-nothing.  The memo is bounded at 1024 = 4 * 16**2
-entries, every label of one rank up to the CLI's largest, since an
-unbounded one keeps every lattice of ``verify --n-max 16`` alive.
+base and top when the memo builds it, and a build that raises keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ import itertools
 from .errors import DomainError, VerificationError, _Frozen
 from .moment import Degree
 from .neighborhoods import SchubertUnion, gamma_closed_form
-from .weyl import FlagLabel, _bits, _by_letters, _Once, letter_rank, top_label
+from .weyl import FlagLabel, _bits, _Once, _rank, letter_rank, top_label
 
 __all__ = [
     "REPRESENTATIVE_DEGREES",
@@ -238,16 +240,19 @@ def build_cn_lattice(w: FlagLabel) -> CNLattice:
 
     Repeated values and containment are read off the lower-set masks
     (module docstring), so no pair of labels is compared.  Each label's
-    lattice is built once and then served from a bounded memo on its
-    letters and rank; its ``base`` is the label object that
+    lattice is built once and then served from its rank's memo on its
+    letters; its ``base`` is the label object that
     ``enumerate_labels(w.n)`` holds, equal to w.
     """
-    return _lattice(w.a, w.b, w.n)
+    memo = _rank(w.n).lattices[w.a]
+    lat = memo.get(w.b)  # no KeyError raised on the first query of a label
+    if lat is None:
+        lat = memo.setdefault(w.b, _lattice(w.a, w.b, w.n))
+    return lat
 
 
-@functools.lru_cache(maxsize=1024)  # 4 * 16**2: every label of a rank up to 16
 def _lattice(a: int, b: int, n: int) -> CNLattice:
-    w = _by_letters(n)[a, b]
+    w = _rank(n).by_letters[a, b]
     elements: list[SchubertUnion] = []
     witnesses: list[Degree] = []
     lower: list[int] = []

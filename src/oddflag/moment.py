@@ -39,18 +39,12 @@ in ``verify``.  It keeps nothing between calls.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterator, Mapping
 from types import MappingProxyType
 
 from .errors import DomainError, _Frozen
-from .weyl import (
-    FlagLabel,
-    Root,
-    _reflect_letters,
-    enumerate_labels,
-    moment_roots,
-)
+from .weyl import FlagLabel, Root, _Once, _Rank, _checked, _reflect_letters
+from .weyl import enumerate_labels, moment_roots
 
 __all__ = [
     "Degree",
@@ -206,15 +200,19 @@ def _reflections(n: int) -> Iterator[tuple[int, int, Root]]:
 NeighbourMasks = Mapping[tuple[int, int], tuple[int, ...]]
 
 
-@functools.lru_cache(maxsize=None)
 def moment_masks(n: int) -> NeighbourMasks:
     """The moment graph of rank n as read-only per-class neighbour masks.
 
-    Masks are aligned with ``enumerate_labels(n)`` and built from the row,
-    column, swap and bar-swap rule of the module docstring, with no
-    reflection.  The classes come in increasing (c1, c2) order.
+    Masks are aligned with ``enumerate_labels(n)`` and built once per rank
+    from the row, column, swap and bar-swap rule of the module docstring,
+    with no reflection (``_moment_masks``, kept on the rank object).  The
+    classes come in increasing (c1, c2) order.
     """
-    at = {(w.a, w.b): i for i, w in enumerate(enumerate_labels(n))}
+    return _checked(n)._moment_masks
+
+
+def _moment_masks(rank: _Rank) -> NeighbourMasks:
+    at = {(w.a, w.b): i for i, w in enumerate(rank.labels)}
     row: dict[int, int] = {}
     col: dict[int, int] = {}
     for (a, b), i in at.items():
@@ -227,6 +225,9 @@ def moment_masks(n: int) -> NeighbourMasks:
         (1, 1): tuple(col[b] & ~(1 << i) for (a, b), i in at.items()),
         (1, 2): tuple(1 << at[-b, -a] if (-b, -a) in at else 0 for a, b in at),
     })
+
+
+_Rank._moment_masks = _Once(_moment_masks)
 
 
 def to_dot(g: MomentGraph, degree: Degree | None = None) -> str:

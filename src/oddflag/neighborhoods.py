@@ -5,10 +5,12 @@ starting from the full lower set of the base label, and returns the Bruhat
 maxima of everything reached.  ``gamma_closed_form`` states the answer in
 closed form.  The curve neighborhood stabilises at d = (1,2), so a label
 has at most five distinct values, one per regime (min(d1,1), min(d2,2)).
-The closed form evaluates its rules once per rank, in one pass over
-``weyl._by_letters(n)`` that gives every label a row of six values, one
-per regime, over the table's label objects (``_closed_form_rows``); a
-call reads one row.  The search never reads the rows.  ``cross_check``
+The closed form evaluates its rules once per rank, in one pass over the
+rank's label table (``weyl._Rank.by_letters``) that gives every label a
+row of six values, one per regime, over the table's label objects
+(``_closed_form_rows``, kept on the rank object); a call reads one row.
+The search never reads the rows or the label table, and the closed form
+never reads the moment masks or the search index.  ``cross_check``
 asserts the two agree cell by cell; they are deliberately kept
 independent of each other and share no helper.
 
@@ -86,13 +88,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
-from types import MappingProxyType
+from collections.abc import Iterable, Sequence
 
 from . import weyl
 from .errors import DomainError, VerificationError, _Frozen
-from .moment import Degree, NeighbourMasks, moment_masks
-from .weyl import FlagLabel, _bits, bruhat_leq, enumerate_labels, letter_rank
+from .moment import Degree, NeighbourMasks
+from .weyl import FlagLabel, _bits, _rank, bruhat_leq, enumerate_labels, letter_rank
 
 __all__ = [
     "SchubertUnion",
@@ -169,7 +170,7 @@ class SchubertUnion(_Frozen):
         equality, hashing or the repr.  ``union_leq``, the lattice order
         and the quantum graph read it; neither neighborhood route does.
         """
-        index, below, _covered, _level = weyl.bruhat_masks(self.components[0].n)
+        index, below, _covered, _level = _rank(self.components[0].n).masks
         mask = 0
         for v in self.components:
             mask |= below[index[v]]
@@ -315,10 +316,12 @@ class _SearchIndex:
         return SchubertUnion(tuple(self.labels[x] for x in maxima))
 
 
-@functools.lru_cache(maxsize=None)
-def _search_index(n: int) -> _SearchIndex:
-    """The search index of the rank-n moment graph, built on first use."""
-    return _SearchIndex(enumerate_labels(n), moment_masks(n))
+def _search_index(rank: weyl._Rank) -> _SearchIndex:
+    """The search index of the rank's moment graph, built on first use."""
+    return _SearchIndex(rank.labels, rank._moment_masks)
+
+
+weyl._Rank._search_index = weyl._Once(_search_index)
 
 
 @functools.lru_cache(maxsize=1)
@@ -346,7 +349,7 @@ def gamma_bfs(w: FlagLabel, d: Degree) -> SchubertUnion:
     lower sets, so it raises ``VerificationError`` when a reached set is
     not one, and stores no cell that fails.
     """
-    index = _search_index(w.n)
+    index = _rank(w.n)._search_index
     return index.neighborhood(index.index[w], d.d1, d.d2)
 
 
@@ -375,30 +378,30 @@ def gamma_closed_form(w: FlagLabel, d: Degree) -> SchubertUnion:
     row at column 3*min(d1,1) + min(d2,2) and builds no label and no union.
     """
     d1, d2 = d.d1, d.d2
-    return _closed_form_rows(w.n)[w.a, w.b][(3 if d1 else 0) + (d2 if d2 < 2 else 2)]
+    return _rank(w.n)._closed_form_rows[w.a][w.b][(3 if d1 else 0) + (d2 if d2 < 2 else 2)]
 
 
-@functools.lru_cache(maxsize=None)
-def _closed_form_rows(n: int) -> Mapping[tuple[int, int], tuple[SchubertUnion, ...]]:
-    """The closed form's values at rank n, one row per label, read-only, built on first use.
+def _closed_form_rows(rank: weyl._Rank) -> dict[int, dict[int, tuple[SchubertUnion, ...]]]:
+    """The closed form's values at the rank, one row per label, built on first use.
 
-    Keyed by the letters (a, b) of each label of ``weyl._by_letters(n)``.
-    Column 3*r1 + r2 holds the value at the regime (r1, r2) = (min(d1,1),
+    The row of the label (a|b) of the rank's table is ``rows[a][b]``: two
+    int keys, which a call hashes faster than one tuple key.  Private and
+    never changed after the build.  Column 3*r1 + r2 holds the value at the regime (r1, r2) = (min(d1,1),
     min(d2,2)): (0,0), (0,1), (0,2), (1,0), (1,1), (1,2).  Columns (0,1) and
     (0,2) hold one object, since with d1 = 0 the sweep of column two ends
     at d2 = 1.  Every value is a union over the table's label objects, and
     each one-component union is built once per label; the rules of
     ``gamma_closed_form`` are written out here, one pass over the labels.
     """
-    one = {ab: SchubertUnion((w,)) for ab, w in weyl._by_letters(n).items()}
+    one = {ab: SchubertUnion((w,)) for ab, w in rank.by_letters.items()}
     top = one[-2, -3]
     two_sweep = SchubertUnion((*one[2, -3], *one[1, -2]))  # (2|b) at (0, d2 >= 1)
     two_bottom = SchubertUnion((*one[-3, 2], *one[-2, 1]))  # (1|2), (2|1) at (1,1)
-    rank = {k: letter_rank(k, n) for k in weyl.odd_letters(n)}
-    rows = {}
+    ranks = {k: letter_rank(k, rank.n) for k in weyl.odd_letters(rank.n)}
+    rows: dict[int, dict[int, tuple[SchubertUnion, ...]]] = {}
     for ab, same in one.items():
         a, b = ab
-        if rank[a] > rank[b]:
+        if ranks[a] > ranks[b]:
             hi, swap = a, same
         else:
             hi, swap = b, one[b, a]
@@ -409,8 +412,11 @@ def _closed_form_rows(n: int) -> Mapping[tuple[int, int], tuple[SchubertUnion, .
             both = two_bottom
         else:
             both = one[-2, hi]
-        rows[ab] = (same, sweep, sweep, swap, both, top)
-    return MappingProxyType(rows)
+        rows.setdefault(a, {})[b] = (same, sweep, sweep, swap, both, top)
+    return rows
+
+
+weyl._Rank._closed_form_rows = weyl._Once(_closed_form_rows)
 
 
 def degree_grid(dmax: Degree) -> tuple[Degree, ...]:

@@ -59,14 +59,7 @@ from collections.abc import Hashable, Iterator, Mapping, Sequence
 from .errors import DomainError, VerificationError, _Frozen
 from .moment import EDGE_COLORS, Degree, moment_masks
 from .neighborhoods import gamma_closed_form
-from .weyl import (
-    FlagLabel,
-    _bits,
-    _check_rank,
-    bruhat_masks,
-    enumerate_labels,
-    label,
-)
+from .weyl import FlagLabel, _bits, _check_rank, _checked, bruhat_masks, enumerate_labels, label
 from .weyl import bruhat_leq  # noqa: F401  perfbench/selftest.py checks qbg's alias
 
 __all__ = [
@@ -188,19 +181,20 @@ def _quantum_degrees(data: ChernData) -> Iterator[tuple[Degree, int]]:
 
 
 def build_qbg(n: int, strict: bool = False) -> QBGraph:
-    """The quantum Bruhat graph of rank n, built once per (n, strict).
+    """The quantum Bruhat graph of rank n, built once per rank and rule.
 
-    ``build_qbg(n)`` and ``build_qbg(n, strict=False)`` share one cached
-    graph: the cache sits on ``_build_qbg``, which is always called with
-    positional arguments.
+    The rank object keeps the graphs in a memo on ``strict``
+    (``weyl._Rank.graphs``), so ``build_qbg(n)`` and
+    ``build_qbg(n, strict=False)`` share one graph.
     """
-    return _build_qbg(n, strict)
+    graphs = _checked(n).graphs
+    return graphs.get(strict) or graphs.setdefault(strict, _build_qbg(n, strict))
 
 
-@functools.lru_cache(maxsize=None)
 def _build_qbg(n: int, strict: bool) -> QBGraph:
     """The graph, with its adjacency as label indices kept for the verdict.
 
+    Built anew on every call; ``build_qbg`` keeps one per rank and rule.
     The graph's private ``_targets`` maps each vertex's index in
     ``enumerate_labels(n)`` to the indices of its edges' targets, in edge
     order; ``property_o_verdict`` searches it.  Each label's length was

@@ -36,16 +36,20 @@ l(v) - 1.  ``bruhat_masks`` holds these lower sets and covers as bitmasks;
 ``down_set``, ``covers``, the search, ``union_leq``, the lattice order
 and the quantum graph read them.
 
-``enumerate_labels(n)`` holds one object per label of rank n, and
-``_by_letters(n)`` finds it by its letters (a, b).  ``top_label`` and the
-closed-form neighborhoods take their labels from there instead of
-building new ones; the search does not read it.  A label keeps its
-length once computed (``FlagLabel._length``), so the enumeration's sort
-computes each length of a rank once, and ``bruhat_masks`` and the
-quantum graph read them off the same objects.
+Every per-rank table lives on one rank object, ``_rank(n)``, each built
+on first read and kept there (``_Rank``): the labels, the labels by their
+letters (a, b), the Bruhat masks and the parse memo here, and the tables
+that higher modules attach to ``_Rank`` as ``_Once`` attributes.  ``enumerate_labels(n)``
+holds one object per label of rank n; ``top_label``, ``parse_label`` and
+the closed-form neighborhoods take their labels from the rank's table
+instead of building new ones, and the search does not read that table.
+A label keeps its length once computed (``FlagLabel._length``), so the
+enumeration's sort computes each length of a rank once, and the Bruhat
+masks and the quantum graph read them off the same objects.
 
-Everything in this module is an immutable value; all operations are pure
-functions and safe to share across threads.
+Everything in this module is an immutable value or a table built once
+from one; all operations are pure functions and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -110,9 +114,12 @@ class _Once:
     half a millisecond over the 576 labels of rank 12) and never reads
     ``obj.__dict__``, which would give each label a dict of its own and
     make every later attribute read of it slower.  A first read that raises
-    keeps nothing, so the next read computes again.  Four attributes use it:
+    keeps nothing, so the next read computes again.  It holds
     ``FlagLabel._length``, ``neighborhoods.SchubertUnion._lower`` and
-    ``_text``, and ``lattice.CNLattice._shape``.
+    ``_text``, ``lattice.CNLattice._shape``, and every table of a rank
+    object: ``_Rank.labels``, ``by_letters`` and ``masks``, and those that
+    higher modules attach (the moment masks, the search index and the
+    closed form's rows).
     """
 
     def __init__(self, func) -> None:
@@ -192,8 +199,11 @@ def label(a: int, b: int, n: int) -> FlagLabel:
 
 
 def top_label(n: int) -> FlagLabel:
-    """The maximum label (-2|-3), the object held by ``enumerate_labels(n)``."""
-    return _by_letters(n)[-2, -3]
+    """The maximum label (-2|-3), the object held by ``enumerate_labels(n)``.
+
+    It is the only label of the largest length, 4n - 2, so it comes last.
+    """
+    return _checked(n).labels[-1]
 
 
 def parse_label(text: str, n: int) -> FlagLabel:
@@ -202,23 +212,25 @@ def parse_label(text: str, n: int) -> FlagLabel:
     Each side, stripped of surrounding whitespace, is an optional sign and
     ASCII digits (``_plain_int``); anything else raises ``DomainError``.
 
-    Memoised on ``(text, n)`` after the rank and the type of the text are
-    checked, so a rank that is not an int >= 2 (a float, a bool, an
-    unhashable value) or a text that is not a ``str`` (an int, bytes, a
-    list) raises ``DomainError`` whatever the memo holds.  A repeated text
-    returns the label its first parse built, which is immutable.  A parse
-    that raises caches nothing.  The first parse builds its own label
-    instead of reading ``_by_letters(n)``, so a parse builds no per-rank
-    table.
+    Returns the object of rank n's label table (``_Rank.by_letters``), so
+    a parse builds no label, and every parse of one label, whatever its
+    spelling, returns one object.  The rank and the type of the text are
+    checked before any table is read, so a rank that is not an int >= 2
+    (a float, a bool, an unhashable value) or a text that is not a ``str``
+    (an int, bytes, a list) raises ``DomainError`` whatever was parsed
+    before.  The rank keeps the canonical text ``str(w)`` of each label
+    parsed (``_Rank.parsed``, at most 4n^2 keys), so a repeated canonical
+    text is one dict read; another spelling is split again.  A parse that
+    raises keeps nothing.  The first parse at a cold rank builds the
+    rank's label table, which every other query of the rank reads too.
     """
     _check_rank(n)
     if not isinstance(text, str):
         raise DomainError(f"label must be a str like 'a|b', got {text!r}")
-    return _parse_label(text, n)
-
-
-@functools.lru_cache(maxsize=1024)  # 4 * 16**2: a whole rank up to 16
-def _parse_label(text: str, n: int) -> FlagLabel:
+    try:
+        return _rank(n).parsed[text]
+    except KeyError:
+        rank = _rank(n)
     parts = text.strip().split("|")
     if len(parts) != 2:
         raise DomainError(f"label must look like 'a|b', got {text!r}")
@@ -226,7 +238,9 @@ def _parse_label(text: str, n: int) -> FlagLabel:
         a, b = map(_plain_int, parts)
     except ValueError:
         raise DomainError(f"label sides must be integers, got {text!r}") from None
-    return label(a, b, n)
+    # The table holds every label of the rank, so the build only ever raises.
+    w = rank.by_letters.get((a, b)) or label(a, b, rank.n)
+    return rank.parsed.setdefault(str(w), w)
 
 
 def _plain_int(text: str) -> int:
@@ -413,49 +427,91 @@ def _bruhat_key(w: FlagLabel) -> tuple[int, int, int]:
     return (ra, ra, rb) if ra < rb else (ra, rb, ra)
 
 
-@functools.lru_cache(maxsize=None)
 def enumerate_labels(n: int) -> tuple[FlagLabel, ...]:
     """All 4n^2 odd labels of rank n, sorted by (length, rank a, rank b)."""
-    _check_rank(n)
-    out = [
-        FlagLabel(a, b, n)
-        for a in odd_letters(n)
-        for b in odd_letters(n)
-        if abs(a) != abs(b)
-    ]
-    return tuple(sorted(out, key=lambda w: w.sort_key))
+    return _checked(n).labels
 
 
-@functools.lru_cache(maxsize=None)
-def _by_letters(n: int) -> Mapping[tuple[int, int], FlagLabel]:
-    """Each label of ``enumerate_labels(n)`` under its letters ``(a, b)``, read-only."""
-    return MappingProxyType({(w.a, w.b): w for w in enumerate_labels(n)})
-
-
-@functools.lru_cache(maxsize=None)
 def bruhat_masks(n: int) -> tuple[Mapping, tuple[int, ...], tuple[int, ...], Mapping]:
     """Bruhat order of rank n as bitmasks over ``enumerate_labels(n)``.
 
     Returns read-only ``(index, below, covered, level)``: ``index`` maps
     each label to its position, bit j of ``below[i]`` is set iff label
     j <= label i, ``covered[i]`` holds the labels that label i covers, and
-    ``level[l]`` holds the labels of length l.  Built from prefix ORs over
-    the key ranks, with no ``bruhat_leq`` call (module docstring).
+    ``level[l]`` holds the labels of length l.  Built once per rank from
+    prefix ORs over the key ranks, with no ``bruhat_leq`` call
+    (``_Rank.masks``, module docstring).
     """
-    labels = enumerate_labels(n)
-    keys = [_bruhat_key(w) for w in labels]
-    lengths = [w._length for w in labels]  # computed by the sort
-    at = [[0] * (2 * n + 3) for _ in range(3)]  # at[t][r]: key entry t is r
-    level: dict[int, int] = {}
-    for i, key in enumerate(keys):
-        for t, r in enumerate(key):
-            at[t][r] |= 1 << i
-        level[lengths[i]] = level.get(lengths[i], 0) | 1 << i
-    le = [list(itertools.accumulate(row, operator.or_)) for row in at]
-    below = tuple(le[0][x] & le[1][y] & le[2][z] for x, y, z in keys)
-    covered = tuple(b & level.get(lw - 1, 0) for b, lw in zip(below, lengths))
-    index = {w: i for i, w in enumerate(labels)}
-    return MappingProxyType(index), below, covered, MappingProxyType(level)
+    return _checked(n).masks
+
+
+class _Rank:
+    """Every per-rank table of rank n, each built on first read and kept here.
+
+    ``labels``, ``by_letters`` and ``masks`` are ``_Once`` attributes.
+    The memos are plain dicts, filled as queries come: ``parsed``, that of
+    ``parse_label``, and ``lattices``, that of ``lattice.build_cn_lattice``
+    keyed on the letters a, then b, hold at most one entry per label, and
+    ``graphs`` holds ``qbg.build_qbg``'s graph of each rule.  A memo hit
+    reads an attribute that the interpreter can specialise, which it
+    cannot for a descriptor.  ``lattices`` starts with one empty dict per
+    first letter, so making the object checks the rank.  Higher modules
+    attach their own tables as ``_Once`` attributes of the class; the
+    search and the closed form each read only their own tables, beside
+    the labels and the masks.  ``_rank`` keeps the rank objects, so
+    evicting one drops its labels and every table that holds them
+    together.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.parsed: dict = {}  # str(w) -> the table's w
+        self.lattices: dict = {a: {} for a in odd_letters(n)}  # [a][b] -> lattice of (a|b)
+        self.graphs: dict = {}  # strict -> the quantum Bruhat graph
+
+    @_Once
+    def labels(self) -> tuple[FlagLabel, ...]:
+        """The labels of ``enumerate_labels``, one object each."""
+        n, letters = self.n, odd_letters(self.n)
+        out = [FlagLabel(a, b, n) for a in letters for b in letters if abs(a) != abs(b)]
+        return tuple(sorted(out, key=lambda w: w.sort_key))
+
+    @_Once
+    def by_letters(self) -> Mapping[tuple[int, int], FlagLabel]:
+        """Each label of ``labels`` under its letters ``(a, b)``, read-only."""
+        return MappingProxyType({(w.a, w.b): w for w in self.labels})
+
+    @_Once
+    def masks(self) -> tuple[Mapping, tuple[int, ...], tuple[int, ...], Mapping]:
+        """``bruhat_masks(n)``, built from prefix ORs over the key ranks."""
+        keys = [_bruhat_key(w) for w in self.labels]
+        lengths = [w._length for w in self.labels]  # computed by the sort
+        at = [[0] * (2 * self.n + 3) for _ in range(3)]  # at[t][r]: key entry t is r
+        level: dict[int, int] = {}
+        for i, key in enumerate(keys):
+            for t, r in enumerate(key):
+                at[t][r] |= 1 << i
+            level[lengths[i]] = level.get(lengths[i], 0) | 1 << i
+        le = [list(itertools.accumulate(row, operator.or_)) for row in at]
+        below = tuple(le[0][x] & le[1][y] & le[2][z] for x, y, z in keys)
+        covered = tuple(b & level.get(lw - 1, 0) for b, lw in zip(below, lengths))
+        index = {w: i for i, w in enumerate(self.labels)}
+        return MappingProxyType(index), below, covered, MappingProxyType(level)
+
+
+# The rank store: _rank(n) is the rank object of n, one of the last two
+# asked.  Two, not one: run_suite works rank by rank, so it holds about one
+# rank at a time, and code that alternates between two ranks (a caller
+# comparing ranks n and n + 1) runs without rebuilding either.  A caller
+# with no label in hand checks the rank first (_checked): as keys, 2.0
+# equals 2, so the store alone would serve rank 2 to it.
+_rank = functools.lru_cache(maxsize=2)(_Rank)
+
+
+def _checked(n: int) -> _Rank:
+    """The rank object of n, after ``_check_rank``."""
+    _check_rank(n)
+    return _rank(n)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -466,7 +522,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@functools.lru_cache(maxsize=None)
 def down_set(w: FlagLabel) -> tuple[FlagLabel, ...]:
     """All labels u with u <= w, including w itself."""
     index, below, _covered, _level = bruhat_masks(w.n)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from oddflag.cli import MAX_RANK, main
-from oddflag.weyl import enumerate_labels, top_label
+from oddflag.weyl import _rank, top_label
 
 
 def run(capsys, *args):
@@ -208,12 +208,12 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("rank", [MAX_RANK + 1, 10**9])
 @pytest.mark.parametrize("command", ["enumerate", "qbg", "verify"])
 def test_rank_above_the_ceiling_fails_before_any_work(capsys, command, rank):
-    before = enumerate_labels.cache_info()
+    before = _rank.cache_info()
     flag = "--n-max" if command == "verify" else "--n"
     code, out, err = run(capsys, command, flag, str(rank))
     assert code == 2 and out == ""
     assert err == f"oddflag: rank must be at most {MAX_RANK}, got {rank}\n"
-    assert enumerate_labels.cache_info() == before
+    assert _rank.cache_info() == before
 
 
 def test_ceiling_admits_the_documented_ranks(capsys):

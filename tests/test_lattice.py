@@ -42,7 +42,7 @@ CACHES = ("_poset", "_distributive", "_structural_shape")
 def clear_caches():
     for name in CACHES:
         getattr(lattice, name).cache_clear()
-    lattice._lattice.cache_clear()  # the per-label lattice memo
+    weyl._rank.cache_clear()  # the rank objects, with their lattice memos
 
 
 def test_build_examples():
@@ -329,7 +329,7 @@ def test_a_second_shape_query_reads_the_kept_shape(monkeypatch):
     names = ("_structural_shape", "figure_shape_predicate")
     for name in names:
         monkeypatch.setattr(lattice, name, spy(name))
-    lattice._lattice.cache_clear()
+    weyl._rank.cache_clear()
     lats = [build_cn_lattice(w) for w in enumerate_labels(3)]
     first = [classify_shape(lat) for lat in lats]
     assert calls == {name: len(lats) for name in names}
@@ -339,7 +339,7 @@ def test_a_second_shape_query_reads_the_kept_shape(monkeypatch):
 
 
 def test_a_mismatched_shape_raises_on_every_query_and_keeps_nothing(monkeypatch):
-    lattice._lattice.cache_clear()
+    weyl._rank.cache_clear()
     lat = build_cn_lattice(label(1, 2, 3))
     with monkeypatch.context() as m:
         m.setattr(lattice, "figure_shape_predicate", lambda w: "4-chain")
@@ -500,9 +500,11 @@ def test_order_matches_the_union_leq_oracle(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_building_a_lattice_compares_no_pair(monkeypatch, n):
     # The order comes from the lower-set masks of weyl.bruhat_masks,
-    # rebuilt here from an empty cache.  The closed-form values are taken
-    # before the spies go in: a two-component value checks its antichain
-    # with bruhat_leq when it is built, and that is not the order's work.
+    # rebuilt here from an empty rank store.  The closed-form values are
+    # taken before the spies go in: a two-component value checks its
+    # antichain with bruhat_leq when it is built, and that is not the
+    # order's work.
+    weyl._rank.cache_clear()  # a memo hit would build nothing
     values = {
         (w, d): gamma_closed_form(w, d)
         for w in enumerate_labels(n)
@@ -523,21 +525,19 @@ def test_building_a_lattice_compares_no_pair(monkeypatch, n):
         monkeypatch.setattr(module, "bruhat_leq", spy("bruhat_leq", leq), raising=False)
     for module in (neighborhoods, lattice):
         monkeypatch.setattr(module, "union_leq", spy("union_leq", union_leq), raising=False)
-    weyl.bruhat_masks.cache_clear()
-    lattice._lattice.cache_clear()  # a memo hit would build nothing
     for w in enumerate_labels(n):
         assert build_cn_lattice(w).size >= 1
-    assert lattice._lattice.cache_info().misses == len(enumerate_labels(n))
+    assert sum(map(len, weyl._rank(n).lattices.values())) == len(enumerate_labels(n))
     assert calls == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_memoised_lattices_equal_fresh_builds(n):
-    lattice._lattice.cache_clear()
+    weyl._rank.cache_clear()
     lats = []
     for w in enumerate_labels(n):
         lat = build_cn_lattice(w)
-        assert lat == lattice._lattice.__wrapped__(w.a, w.b, n), w
+        assert lat == lattice._lattice(w.a, w.b, n), w
         assert build_cn_lattice(w) is lat
         lats.append(lat)
         assert lat.order is lattice._poset(lat.order)[0], w
@@ -546,9 +546,12 @@ def test_memoised_lattices_equal_fresh_builds(n):
 
 
 def test_a_parsed_label_gets_the_table_label_lattice():
+    # A parse returns the table's label; an equal copy built by hand gets
+    # the lattice of the table's label too.
     for n in (2, 4, 12):
         for w in enumerate_labels(n):
-            copy = parse_label(str(w), n)
+            assert parse_label(str(w), n) is w
+            copy = label(w.a, w.b, n)
             assert copy == w and copy is not w
             lat = build_cn_lattice(copy)
             assert build_cn_lattice(w) is lat
@@ -567,7 +570,7 @@ def test_a_second_query_builds_nothing(monkeypatch):
         return real(w, d)
 
     monkeypatch.setattr(lattice, "gamma_closed_form", counted)
-    lattice._lattice.cache_clear()
+    weyl._rank.cache_clear()
     for n in (2, 12):
         for w in enumerate_labels(n):
             first = build_cn_lattice(w)
@@ -584,17 +587,24 @@ def test_a_second_query_builds_nothing(monkeypatch):
 def test_a_failed_build_raises_every_time_and_caches_nothing(monkeypatch):
     # With a wrong top, CNLattice's extreme check raises; no lattice is kept.
     monkeypatch.setattr(lattice, "top_label", lambda n: label(1, 2, n))
-    lattice._lattice.cache_clear()
+    weyl._rank.cache_clear()
     for _ in range(3):
         with pytest.raises(VerificationError, match="minimum"):
             build_cn_lattice(label(1, 2, 2))
-    info = lattice._lattice.cache_info()
-    assert (info.currsize, info.hits, info.misses) == (0, 0, 3)
+    assert not any(weyl._rank(2).lattices.values())
 
 
 def test_the_lattice_memo_holds_a_whole_rank():
-    assert lattice._lattice.cache_info().maxsize >= 4 * cli.MAX_RANK**2
-    assert len(enumerate_labels(cli.MAX_RANK)) == 4 * cli.MAX_RANK**2
+    # One lattice per label, keyed on its letters: the memo is bounded by
+    # the 4n^2 labels of its rank, and every repeated query is a hit.
+    for n in (2, cli.MAX_RANK):
+        weyl._rank.cache_clear()
+        labels = enumerate_labels(n)
+        first = [build_cn_lattice(w) for w in labels]
+        assert all(build_cn_lattice(label(w.a, w.b, n)) is lat for w, lat in zip(labels, first))
+        memo = weyl._rank(n).lattices
+        assert sum(map(len, memo.values())) == len(labels) == 4 * n * n
+        assert all(memo[w.a][w.b] is lat for w, lat in zip(labels, first))
 
 
 def test_dot_and_json_exports():

@@ -106,7 +106,7 @@ def test_closed_form_builds_no_single_component_union(monkeypatch, n):
     # union once, and so do the two two-component values, of (2|b) at
     # (0,1) and of (1|2), (2|1) at (1,1), so once the rows are built a call
     # builds no union at all.
-    rows = neighborhoods._closed_form_rows(n)
+    rows = weyl._rank(n)._closed_form_rows
     built = []
     init = SchubertUnion.__init__
 
@@ -121,9 +121,9 @@ def test_closed_form_builds_no_single_component_union(monkeypatch, n):
             value = gamma_closed_form(w, d)
             if len(value.components) == 1:
                 (v,) = value
-                assert value is rows[v.a, v.b][0]
+                assert value is rows[v.a][v.b][0]
             else:
-                assert value is (rows[2, 1][1] if d.d1 == 0 else rows[1, 2][4]), (w, d)
+                assert value is (rows[2][1][1] if d.d1 == 0 else rows[1][2][4]), (w, d)
                 pairs += 1
     assert pairs > 0 and built == []
 
@@ -133,10 +133,10 @@ def test_rows_match_the_closed_form_oracle(n):
     # Every label's row against the rule-by-rule oracle on the (4,4) grid,
     # past the stable regime (1,2) in both parts; each value is the row's
     # object at column 3*min(d1,1) + min(d2,2).
-    rows = neighborhoods._closed_form_rows(n)
-    assert len(rows) == 4 * n * n
+    rows = weyl._rank(n)._closed_form_rows
+    assert sum(map(len, rows.values())) == 4 * n * n
     for w in enumerate_labels(n):
-        row = rows[w.a, w.b]
+        row = rows[w.a][w.b]
         assert len(row) == 6 and row[1] is row[2]
         for d in degree_grid(Degree(4, 4)):
             value = gamma_closed_form(w, d)
@@ -169,22 +169,22 @@ def test_the_search_does_not_read_the_closed_form_table(monkeypatch):
     # moment graph's masks, which the search reads, stay out of the
     # closed form.
     def refuse(what):
-        def fail(n):
+        def fail(rank):
             raise AssertionError(f"read {what}")
 
-        return fail
+        return property(fail)
 
+    # Each table is read off a fresh rank object, where a refusal raises.
     with monkeypatch.context() as m:
-        m.setattr(weyl, "_by_letters", refuse("the closed form's label table"))
-        m.setattr(neighborhoods, "_closed_form_rows", refuse("the closed form's rows"))
-        neighborhoods._search_index.cache_clear()
-        moment.moment_masks.cache_clear()
+        m.setattr(weyl._Rank, "by_letters", refuse("the closed form's label table"))
+        m.setattr(weyl._Rank, "_closed_form_rows", refuse("the closed form's rows"))
+        weyl._rank.cache_clear()
         for w in enumerate_labels(3):
             for d in degree_grid(Degree(2, 2)):
                 assert gamma_bfs(w, d).n == 3
-    for module in (moment, neighborhoods):
-        monkeypatch.setattr(module, "moment_masks", refuse("the search's moment masks"))
-    neighborhoods._search_index.cache_clear()
+    monkeypatch.setattr(weyl._Rank, "_moment_masks", refuse("the search's moment masks"))
+    monkeypatch.setattr(weyl._Rank, "_search_index", refuse("the search index"))
+    weyl._rank.cache_clear()
     for w in enumerate_labels(3):
         for d in degree_grid(Degree(2, 2)):
             assert gamma_closed_form(w, d).n == 3
@@ -230,6 +230,11 @@ def test_union_leq_matches_the_pairwise_oracle(n):
         assert union_leq(x, y) == union_leq_oracle(x, y), (x, y)
 
 
+def all_rows(n):
+    """Every row of the closed form's table at rank n."""
+    return [row for by_b in weyl._rank(n)._closed_form_rows.values() for row in by_b.values()]
+
+
 def fresh_lower(value):
     """L(value) ORed anew from the rank's Bruhat lower sets."""
     index, below, _covered, _level = weyl.bruhat_masks(value.n)
@@ -241,7 +246,7 @@ def fresh_lower(value):
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_every_row_value_keeps_its_lower_set_mask(n):
-    for row in neighborhoods._closed_form_rows(n).values():
+    for row in all_rows(n):
         for value in row:
             assert value._lower == fresh_lower(value), value
 
@@ -268,7 +273,7 @@ def test_a_kept_mask_changes_no_equality_hash_or_repr():
 def test_every_row_value_keeps_its_text(n):
     # A closed-form value prints its text once; every later str() returns
     # the same string object.
-    for row in neighborhoods._closed_form_rows(n).values():
+    for row in all_rows(n):
         for value in row:
             text = str(value)
             assert str(value) is text
@@ -297,10 +302,10 @@ def test_a_repeated_containment_reads_no_bruhat_table(monkeypatch):
     ]
     assert True in want and False in want
 
-    def refuse(n):
+    def refuse(rank):
         raise AssertionError("a repeated containment read the Bruhat table")
 
-    monkeypatch.setattr(weyl, "bruhat_masks", refuse)
+    monkeypatch.setattr(weyl._Rank, "masks", property(refuse))
     got = [
         union_leq(gamma_closed_form(w, d), gamma_closed_form(v, e))
         for w, d, v, e in queries
@@ -488,7 +493,7 @@ def _search(index, w, d):
 @pytest.mark.parametrize("n", [2, 3])
 def test_search_matches_reference_cold_and_after_cross_check(n):
     want = _reference_cells(n)
-    neighborhoods._search_index.cache_clear()
+    weyl._rank.cache_clear()
     for w, d in want:
         assert gamma_bfs(w, d) == want[w, d], (w, d)
     assert cross_check(n, Degree(3, 5)).ok
@@ -510,8 +515,7 @@ def test_building_the_search_index_compares_no_pair(monkeypatch, n):
 
     for module in (weyl, neighborhoods):
         monkeypatch.setattr(module, "bruhat_leq", spy)
-    weyl.bruhat_masks.cache_clear()
-    moment.moment_masks.cache_clear()
+    weyl._rank.cache_clear()
     index = neighborhoods._SearchIndex(enumerate_labels(n), moment.moment_masks(n))
     assert calls == []
     assert len(index.below) == 4 * n * n
@@ -524,7 +528,7 @@ def test_maxima_recursion_matches_the_bit_expanding_search(n):
     # expands every set bit, as the recursion is written.  Reached sets and
     # their maxima must agree on every base and degree, huge ones included.
     g = build_moment_graph(n)
-    index = neighborhoods._search_index(n)
+    index = weyl._rank(n)._search_index
     oracle = BitExpandingSearch(g)
     for w in range(len(g.vertices)):
         for d in ORACLE_DEGREES:
@@ -545,8 +549,7 @@ def test_the_search_and_the_discrepancies_build_no_object_graph(monkeypatch, n):
             for attr, value in list(vars(module).items()):
                 if value is build_moment_graph:
                     monkeypatch.setattr(module, attr, refuse)
-    neighborhoods._search_index.cache_clear()
-    moment.moment_masks.cache_clear()
+    weyl._rank.cache_clear()
     assert cross_check(n, Degree(2, 2)).ok
     assert gamma_bfs(top_label(n), Degree(10**6, 10**6)).components == (top_label(n),)
     assert qbg.moment_discrepancies(n) == want
@@ -559,7 +562,7 @@ def test_reached_sets_are_stable_beyond_degree_one_two(n, monkeypatch):
     # the window lemma (module docstring) R[d] = R[min(d, (1,2))] then
     # holds at every degree d, which extends
     # test_regime_stability_via_search to all degrees for these ranks.
-    index = neighborhoods._search_index(n)
+    index = weyl._rank(n)._search_index
     for w in range(len(index.labels)):
         for e in degree_grid(Degree(2, 4)):
             stable = index.reached(w, min(e.d1, 1), min(e.d2, 2))
@@ -592,7 +595,7 @@ def test_cross_check_fills_each_base_grid_once(n, monkeypatch):
         filled.append((w, e1, e2))
         return fill(self, grid, w, e1, e2)
 
-    neighborhoods._search_index.cache_clear()
+    weyl._rank.cache_clear()
     monkeypatch.setattr(neighborhoods._SearchIndex, "_cell", counted)
     assert cross_check(n, Degree(2, 2)).ok
     assert len(filled) == 9 * 4 * n * n
@@ -633,7 +636,7 @@ def test_a_refused_cell_is_refused_again_on_every_call(monkeypatch):
     # with a grid of its own.
     for g in (_cycling_chain(), *(skipping_path(n) for n in (2, 3, 4))):
         index = _index_of(g)
-        monkeypatch.setattr(neighborhoods, "_search_index", lambda n: index)
+        monkeypatch.setattr(weyl._Rank, "_search_index", property(lambda rank: index))
         refused = 0
         for w in g.vertices:
             for d in MEMO_DEGREES:
@@ -654,10 +657,10 @@ def test_a_grid_never_serves_another_index(monkeypatch):
     # The second answer must follow the new index, never the cells the
     # first one filled.
     n = 3
-    real = neighborhoods._search_index(n)
+    real = weyl._rank(n)._search_index
     other = _index_of(skipping_path(n))
     current = [real]
-    monkeypatch.setattr(neighborhoods, "_search_index", lambda n: current[0])
+    monkeypatch.setattr(weyl._Rank, "_search_index", property(lambda rank: current[0]))
     differ = 0
     for w in enumerate_labels(n):
         for d in (Degree(10**6, 10**6), Degree(2, 2), Degree(0, 3)):
@@ -669,17 +672,18 @@ def test_a_grid_never_serves_another_index(monkeypatch):
     assert differ > 0
     monkeypatch.undo()
 
-    def rows_only(n):
-        return {(0, 1): moment.moment_masks(n)[0, 1]}
+    def rows_only(rank):
+        return {(0, 1): moment._moment_masks(rank)[0, 1]}
 
     w, d, top = label(1, 2, n), Degree(1, 2), SchubertUnion((top_label(n),))
-    neighborhoods._search_index.cache_clear()
+    weyl._rank.cache_clear()
     assert gamma_bfs(w, d) == top
-    neighborhoods._search_index.cache_clear()
-    monkeypatch.setattr(neighborhoods, "moment_masks", rows_only)
-    rows = neighborhoods._search_index(n)
+    weyl._rank.cache_clear()
+    monkeypatch.setattr(weyl._Rank, "_moment_masks", property(rows_only))
+    rows = weyl._rank(n)._search_index
     assert _outcome(gamma_bfs, w, d) == _fresh(rows, w, d) != top
-    neighborhoods._search_index.cache_clear()
+    monkeypatch.undo()
+    weyl._rank.cache_clear()
 
 
 def test_calls_interleaved_across_bases_and_ranks_match_the_reference():
@@ -689,7 +693,7 @@ def test_calls_interleaved_across_bases_and_ranks_match_the_reference():
     cells = [(w, d) for n in (2, 3) for w, d in _reference_cells(n)]
     order = list(range(len(cells)))
     random.Random(27).shuffle(order)
-    neighborhoods._search_index.cache_clear()
+    weyl._rank.cache_clear()
     for k in order:
         w, d = cells[k]
         assert gamma_bfs(w, d) == _reference_cells(w.n)[w, d], (w, d)
@@ -818,7 +822,7 @@ def test_threads_sharing_a_lazily_built_index_get_every_cell_right():
     want = _reference_cells(2)
     cells = list(want)
     wrong = []
-    neighborhoods._search_index.cache_clear()
+    weyl._rank.cache_clear()
 
     def worker(k):
         # The rank starts without its search index, so the first calls

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oddflag import qbg
+from oddflag import qbg, weyl
 from oddflag.cli import main
 from oddflag.errors import DomainError
 from oddflag.moment import Degree, build_moment_graph, moment_masks
@@ -79,24 +79,31 @@ def test_edge_counts_fit_closed_formulas(n):
     assert len(build_qbg(n).edges) == 12 * n * n
 
 
-def test_one_build_per_rank_whatever_the_spelling(tmp_path):
+def test_one_build_per_rank_whatever_the_spelling(tmp_path, monkeypatch):
     # The CLI asks for build_qbg(n, strict=False) and the verdict for
-    # build_qbg(n); both must land on one cached graph.
-    qbg._build_qbg.cache_clear()
+    # build_qbg(n); both must land on the one graph the rank object keeps.
+    builds = []
+    real = qbg._build_qbg
+
+    def counted(n, strict):
+        builds.append((n, strict))
+        return real(n, strict)
+
+    monkeypatch.setattr(qbg, "_build_qbg", counted)
+    weyl._rank.cache_clear()
     out = str(tmp_path / "g.json")
     assert main(["qbg", "--n", "3", "--format", "json", "--out", out]) == 0
-    info = qbg._build_qbg.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    assert build_qbg(3) is build_qbg(3, strict=False) is qbg._build_qbg(3, False)
-    assert qbg._build_qbg.cache_info().misses == 1
+    assert builds == [(3, False)]
+    assert build_qbg(3) is build_qbg(3, strict=False) is weyl._rank(3).graphs[False]
+    assert builds == [(3, False)]
 
-    qbg._build_qbg.cache_clear()
+    weyl._rank.cache_clear()
+    builds.clear()
     run_suite(3)
-    info = qbg._build_qbg.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
+    assert builds == [(2, False), (3, False)]
     for n in (2, 3):
         assert build_qbg(n) is build_qbg(n, strict=False)
-    assert qbg._build_qbg.cache_info().misses == 2
+    assert builds == [(2, False), (3, False)]
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -128,11 +135,7 @@ def test_build_makes_no_bruhat_comparison_of_its_own(monkeypatch, n, strict):
         raise AssertionError(f"build_qbg compared {v} with {c}")
 
     monkeypatch.setattr(qbg, "bruhat_leq", refuse)
-    qbg._build_qbg.cache_clear()
-    try:
-        got = [(e.u, e.v, e.degree) for e in qbg._build_qbg(n, strict).edges]
-    finally:
-        qbg._build_qbg.cache_clear()
+    got = [(e.u, e.v, e.degree) for e in qbg._build_qbg(n, strict).edges]
     assert got == uncut_qbg_edges(n, strict)
 
 
@@ -354,12 +357,9 @@ def test_a_verdict_runs_two_searches_over_label_indices(monkeypatch):
         return real(succ, root)
 
     monkeypatch.setattr(qbg, "_depths", spy)
-    qbg._build_qbg.cache_clear()
-    try:
-        g = build_qbg(5)
-        verdict = property_o_verdict(5)
-    finally:
-        qbg._build_qbg.cache_clear()
+    weyl._rank.cache_clear()
+    g = build_qbg(5)
+    verdict = property_o_verdict(5)
     assert verdict.holds
     assert roots == [0, 0]
     assert "successors" not in vars(g)
@@ -369,15 +369,16 @@ def test_a_verdict_hashes_no_label(monkeypatch):
     # The verdict searches the adjacency of label indices that the cached
     # build keeps, and finds the witness labels by their letters, so it
     # hashes no FlagLabel.
-    ranks = (2, 3, 5, 12)
-    want = {n: property_o_verdict(n) for n in ranks}
-
+    # Each rank is asked again while its graph is kept: the rank store
+    # holds two ranks, so a later pass over all four would rebuild.
     def refuse(self):
         raise AssertionError(f"the verdict hashed {self}")
 
-    monkeypatch.setattr(FlagLabel, "__hash__", refuse)
-    for n in ranks:
-        assert property_o_verdict(n) == want[n] and want[n].holds
+    for n in (2, 3, 5, 12):
+        want = property_o_verdict(n)
+        with monkeypatch.context() as m:
+            m.setattr(FlagLabel, "__hash__", refuse)
+            assert property_o_verdict(n) == want and want.holds
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -418,9 +419,9 @@ def test_a_cold_build_reads_each_reach_from_the_kept_mask():
     # union whose mask it reads first.  An index lookup per component per
     # (label, degree) hashed 1,199 labels here; the guard allows half.
     code = (
-        "from oddflag import neighborhoods, qbg, weyl\n"
-        "weyl.bruhat_masks(12)\n"
-        "neighborhoods._closed_form_rows(12)\n"
+        "from oddflag import qbg, weyl\n"
+        "rank = weyl._rank(12)\n"
+        "rank.masks, rank._closed_form_rows\n"
         "calls = []\n"
         "real = weyl.FlagLabel.__hash__\n"
         "def spy(w):\n"

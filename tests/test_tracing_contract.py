@@ -35,7 +35,11 @@ def test_traced_function_exists(module, func):
     assert callable(getattr(importlib.import_module(f"oddflag.{module}"), func, None))
 
 
-@pytest.mark.parametrize("module, func", TRACED.HOT_FUNCTIONS)
+# The gate compares a hot wrapper's count with its cache's, and the
+# benchmark reads the hit ratio of bruhat_leq's cache.  A hot function with
+# no cache (down_set, a few bit reads of the rank's masks) is counted by
+# its wrapper alone.
+@pytest.mark.parametrize("module, func", [("weyl", "bruhat_leq")])
 def test_hot_function_is_cached(module, func):
     fn = getattr(importlib.import_module(f"oddflag.{module}"), func)
     assert hasattr(fn, "cache_info")
@@ -56,7 +60,8 @@ def test_cross_check_calls_gamma_bfs_once_per_cell(monkeypatch):
 
 def test_hot_call_gate_holds_after_build_qbg(monkeypatch):
     # The tracer's gate: each hot wrapper's call count equals its cache's
-    # hits plus misses.  Install the real tracer (every attribute it
+    # hits plus misses (bruhat_leq); down_set has no cache, so only its
+    # wrapper counts its calls.  Install the real tracer (every attribute it
     # replaces is restored afterwards), build a graph cold, and read the
     # gate as a traced run would.
     targets = TRACED.SPAN_FUNCTIONS + TRACED.HOT_FUNCTIONS
@@ -68,13 +73,11 @@ def test_hot_call_gate_holds_after_build_qbg(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if id(value) in originals:
                     monkeypatch.setattr(module, attr, value)
-    caches = {f"weyl.{f}": getattr(weyl, f) for _m, f in TRACED.HOT_FUNCTIONS}
-    for fn in caches.values():
-        fn.cache_clear()
-    qbg._build_qbg.cache_clear()
+    caches = {"weyl.bruhat_leq": weyl.bruhat_leq}
+    weyl.bruhat_leq.cache_clear()
     # The graph's only Bruhat comparisons check the closed form's two
     # two-component values, which its per-rank rows keep once built.
-    neighborhoods._closed_form_rows.cache_clear()
+    weyl._rank.cache_clear()
 
     tracer = TRACED.Tracer()
     tracer.install()
@@ -84,7 +87,7 @@ def test_hot_call_gate_holds_after_build_qbg(monkeypatch):
 
     summary = tracer.summary(caches)
     assert TRACED.check_summary(summary) == []
-    for name, fn in caches.items():
-        info = fn.cache_info()
-        assert summary["hot"][name]["calls"] == info.hits + info.misses > 0
+    info = caches["weyl.bruhat_leq"].cache_info()
+    assert summary["hot"]["weyl.bruhat_leq"]["calls"] == info.hits + info.misses > 0
+    assert summary["hot"]["weyl.down_set"]["calls"] == len(g.vertices)
     assert summary["counters"]["qbg.edges"] == len(g.edges)

@@ -1,7 +1,8 @@
 """Every failure report of ``verify``, each reached by one monkeypatch.
 
 Each case replaces one name in ``oddflag.verify``'s namespace (or, for the
-cross-check, in ``oddflag.neighborhoods``'s) so that one chosen branch of
+cross-check, in ``oddflag.neighborhoods``'s, or the search index on every
+rank object) so that one chosen branch of
 one check reports a failure, runs ``run_suite(2)``, and pins that row's
 name, rank, status and detail text.  Other rows may fail as well under the
 same patch; only the targeted row is asserted.
@@ -11,7 +12,7 @@ import sys
 
 import pytest
 
-from oddflag import cli, neighborhoods, verify
+from oddflag import cli, neighborhoods, verify, weyl
 from oddflag.errors import DomainError, VerificationError
 from oddflag.moment import Degree, MomentGraph
 from oddflag.qbg import ChernData, PropertyOVerdict
@@ -79,13 +80,13 @@ def _chern_data_with_index_3(n):
     return ChernData(c.n, c.a1, c.a2, c.div1, c.div2, 3)
 
 
-def _skipping_path_index(n):
+def _skipping_path_index(rank):
     """The search index of every other label in one path of (0,1) edges.
 
     A walk along it skips the labels between its stops, so the search's
     reached sets are not Bruhat lower sets and its certificate raises.
     """
-    g = skipping_path(n)
+    g = skipping_path(rank.n)
     return neighborhoods._SearchIndex(g.vertices, edge_masks(g))
 
 
@@ -156,7 +157,7 @@ CASES = [
     ),
     (
         "curve-neighborhoods-certificate",
-        (neighborhoods, "_search_index", _skipping_path_index),
+        (weyl._Rank, "_search_index", property(_skipping_path_index)),
         False,
         "curve-neighborhoods",
         "search from 1|2: the labels reached within (0,2) do not form a "

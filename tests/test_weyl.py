@@ -6,7 +6,7 @@ from oddflag.errors import DomainError
 from oddflag.weyl import (
     FlagLabel,
     Root,
-    _parse_label,
+    _rank,
     _reflect_letters,
     alphabet,
     bruhat_leq,
@@ -304,13 +304,13 @@ def test_label_text_round_trip():
 
 
 def test_label_parse_errors():
-    # A parse that raises caches nothing, so it raises on every call.
-    _parse_label.cache_clear()
+    # A parse that raises keeps nothing, so it raises on every call.
+    _rank.cache_clear()
     for _ in range(3):
-        for text in ("12", "1|2|3", "a|b", "0|2", "-1|2", "1|1"):
+        for text in ("12", "1|2|3", "a|b", "0|2", "-1|2", "1|1", "4|1", "99999999999|1"):
             with pytest.raises(DomainError):
                 parse_label(text, 2)
-    assert _parse_label.cache_info().currsize == 0
+    assert _rank(2).parsed == {}
 
 
 @pytest.mark.parametrize(
@@ -330,7 +330,7 @@ def test_signed_and_spaced_label_sides_still_parse():
 
 
 def test_a_repeated_parse_builds_no_label(monkeypatch):
-    _parse_label.cache_clear()
+    _rank.cache_clear()
     first = {text: parse_label(text, 3) for text in ("1|2", "-2|1", " 3 | -4 ")}
     built = []
     init = FlagLabel.__post_init__
@@ -346,7 +346,7 @@ def test_a_repeated_parse_builds_no_label(monkeypatch):
 
 
 def test_a_cached_parse_keeps_a_float_rank_an_error():
-    _parse_label.cache_clear()
+    _rank.cache_clear()
     assert parse_label("1|2", 2) == label(1, 2, 2)
     with pytest.raises(DomainError, match="rank"):
         parse_label("1|2", 2.0)
@@ -357,7 +357,7 @@ def test_a_parse_rejects_a_rank_that_is_not_an_int(rank):
     # The rank is checked before the memo is asked, so a rank the memo
     # cannot hash, or would take for an equal int key, is a DomainError,
     # before and after the int rank is cached.
-    _parse_label.cache_clear()
+    _rank.cache_clear()
     for _ in range(2):
         with pytest.raises(DomainError, match="rank must be an integer >= 2"):
             parse_label("1|2", rank)
@@ -367,26 +367,31 @@ def test_a_parse_rejects_a_rank_that_is_not_an_int(rank):
 @pytest.mark.parametrize("text", [12, b"1|2", ["1|2"], ("1", "2"), None])
 def test_a_parse_rejects_a_text_that_is_not_a_str(text):
     # The text is checked after the rank and before the memo is asked, so
-    # an unhashable text never reaches the memo and nothing is cached.
-    _parse_label.cache_clear()
+    # an unhashable text never reaches the memo and no rank is built.
+    _rank.cache_clear()
     for _ in range(2):
         with pytest.raises(DomainError, match="label must be a str like 'a|b', got "):
             parse_label(text, 2)
         with pytest.raises(DomainError, match="rank must be an integer >= 2"):
             parse_label(text, 1)
-    info = _parse_label.cache_info()
+    info = _rank.cache_info()
     assert (info.currsize, info.misses, info.hits) == (0, 0, 0)
 
 
 def test_every_label_of_rank_16_fits_in_the_parse_memo():
-    _parse_label.cache_clear()
-    texts = [str(w) for w in enumerate_labels(16)]
-    assert len(texts) == 1024
-    first = [parse_label(text, 16) for text in texts]
-    assert [parse_label(text, 16) for text in texts] == first
-    assert all(parse_label(text, 16) is w for text, w in zip(texts, first))
-    info = _parse_label.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (1024, 1024, 2048)
+    # The memo holds only canonical texts, so it is bounded by the 4n^2
+    # labels of its rank, however many spellings are parsed; every parse
+    # returns the rank table's label.
+    for n in (2, 16):
+        _rank.cache_clear()
+        labels = enumerate_labels(n)
+        texts = [str(w) for w in labels]
+        spaced = [f" {w.a} | {w.b} " for w in labels]
+        for _ in range(2):
+            assert all(parse_label(text, n) is w for text, w in zip(texts, labels))
+            assert all(parse_label(text, n) is w for text, w in zip(spaced, labels))
+        assert list(_rank(n).parsed) == texts
+        assert len(_rank(n).parsed) == 4 * n * n
 
 
 def test_signed_permutation_validation():
