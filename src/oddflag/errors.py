@@ -16,25 +16,55 @@ class VerificationError(RuntimeError):
 class _Frozen:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in ``__match_args__`` and writes its own
-    ``__init__``, which sets them with ``object.__setattr__``.  The base
-    gives the ``Name(field=value, ...)`` repr, equality with objects of the
-    same class only, the hash of the tuple of fields, and refuses
-    assignment and deletion.  Classes compared or hashed in hot loops spell
-    out their own ``__eq__`` and ``__hash__``.
+    A subclass names its fields in ``__match_args__``.  The base binds
+    positional and keyword values to them (``__init__``), gives the
+    ``Name(field=value, ...)`` repr, equality with objects of the same
+    class only, the hash of the tuple of fields, and refuses assignment and
+    deletion.  A class that checks or normalises its input writes its own
+    ``__init__``, which sets the fields with ``object.__setattr__``.
+    Classes compared or hashed in hot loops spell out their own ``__eq__``
+    and ``__hash__``.
 
     The base has no instance dict.  A class that keeps no computed
     attribute declares ``__slots__ = __match_args__ = (...)``, so its
     values hold their fields and nothing else; a class that keeps one
-    (``weyl._Once``, ``functools.cached_property``) declares no slots and
-    keeps it in its dict.  A copy or an unpickled value is rebuilt through
-    the class's own ``__init__`` from its fields (``__reduce__``), since
-    restoring state would assign to it: it is validated again and carries
-    no kept attribute.
+    (through ``weyl._Once``, or the quantum graph's index adjacency)
+    declares no slots and keeps it in its dict.  A copy or an unpickled
+    value is rebuilt through the class's ``__init__`` from its fields
+    (``__reduce__``), since restoring state would assign to it: it is
+    validated again and carries no kept attribute.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """The field values in order, from positional and keyword values.
+
+        Raises ``TypeError`` for a value that is extra, unknown, given
+        twice or missing, as a written-out signature would.
+        """
+        names, cls = self.__match_args__, type(self).__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} values, got {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls}() got an unknown field {name!r}")
+            if name in values:
+                raise TypeError(f"{cls}() got field {name!r} twice")
+            values[name] = value
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{cls}() missing fields {', '.join(map(repr, missing))}")
+        return tuple(values[name] for name in names)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

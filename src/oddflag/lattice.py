@@ -20,11 +20,13 @@ Every fact the module reads of an order matrix comes from one record,
 axioms are checked on them in O(k^2) mask operations, and the join and
 meet tables are read off them (see ``_poset``).  The record is a pure
 function of ``order``, so it is computed once per distinct order, in an
-``lru_cache`` bounded at 256 keys (``FinitePoset`` takes any order).  Its
-``order`` is the first-seen tuple equal to the key, and ``FinitePoset``
-and ``CNLattice`` store that one, so instances with equal orders share
-one order tuple.  An invalid order raises on every call, since a call
-that raises caches nothing.  The instances still accept list rows.
+``lru_cache`` bounded at 256 keys (``is_lattice``, ``is_distributive``
+and ``hasse_edges`` read only the ``order`` of what they are given, so
+they take any finite poset).  Its ``order`` is the first-seen tuple equal
+to the key, and ``CNLattice`` stores that one, so lattices with equal
+orders share one order tuple.  An invalid order raises on every call,
+since a call that raises caches nothing.  ``CNLattice`` still accepts
+list rows.
 
 Two facts stay lazy, each in its own ``lru_cache`` of 256 keys: the
 distributivity verdict, a function of ``order`` (both routes and their
@@ -70,7 +72,6 @@ from .weyl import FlagLabel, _bits, _Once, _rank, letter_rank, top_label
 __all__ = [
     "REPRESENTATIVE_DEGREES",
     "CNLattice",
-    "FinitePoset",
     "build_cn_lattice",
     "is_lattice",
     "is_distributive",
@@ -155,25 +156,6 @@ def _poset(order: OrderMatrix) -> Poset:
     join = tuple(tuple(by_up.get(ua & ub) for ub in up) for ua in up)
     meet = tuple(tuple(by_down.get(da & db) for db in down) for da in down)
     return order, tuple(up), tuple(down), join, meet
-
-
-class FinitePoset(_Frozen):
-    """A finite poset given by its full order matrix; order[i][j] iff i <= j."""
-
-    order: OrderMatrix
-    __slots__ = __match_args__ = ("order",)
-
-    def __init__(self, order: OrderMatrix) -> None:
-        object.__setattr__(self, "order", order)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        # _poset checks the partial-order axioms.
-        object.__setattr__(self, "order", _poset(tuple(map(tuple, self.order)))[0])
-
-    @property
-    def size(self) -> int:
-        return len(self.order)
 
 
 class CNLattice(_Frozen):
@@ -271,7 +253,7 @@ def _complete(join: BoundTable, meet: BoundTable) -> bool:
     return all(None not in row for row in join) and all(None not in row for row in meet)
 
 
-def is_lattice(lat: CNLattice | FinitePoset) -> bool:
+def is_lattice(lat: CNLattice) -> bool:
     """Every pair has a unique least upper and greatest lower bound."""
     _order, _up, _down, join, meet = _poset(lat.order)
     return _complete(join, meet)
@@ -315,7 +297,7 @@ def _sublattice_shapes(
     return False
 
 
-def is_distributive(lat: CNLattice | FinitePoset) -> bool:
+def is_distributive(lat: CNLattice) -> bool:
     """Distributivity, decided twice: triple law and forbidden sublattices.
 
     The verdict is decided once per order matrix (module docstring), from
@@ -410,7 +392,7 @@ def classify_shape(lat: CNLattice) -> str:
     return lat._shape
 
 
-def hasse_edges(lat: CNLattice | FinitePoset) -> tuple[tuple[int, int], ...]:
+def hasse_edges(lat: CNLattice) -> tuple[tuple[int, int], ...]:
     """Cover pairs (i, j) with element i covered by element j.
 
     j covers i iff the interval up[i] & down[j] is exactly {i, j}.

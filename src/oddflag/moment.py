@@ -133,12 +133,6 @@ class MomentEdge(_Frozen):
     root: Root
     __slots__ = __match_args__ = ("u", "v", "degree", "root")
 
-    def __init__(self, u: FlagLabel, v: FlagLabel, degree: Degree, root: Root) -> None:
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "root", root)
-
 
 class MomentGraph(_Frozen):
     """Immutable unoriented multigraph; edges stored once per pair+root."""
@@ -147,13 +141,6 @@ class MomentGraph(_Frozen):
     vertices: tuple[FlagLabel, ...]
     edges: tuple[MomentEdge, ...]
     __slots__ = __match_args__ = ("n", "vertices", "edges")
-
-    def __init__(
-        self, n: int, vertices: tuple[FlagLabel, ...], edges: tuple[MomentEdge, ...]
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
 
     def degree_counts(self) -> dict[Degree, int]:
         counts: dict[Degree, int] = {}

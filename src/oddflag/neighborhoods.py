@@ -120,9 +120,16 @@ class SchubertUnion(_Frozen):
     def __init__(self, components: Iterable[FlagLabel]) -> None:
         if type(components) is not tuple:
             components = tuple(components)
-        object.__setattr__(self, "components", components)
         if len(components) != 1:  # no check below can fail on one label
-            self.__post_init__()
+            components = tuple(sorted(set(components), key=lambda w: w.sort_key))
+            if not components:
+                raise DomainError("a Schubert union has at least one component")
+            if len({w.n for w in components}) != 1:
+                raise DomainError("components must share one rank")
+            for x, y in itertools.combinations(components, 2):
+                if bruhat_leq(x, y) or bruhat_leq(y, x):
+                    raise DomainError(f"components {x} and {y} are comparable")
+        object.__setattr__(self, "components", components)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -131,17 +138,6 @@ class SchubertUnion(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.components,))
-
-    def __post_init__(self) -> None:
-        comps = tuple(sorted(set(self.components), key=lambda w: w.sort_key))
-        if not comps:
-            raise DomainError("a Schubert union has at least one component")
-        if len({w.n for w in comps}) != 1:
-            raise DomainError("components must share one rank")
-        for x, y in itertools.combinations(comps, 2):
-            if bruhat_leq(x, y) or bruhat_leq(y, x):
-                raise DomainError(f"components {x} and {y} are comparable")
-        object.__setattr__(self, "components", comps)
 
     @property
     def n(self) -> int:
@@ -436,18 +432,6 @@ class CrossCheckReport(_Frozen):
     cells: int
     mismatches: tuple[tuple[FlagLabel, Degree, SchubertUnion, SchubertUnion], ...]
     __slots__ = __match_args__ = ("n", "dmax", "cells", "mismatches")
-
-    def __init__(
-        self,
-        n: int,
-        dmax: Degree,
-        cells: int,
-        mismatches: tuple[tuple[FlagLabel, Degree, SchubertUnion, SchubertUnion], ...],
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dmax", dmax)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "mismatches", mismatches)
 
     @property
     def ok(self) -> bool:

@@ -89,16 +89,6 @@ class ChernData(_Frozen):
     fano_index: int
     __slots__ = __match_args__ = ("n", "a1", "a2", "div1", "div2", "fano_index")
 
-    def __init__(
-        self, n: int, a1: int, a2: int, div1: FlagLabel, div2: FlagLabel, fano_index: int
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "div1", div1)
-        object.__setattr__(self, "div2", div2)
-        object.__setattr__(self, "fano_index", fano_index)
-
 
 def chern_data(n: int) -> ChernData:
     """Coefficients (2, 2n-1) on the two divisor classes; index gcd = 1."""
@@ -122,56 +112,23 @@ class QBGEdge(_Frozen):
     degree: Degree | None
     __slots__ = __match_args__ = ("u", "v", "degree")
 
-    def __init__(self, u: FlagLabel, v: FlagLabel, degree: Degree | None) -> None:
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "degree", degree)
-
     @property
     def kind(self) -> str:
         return "classical" if self.degree is None else "quantum"
 
 
 class QBGraph(_Frozen):
+    """The quantum Bruhat graph of rank n under one edge rule (``strict``).
+
+    A built graph also keeps ``_targets``, its adjacency as label indices,
+    outside equality, hashing and the repr (``_build_qbg``).
+    """
+
     n: int
     strict: bool
     vertices: tuple[FlagLabel, ...]
     edges: tuple[QBGEdge, ...]
     __match_args__ = ("n", "strict", "vertices", "edges")
-
-    def __init__(
-        self, n: int, strict: bool, vertices: tuple[FlagLabel, ...], edges: tuple[QBGEdge, ...]
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "strict", strict)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-
-    @functools.cached_property
-    def successors(self) -> dict[FlagLabel, tuple[FlagLabel, ...]]:
-        """The targets of each vertex's edges, each target once.
-
-        No built graph has two edges u -> v, so none is dropped: an edge's
-        length change fixes its kind and degree (a classical edge loses
-        one, a quantum edge of degree (1,0), (0,1) or (1,1) gains 1, 2n - 2
-        or 2n, distinct for n >= 2), and ``_bits`` lists each cover and each
-        quantum target of one degree once.
-        """
-        adj: dict[FlagLabel, list[FlagLabel]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.u].append(e.v)
-        return {v: tuple(xs) for v, xs in adj.items()}
-
-    def has_edge(self, u: FlagLabel, v: FlagLabel) -> bool:
-        """Some edge u -> v of any kind."""
-        return v in self.successors.get(u, ())
-
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for e in self.edges:
-            key = "classical" if e.degree is None else str(e.degree)
-            out[key] = out.get(key, 0) + 1
-        return out
 
 
 def _quantum_degrees(data: ChernData) -> Iterator[tuple[Degree, int]]:
@@ -185,8 +142,11 @@ def build_qbg(n: int, strict: bool = False) -> QBGraph:
 
     The rank object keeps the graphs in a memo on ``strict``
     (``weyl._Rank.graphs``), so ``build_qbg(n)`` and
-    ``build_qbg(n, strict=False)`` share one graph.
+    ``build_qbg(n, strict=False)`` share one graph.  A ``strict`` that is
+    not a bool raises ``DomainError``, as a rank that is not an int does.
     """
+    if type(strict) is not bool:
+        raise DomainError(f"strict must be a bool, got {strict!r}")
     graphs = _checked(n).graphs
     return graphs.get(strict) or graphs.setdefault(strict, _build_qbg(n, strict))
 
@@ -307,22 +267,6 @@ class PropertyOVerdict(_Frozen):
     __slots__ = __match_args__ = (
         "n", "strongly_connected", "gcd", "fano_index", "holds", "witness_cycles"
     )
-
-    def __init__(
-        self,
-        n: int,
-        strongly_connected: bool,
-        gcd: int | None,
-        fano_index: int,
-        holds: bool,
-        witness_cycles: tuple[tuple[FlagLabel, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "strongly_connected", strongly_connected)
-        object.__setattr__(self, "gcd", gcd)
-        object.__setattr__(self, "fano_index", fano_index)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "witness_cycles", witness_cycles)
 
 
 def property_o_verdict(n: int) -> PropertyOVerdict:

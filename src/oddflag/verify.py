@@ -26,7 +26,7 @@ from .neighborhoods import cross_check, degree_grid, gamma_closed_form
 from .qbg import build_qbg, chern_data, moment_discrepancies, property_o_verdict
 from .weyl import _check_rank, enumerate_labels, length, moment_roots, parse_label
 from .weyl import top_label
-from .errors import VerificationError, _Frozen
+from .errors import DomainError, VerificationError, _Frozen
 
 __all__ = ["CheckResult", "run_suite", "suite_passed", "to_json_dict", "load_golden"]
 
@@ -44,12 +44,6 @@ class CheckResult(_Frozen):
     status: str  # "pass" | "fail" | "flagged"
     detail: str
     __slots__ = __match_args__ = ("name", "n", "status", "detail")
-
-    def __init__(self, name: str, n: int, status: str, detail: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "detail", detail)
 
     @property
     def ok(self) -> bool:
@@ -288,8 +282,14 @@ _CHECKS = (
 
 
 def run_suite(n_max: int, strict_qbg: bool = False) -> tuple[CheckResult, ...]:
-    """All checks for every rank 2..n_max, in deterministic order."""
+    """All checks for every rank 2..n_max, in deterministic order.
+
+    ``strict_qbg`` picks the rows (module docstring), so a value that is
+    not a bool raises ``DomainError`` rather than drop rows.
+    """
     _check_rank(n_max)
+    if type(strict_qbg) is not bool:
+        raise DomainError(f"strict_qbg must be a bool, got {strict_qbg!r}")
     results: list[CheckResult] = []
     for n in range(2, n_max + 1):
         for name, check, strict in _CHECKS:

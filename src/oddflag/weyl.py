@@ -109,11 +109,11 @@ class _Once:
     """A read-only property computed on first read and then kept on the object.
 
     A non-data descriptor, so the stored attribute shadows it; threads
-    that race compute the same value.  Unlike ``functools.cached_property``
-    it takes no lock (CPython 3.11 takes one on every first read: about
-    half a millisecond over the 576 labels of rank 12) and never reads
-    ``obj.__dict__``, which would give each label a dict of its own and
-    make every later attribute read of it slower.  A first read that raises
+    that race compute the same value.  Unlike the standard library's
+    cached property it takes no lock (CPython 3.11 takes one on every first
+    read: about half a millisecond over the 576 labels of rank 12) and
+    never reads ``obj.__dict__``, which would give each label a dict of its
+    own and make every later attribute read of it slower.  A first read that raises
     keeps nothing, so the next read computes again.  It holds
     ``FlagLabel._length``, ``neighborhoods.SchubertUnion._lower`` and
     ``_text``, ``lattice.CNLattice._shape``, and every table of a rank
@@ -149,10 +149,19 @@ class FlagLabel(_Frozen):
     __match_args__ = ("a", "b", "n")
 
     def __init__(self, a: int, b: int, n: int) -> None:
+        _check_rank(n)
+        for k in (a, b):
+            if type(k) is not int:
+                raise DomainError(f"letters are ints, got {k!r}")
+            if not 1 <= abs(k) <= n + 1:
+                raise DomainError(f"letter {k} out of range for rank {n}")
+            if k == -1:
+                raise DomainError("odd labels may not contain -1")
+        if abs(a) == abs(b):
+            raise DomainError(f"positions share the letter {abs(a)}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "n", n)
-        self.__post_init__()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -161,18 +170,6 @@ class FlagLabel(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.n))
-
-    def __post_init__(self) -> None:
-        _check_rank(self.n)
-        for k in (self.a, self.b):
-            if type(k) is not int:
-                raise DomainError(f"letters are ints, got {k!r}")
-            if not 1 <= abs(k) <= self.n + 1:
-                raise DomainError(f"letter {k} out of range for rank {self.n}")
-            if k == -1:
-                raise DomainError("odd labels may not contain -1")
-        if abs(self.a) == abs(self.b):
-            raise DomainError(f"positions share the letter {abs(self.a)}")
 
     def __str__(self) -> str:
         return f"{self.a}|{self.b}"
@@ -265,10 +262,18 @@ class Root(_Frozen):
     __slots__ = __match_args__ = ("kind", "i", "j")
 
     def __init__(self, kind: str, i: int, j: int | None = None) -> None:
+        if kind not in ("diff", "sum", "long"):
+            raise DomainError(f"unknown root kind {kind!r}")
+        if kind == "long":
+            if j is not None:
+                raise DomainError("long roots take a single index")
+        elif j is None or not i < j:
+            raise DomainError(f"need i < j, got ({i}, {j})")
+        if i < 1:
+            raise DomainError("root indices start at 1")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
-        self.__post_init__()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -277,17 +282,6 @@ class Root(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.kind, self.i, self.j))
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("diff", "sum", "long"):
-            raise DomainError(f"unknown root kind {self.kind!r}")
-        if self.kind == "long":
-            if self.j is not None:
-                raise DomainError("long roots take a single index")
-        elif self.j is None or not self.i < self.j:
-            raise DomainError(f"need i < j, got ({self.i}, {self.j})")
-        if self.i < 1:
-            raise DomainError("root indices start at 1")
 
     def __str__(self) -> str:
         if self.kind == "long":

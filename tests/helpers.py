@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from oddflag.errors import DomainError
-from oddflag.lattice import FinitePoset
+from oddflag.errors import DomainError, _Frozen
+from oddflag.lattice import _poset
 from oddflag.moment import Degree, MomentEdge, MomentGraph, build_moment_graph
 from oddflag.neighborhoods import SchubertUnion, gamma_closed_form, maximal_union
 from oddflag.weyl import (
@@ -227,6 +227,26 @@ def even_moment_edges(n):
                 if target != (a, b):
                     edges.add((frozenset(((a, b), target)), root))
     return edges
+
+
+def successors(g):
+    """The targets of each vertex's edges in a quantum graph, each target once.
+
+    No built graph has two edges u -> v, so none is dropped: an edge's
+    length change fixes its kind and degree (a classical edge loses one, a
+    quantum edge of degree (1,0), (0,1) or (1,1) gains 1, 2n - 2 or 2n,
+    distinct for n >= 2), and the build lists each cover and each quantum
+    target of one degree once.
+    """
+    adj = {v: [] for v in g.vertices}
+    for e in g.edges:
+        adj[e.u].append(e.v)
+    return {v: tuple(xs) for v, xs in adj.items()}
+
+
+def edge_counts(g):
+    """The number of a quantum graph's edges of each kind, keyed like "(0,1)"."""
+    return Counter("classical" if e.degree is None else str(e.degree) for e in g.edges)
 
 
 def simple_cycle_lengths(succ, max_len):
@@ -455,6 +475,20 @@ def closed_form_oracle(w, d):
 def degree_join(d, e):
     """The componentwise maximum of two degrees."""
     return Degree(max(d.d1, e.d1), max(d.d2, e.d2))
+
+
+class FinitePoset(_Frozen):
+    """A finite poset given by its full order matrix; order[i][j] iff i <= j.
+
+    The lattice checks read only ``order``, so they take these as they take
+    lattices.  ``lattice._poset`` checks the axioms, and the order is
+    stored as the tuple that it returns; list rows are accepted.
+    """
+
+    __slots__ = __match_args__ = ("order",)
+
+    def __init__(self, order):
+        object.__setattr__(self, "order", _poset(tuple(map(tuple, order)))[0])
 
 
 def poset_from_covers(size, cover_pairs):

@@ -86,13 +86,13 @@ def test_closed_form_builds_no_label(monkeypatch, n):
     held = {id(w) for w in labels}
     copies = [label(w.a, w.b, n) for w in labels]  # equal, not the same objects
     built = []
-    init = FlagLabel.__post_init__
+    init = FlagLabel.__init__
 
-    def spy(self):
+    def spy(self, *args):
         built.append(self)
-        init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(FlagLabel, "__post_init__", spy)
+    monkeypatch.setattr(FlagLabel, "__init__", spy)
     for w in (*labels, *copies):
         for d in degree_grid(Degree(3, 3)):
             value = gamma_closed_form(w, d)

@@ -39,10 +39,12 @@ from oddflag.weyl import (
     letter_rank,
 )
 from helpers import (
+    edge_counts,
     moment_neighbors,
     reference_qbg_oracle,
     simple_cycle_lengths,
     strongly_connected_oracle,
+    successors,
     uncut_qbg_edges,
 )
 
@@ -61,7 +63,7 @@ def test_chern_data_examples():
 
 
 def test_edge_counts_at_rank_two():
-    counts = build_qbg(2).counts()
+    counts = edge_counts(build_qbg(2))
     # One more (0,1) edge than the reference figure: 2|1 -> 1|-2 follows
     # from the two-component (0,1)-neighborhood of X(2|1).
     assert counts == {"classical": 29, "(1,0)": 8, "(0,1)": 7, "(1,1)": 4}
@@ -70,7 +72,7 @@ def test_edge_counts_at_rank_two():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_edge_counts_fit_closed_formulas(n):
     # Observed formulas, checked here rank by rank; not proved.
-    assert build_qbg(n).counts() == {
+    assert edge_counts(build_qbg(n)) == {
         "classical": 10 * n * n - 4 * n - 3,
         "(1,0)": 2 * n * n,
         "(0,1)": 2 * n + 3,
@@ -106,6 +108,19 @@ def test_one_build_per_rank_whatever_the_spelling(tmp_path, monkeypatch):
     assert builds == [(2, False), (3, False)]
 
 
+@pytest.mark.parametrize("strict", ["no", 0, 1, None])
+def test_build_refuses_a_strict_flag_that_is_not_a_bool(strict):
+    # "no" is true, so it would build the strict graph under its own key,
+    # and 0 == False as a key, so it would be served the default graph.
+    # Each is refused before the rank's graph memo is read.
+    weyl._rank.cache_clear()
+    for _ in range(2):
+        with pytest.raises(DomainError, match="strict must be a bool"):
+            build_qbg(2, strict)
+        build_qbg(2)
+        assert list(weyl._rank(2).graphs) == [False]
+
+
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_length_cut_keeps_the_uncut_edges_in_order(n, strict):
@@ -118,11 +133,11 @@ def test_length_cut_keeps_the_uncut_edges_in_order(n, strict):
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("n", range(2, 13))
 def test_no_two_edges_join_one_pair(n, strict):
-    # QBGraph.successors keeps every edge's target, since no pair repeats
+    # helpers.successors keeps every edge's target, since no pair repeats
     # (the argument is in its docstring).
     g = build_qbg(n, strict)
     assert len({(e.u, e.v) for e in g.edges}) == len(g.edges)
-    assert sum(map(len, g.successors.values())) == len(g.edges)
+    assert sum(map(len, successors(g).values())) == len(g.edges)
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -176,8 +191,9 @@ def test_only_three_degrees_rise_far_enough(n):
 
 def test_named_edges_present():
     g = build_qbg(2)
-    assert g.has_edge(label(1, 2, 2), label(-2, 1, 2))
-    assert g.has_edge(label(1, 2, 2), label(1, -3, 2))
+    succ = successors(g)
+    assert label(-2, 1, 2) in succ[label(1, 2, 2)]
+    assert label(1, -3, 2) in succ[label(1, 2, 2)]
     assert (str(label(1, 2, 2)), str(label(-2, 1, 2)), (1, 1)) in _edge_key_set(g)
     assert (str(label(1, 2, 2)), str(label(1, -3, 2)), (0, 1)) in _edge_key_set(g)
 
@@ -270,7 +286,7 @@ def test_degree_one_zero_edges_are_column_swaps():
 
 def test_strong_connectivity():
     for n in (2, 3):
-        assert strongly_connected(build_qbg(n).successors)
+        assert strongly_connected(successors(build_qbg(n)))
     assert strongly_connected({1: []})
     assert not strongly_connected({1: [2], 2: [1], 3: []})
     with pytest.raises(DomainError):
@@ -294,11 +310,11 @@ def test_digraph_period_synthetic():
 
 
 def test_cycle_gcd_matches_simple_cycle_oracle():
-    g = build_qbg(2)
-    lengths = simple_cycle_lengths(g.successors, 8)
+    succ = successors(build_qbg(2))
+    lengths = simple_cycle_lengths(succ, 8)
     assert 2 in lengths and 3 in lengths
     assert math.gcd(*lengths) == 1
-    assert digraph_period(g.successors) == 1
+    assert digraph_period(succ) == 1
 
 
 def test_witness_cycles_shape():
@@ -324,10 +340,10 @@ def test_property_o_verdict():
 def test_verdict_agrees_with_the_label_keyed_functions(n):
     # The verdict searches the adjacency by label index; the public
     # functions search the same graph keyed by its labels.
-    g = build_qbg(n)
+    succ = successors(build_qbg(n))
     v = property_o_verdict(n)
-    assert v.strongly_connected is strongly_connected(g.successors) is True
-    assert v.gcd == digraph_period(g.successors) == 1
+    assert v.strongly_connected is strongly_connected(succ) is True
+    assert v.gcd == digraph_period(succ) == 1
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -346,8 +362,7 @@ def test_connectivity_matches_the_closure_oracle(n):
 
 
 def test_a_verdict_runs_two_searches_over_label_indices(monkeypatch):
-    # One forward and one backward search, over int keys, and the graph's
-    # label-keyed successors are never built.
+    # One forward and one backward search, over int keys.
     roots = []
     real = qbg._depths
 
@@ -358,11 +373,9 @@ def test_a_verdict_runs_two_searches_over_label_indices(monkeypatch):
 
     monkeypatch.setattr(qbg, "_depths", spy)
     weyl._rank.cache_clear()
-    g = build_qbg(5)
     verdict = property_o_verdict(5)
     assert verdict.holds
     assert roots == [0, 0]
-    assert "successors" not in vars(g)
 
 
 def test_a_verdict_hashes_no_label(monkeypatch):

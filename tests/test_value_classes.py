@@ -4,19 +4,25 @@ Each class is built positionally and by keyword, prints in the
 ``Name(field=value, ...)`` form, equals only objects of its own class with
 equal fields, hashes as the tuple of its fields (so sets and dicts of
 values iterate in a fixed order), refuses assignment and deletion, and
-raises the same validation messages.  A copy or a pickled value is rebuilt
+raises the same validation messages.  The records that check nothing are
+built by the base's constructor, which refuses a value that is extra,
+missing, unknown or given twice.  A copy or a pickled value is rebuilt
 through the class's ``__init__``, and the classes that keep no computed
-attribute store their fields in slots, with no instance dict.
+attribute store their fields in slots, with no instance dict.  The
+test-side ``helpers.FinitePoset`` is held to the same contract.
 """
 
 import copy
+import importlib
 import pickle
 import tracemalloc
 
 import pytest
 
-from oddflag.errors import DomainError, VerificationError
-from oddflag.lattice import CNLattice, FinitePoset, build_cn_lattice
+import oddflag
+from oddflag import lattice
+from oddflag.errors import DomainError, VerificationError, _Frozen
+from oddflag.lattice import CNLattice, build_cn_lattice
 from oddflag.moment import Degree, MomentEdge, MomentGraph
 from oddflag.neighborhoods import CrossCheckReport, SchubertUnion
 from oddflag.qbg import (
@@ -29,6 +35,7 @@ from oddflag.qbg import (
 )
 from oddflag.verify import CheckResult
 from oddflag.weyl import FlagLabel, Root, label, top_label
+from helpers import FinitePoset
 
 W = FlagLabel(1, 2, 2)
 V = FlagLabel(2, 1, 2)
@@ -121,8 +128,44 @@ IDS = [f"{cls.__name__}-{i}" for i, (cls, *_rest) in enumerate(CASES)]
 
 
 def test_every_value_class_has_a_case():
-    classes = {cls for cls, *_rest in CASES}
-    assert len(classes) == 14
+    classes = {cls for cls, *_rest in CASES if cls.__module__.startswith("oddflag.")}
+    assert len(classes) == 13
+
+
+# The records that check nothing and take the base's constructor.
+RECORDS = [case for case in CASES if case[0].__init__ is _Frozen.__init__]
+RECORD_IDS = [case[0].__name__ for case in RECORDS]
+
+
+def test_only_the_checking_classes_write_a_constructor():
+    assert set(RECORD_IDS) == {
+        "MomentEdge",
+        "MomentGraph",
+        "CrossCheckReport",
+        "ChernData",
+        "QBGEdge",
+        "QBGraph",
+        "PropertyOVerdict",
+        "CheckResult",
+    }
+
+
+@pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=RECORD_IDS)
+def test_the_base_constructor_refuses_a_bad_binding(cls, names, values, text):
+    name = cls.__qualname__
+    with pytest.raises(TypeError, match=rf"^{name}\(\) takes {len(names)} values, got"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) missing fields '{names[-1]}'$"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got an unknown field 'extra'$"):
+        cls(*values, extra=None)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got field '{names[0]}' twice$"):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError, match=rf"^{name}\(\) missing fields "):
+        cls()
+    # Positions and keywords mix as in a written-out signature.
+    mixed = cls(*values[:1], **dict(zip(names[1:], values[1:])))
+    assert mixed == cls(*values) and repr(mixed) == text
 
 
 @pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
@@ -179,8 +222,8 @@ def test_equal_values_hash_as_the_tuple_of_their_fields(cls, names, values, text
 
 
 def test_hashes_follow_the_stored_fields():
-    # SchubertUnion stores its components sorted, FinitePoset its order as
-    # tuples; the hash is that of the stored form.
+    # SchubertUnion stores its components sorted, the test-side FinitePoset
+    # its order as tuples; the hash is that of the stored form.
     u = SchubertUnion([FlagLabel(1, -3, 2), V])
     assert u.components == (V, FlagLabel(1, -3, 2))
     assert hash(u) == hash((u.components,))
@@ -254,18 +297,6 @@ def test_a_degree_takes_at_most_64_bytes():
     assert used / count <= 64, used / count
 
 
-def test_qbg_successors_are_cached_per_instance():
-    g = QBGraph(2, False, (W, V), (QEDGE,))
-    first = g.successors
-    assert first == {W: (V,), V: ()}
-    assert g.successors is first
-    assert vars(g)["successors"] is first
-    other = QBGraph(2, False, (W, V), (QEDGE,))
-    assert "successors" not in vars(other)
-    assert other == g and hash(other) == hash(g)
-    assert other.successors == first and other.successors is not first
-
-
 def _message(call):
     try:
         call()
@@ -301,15 +332,17 @@ VALIDATION = [
         "components must share one rank",
     ),
     (lambda: SchubertUnion([V, W]), DomainError, "components 1|2 and 2|1 are comparable"),
-    (lambda: FinitePoset([[True, True]]), DomainError, "order matrix must be square"),
-    (lambda: FinitePoset([[False]]), DomainError, "order must be reflexive"),
+    (lambda: lattice._poset(((True, True),)), DomainError, "order matrix must be square"),
+    (lambda: lattice._poset(((False,),)), DomainError, "order must be reflexive"),
     (
-        lambda: FinitePoset([[True, True], [True, True]]),
+        lambda: lattice._poset(((True, True), (True, True))),
         DomainError,
         "order not antisymmetric at (0,1)",
     ),
     (
-        lambda: FinitePoset([[True, True, False], [False, True, True], [False, False, True]]),
+        lambda: lattice._poset(
+            ((True, True, False), (False, True, True), (False, False, True))
+        ),
         DomainError,
         "order not transitive at (0,1,2)",
     ),
@@ -334,3 +367,63 @@ VALIDATION = [
 @pytest.mark.parametrize("call, kind, message", VALIDATION)
 def test_validation_messages_are_unchanged(call, kind, message):
     assert _message(call) == (kind, message)
+
+
+# The package's exported names; a change here is an API change, to be
+# listed in the README and CHANGES.md.
+EXPORTS = [
+    "CNLattice",
+    "ChernData",
+    "Degree",
+    "DomainError",
+    "FlagLabel",
+    "MomentGraph",
+    "QBGraph",
+    "Root",
+    "SchubertUnion",
+    "VerificationError",
+    "bruhat_leq",
+    "build_cn_lattice",
+    "build_moment_graph",
+    "build_qbg",
+    "chern_data",
+    "classify_shape",
+    "covers",
+    "cross_check",
+    "degree_of_root",
+    "down_set",
+    "enumerate_labels",
+    "gamma_bfs",
+    "gamma_closed_form",
+    "is_distributive",
+    "is_lattice",
+    "label",
+    "length",
+    "moment_discrepancies",
+    "parse_label",
+    "property_o_verdict",
+    "reflect",
+    "run_suite",
+    "top_label",
+    "union_leq",
+]
+
+
+def test_the_package_exports_are_pinned():
+    assert len(EXPORTS) == 34
+    assert oddflag.__all__ == EXPORTS
+
+
+# The modules that declare an ``__all__``.
+MODULES = ["oddflag"] + [
+    f"oddflag.{m}" for m in ("weyl", "moment", "neighborhoods", "lattice", "qbg", "verify")
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = module.__all__
+    assert len(set(exported)) == len(exported)
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert missing == []

@@ -319,6 +319,15 @@ def test_run_suite_refuses_a_rank_that_is_not_an_int_of_two_or_more(n_max):
         verify.run_suite(n_max)
 
 
+@pytest.mark.parametrize("strict_qbg", ["no", 0, 1, None])
+def test_run_suite_refuses_a_strict_flag_that_is_not_a_bool(strict_qbg):
+    # A row runs when its flag is None or equals strict_qbg, so "no" would
+    # drop the default-only and the strict-only rows alike and could still
+    # pass, and 0 or 1 would pass for a bool.
+    with pytest.raises(DomainError, match="strict_qbg must be a bool"):
+        verify.run_suite(2, strict_qbg=strict_qbg)
+
+
 def test_every_check_name_has_a_failure_case():
     names = {r.name for r in verify.run_suite(2)} | {"qbg-strict-golden"}
     assert names == {case[3] for case in CASES}

@@ -333,13 +333,13 @@ def test_a_repeated_parse_builds_no_label(monkeypatch):
     _rank.cache_clear()
     first = {text: parse_label(text, 3) for text in ("1|2", "-2|1", " 3 | -4 ")}
     built = []
-    init = FlagLabel.__post_init__
+    init = FlagLabel.__init__
 
-    def spy(self):
+    def spy(self, *args):
         built.append(self)
-        init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(FlagLabel, "__post_init__", spy)
+    monkeypatch.setattr(FlagLabel, "__init__", spy)
     for text, w in first.items():
         assert parse_label(text, 3) is w
     assert built == []
