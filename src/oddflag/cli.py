@@ -1,7 +1,10 @@
-"""Command-line interface.
+"""Command-line interface, and the one module that writes an output format.
 
-Subcommands: enumerate, moment-graph, nbhd, lattice, qbg, verify.  Output
-is byte-deterministic for fixed flags.  Exit codes: 0 success, 1 a
+Subcommands: enumerate, moment-graph, nbhd, lattice, qbg, verify.  The
+graph and lattice modules only compute; this module turns their values
+into JSON, DOT and table text and writes it in pieces, a line or an edge
+record at a time, so no format builds its whole text first.  Output is
+byte-deterministic for fixed flags.  Exit codes: 0 success, 1 a
 verification failed, 2 usage error (including an ``--out`` file or a
 standard output that cannot be written).
 """
@@ -19,9 +22,10 @@ from . import moment as moment_mod
 from . import qbg as qbg_mod
 from . import verify as verify_mod
 from .errors import DomainError, VerificationError
+from .lattice import CNLattice
 from .moment import Degree
 from .neighborhoods import gamma_bfs, gamma_closed_form
-from .weyl import _plain_int, enumerate_labels, length, parse_label
+from .weyl import FlagLabel, _plain_int, enumerate_labels, length, parse_label
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -44,9 +48,16 @@ def _parse_degree(text: str) -> Degree:
     return Degree(d1, d2)
 
 
-def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write text, or each string of an iterable in turn, to ``out`` or stdout."""
-    chunks = (text,) if isinstance(text, str) else text
+def _rank_value(text: str) -> int:
+    """An ``--n`` or ``--n-max`` value, in the grammar of label sides and degree parts."""
+    try:
+        return _plain_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write each string of ``chunks`` in turn to ``out`` or stdout."""
     if out is None:
         try:
             sys.stdout.writelines(chunks)
@@ -65,6 +76,15 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
             fh.writelines(chunks)
     except OSError as exc:
         raise DomainError(f"cannot write {out}: {exc.strerror}") from None
+
+
+# Edge color of the moment and quantum graphs in DOT, one per degree class.
+_EDGE_COLORS = {
+    Degree(1, 0): "green",
+    Degree(0, 1): "orange",
+    Degree(1, 1): "blue",
+    Degree(1, 2): "purple",
+}
 
 
 def _json_text(obj: dict) -> str:
@@ -110,28 +130,38 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             "n": args.n,
             "labels": [{"label": str(w), "length": length(w)} for w in labs],
         }
-        _emit(_json_text(payload), args.out)
+        _emit((_json_text(payload),), args.out)
     else:
-        lines = [f"{str(w):>8}  {length(w)}" for w in labs]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit((f"{str(w):>8}  {length(w)}\n" for w in labs), args.out)
     return 0
+
+
+def _graph_dot(head: str, vertices: Iterable[FlagLabel], edges: Iterable[str]) -> Iterator[str]:
+    """A DOT graph of one plaintext node per label, then the given edge lines."""
+    yield f"{head} {{\n  node [shape=plaintext];\n"
+    for v in vertices:
+        yield f'  "{v}";\n'
+    yield from edges
+    yield "}\n"
 
 
 def _cmd_moment_graph(args: argparse.Namespace) -> int:
     g = moment_mod.build_moment_graph(args.n)
     if args.format == "dot":
-        _emit(moment_mod.to_dot(g), args.out)
+        edges = (f'  "{e.u}" -- "{e.v}" [color={_EDGE_COLORS[e.degree]}];\n' for e in g.edges)
+        _emit(_graph_dot(f"graph moment_n{g.n}", g.vertices, edges), args.out)
     elif args.format == "json":
-        envelope = moment_mod.to_json_dict(moment_mod.MomentGraph(g.n, g.vertices, ()))
-        records = (
-            _MOMENT_EDGE % (e.u, e.v, e.degree.d1, e.degree.d2, e.root) for e in g.edges
-        )
+        envelope = {
+            "schema": "oddflag.moment-graph/1",
+            "n": g.n,
+            "vertices": [str(v) for v in g.vertices],
+            "edges": [],
+        }
+        records = (_MOMENT_EDGE % (e.u, e.v, e.degree.d1, e.degree.d2, e.root) for e in g.edges)
         _emit(_json_chunks(envelope, records), args.out)
     else:
-        lines = [
-            f"{str(e.u):>8} -- {str(e.v):<8} {e.degree}  {e.root}" for e in g.edges
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        lines = (f"{str(e.u):>8} -- {str(e.v):<8} {e.degree}  {e.root}\n" for e in g.edges)
+        _emit(lines, args.out)
     return 0
 
 
@@ -154,66 +184,106 @@ def _cmd_nbhd(args: argparse.Namespace) -> int:
         }
         if oracle is not None:
             payload["oracle"] = [str(c) for c in oracle]
-        _emit(_json_text(payload), args.out)
+        _emit((_json_text(payload),), args.out)
     else:
-        _emit(str(union) + "\n", args.out)
+        _emit((f"{union}\n",), args.out)
     return 0
+
+
+def _lattice_dot(lat: CNLattice, hasse: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """The Hasse diagram drawn bottom-up, one node per neighborhood value."""
+    yield "digraph lattice {\n  rankdir=BT;\n  node [shape=box];\n"
+    for i, e in enumerate(lat.elements):
+        yield f'  v{i} [label="{e}"];\n'
+    for i, j in hasse:
+        yield f"  v{i} -> v{j} [arrowhead=none];\n"
+    yield "}\n"
+
+
+def _lattice_table(lat: CNLattice, shape: str, hasse: Iterable[tuple[int, int]]) -> Iterator[str]:
+    yield f"base {lat.base}: {shape}, {lat.size} elements\n"
+    for i, (e, d) in enumerate(zip(lat.elements, lat.witnesses)):
+        yield f"  [{i}] {e}  (degree {d})\n"
+    for i, j in hasse:
+        yield f"  {i} < {j}\n"
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
-    w = parse_label(args.w, args.n)
-    lat = lattice_mod.build_cn_lattice(w)
+    lat = lattice_mod.build_cn_lattice(parse_label(args.w, args.n))
+    hasse = lattice_mod.hasse_edges(lat)
     if args.format == "dot":
-        _emit(lattice_mod.to_dot(lat), args.out)
+        _emit(_lattice_dot(lat, hasse), args.out)
     elif args.format == "json":
-        _emit(_json_text(lattice_mod.to_json_dict(lat)), args.out)
+        payload = {
+            "schema": "oddflag.lattice/1",
+            "base": str(lat.base),
+            "elements": [[str(w) for w in e] for e in lat.elements],
+            "hasse": [list(p) for p in hasse],
+            "shape": lattice_mod.classify_shape(lat),
+        }
+        _emit((_json_text(payload),), args.out)
     else:
-        shape = lattice_mod.classify_shape(lat)
-        lines = [f"base {w}: {shape}, {lat.size} elements"]
-        lines.extend(
-            f"  [{i}] {e}  (degree {d})"
-            for i, (e, d) in enumerate(zip(lat.elements, lat.witnesses))
-        )
-        lines.extend(
-            f"  {i} < {j}" for i, j in lattice_mod.hasse_edges(lat)
-        )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_lattice_table(lat, lattice_mod.classify_shape(lat), hasse), args.out)
     return 0
+
+
+def _qbg_table(g: qbg_mod.QBGraph, verdict: qbg_mod.PropertyOVerdict | None) -> Iterator[str]:
+    for e in g.edges:
+        degree = "" if e.degree is None else f" {e.degree}"
+        yield f"{str(e.u):>8} -> {str(e.v):<8} {e.kind}{degree}\n"
+    if verdict is not None:
+        yield f"property-o: holds={verdict.holds} gcd={verdict.gcd} fano={verdict.fano_index}\n"
 
 
 def _cmd_qbg(args: argparse.Namespace) -> int:
     g = qbg_mod.build_qbg(args.n, strict=args.strict_qbg)
     verdict = None if args.strict_qbg else qbg_mod.property_o_verdict(args.n)
     if args.format == "dot":
-        _emit(qbg_mod.to_dot(g), args.out)
+        # Classical edges black, quantum edges by degree class.
+        edges = (
+            f'  "{e.u}" -> "{e.v}" [color=black];\n'
+            if e.degree is None
+            else f'  "{e.u}" -> "{e.v}" [color={_EDGE_COLORS[e.degree]}, label="{e.degree}"];\n'
+            for e in g.edges
+        )
+        _emit(_graph_dot(f"digraph qbg_n{g.n}", g.vertices, edges), args.out)
     elif args.format == "json":
-        empty = qbg_mod.QBGraph(g.n, g.strict, g.vertices, ())
+        envelope: dict = {"schema": "oddflag.qbg/1", "n": g.n, "strict": g.strict, "edges": []}
+        if verdict is not None:
+            envelope["verdict"] = {
+                "strongly_connected": verdict.strongly_connected,
+                "gcd": verdict.gcd,
+                "fano_index": verdict.fano_index,
+                "holds": verdict.holds,
+                "witness_cycles": [
+                    [str(w) for w in cycle] for cycle in verdict.witness_cycles
+                ],
+            }
         records = (
             _QBG_CLASSICAL % (e.u, e.v)
             if e.degree is None
             else _QBG_QUANTUM % (e.u, e.v, e.degree.d1, e.degree.d2)
             for e in g.edges
         )
-        _emit(_json_chunks(qbg_mod.to_json_dict(empty, verdict), records), args.out)
+        _emit(_json_chunks(envelope, records), args.out)
     else:
-        lines = [
-            f"{str(e.u):>8} -> {str(e.v):<8} {e.kind}"
-            + (f" {e.degree}" if e.degree else "")
-            for e in g.edges
-        ]
-        if verdict is not None:
-            lines.append(
-                f"property-o: holds={verdict.holds} gcd={verdict.gcd} "
-                f"fano={verdict.fano_index}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_qbg_table(g, verdict), args.out)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = verify_mod.run_suite(args.n_max, strict_qbg=args.strict_qbg)
-    _emit(_json_text(verify_mod.to_json_dict(results)), args.out)
-    return 0 if verify_mod.suite_passed(results) else CHECK_FAILED
+    passed = verify_mod.suite_passed(results)
+    payload = {
+        "schema": "oddflag.verify/1",
+        "passed": passed,
+        "checks": [
+            {"name": r.name, "n": r.n, "status": r.status, "detail": r.detail}
+            for r in results
+        ],
+    }
+    _emit((_json_text(payload),), args.out)
+    return 0 if passed else CHECK_FAILED
 
 
 def _add_common(p: argparse.ArgumentParser, formats: Sequence[str]) -> None:
@@ -233,17 +303,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list all labels with their lengths")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank_value, required=True)
     _add_common(p, ("table", "json"))
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("moment-graph", help="build the degree-labeled moment graph")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank_value, required=True)
     _add_common(p, ("json", "dot", "table"))
     p.set_defaults(func=_cmd_moment_graph)
 
     p = sub.add_parser("nbhd", help="curve neighborhood of one Schubert variety")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank_value, required=True)
     p.add_argument("--w", required=True, metavar="LABEL", help="base label, e.g. '1|2' or '-2|1'")
     p.add_argument("--d", required=True, metavar="D1,D2", help="degree, e.g. '1,1'")
     p.add_argument(
@@ -255,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nbhd)
 
     p = sub.add_parser("lattice", help="curve-neighborhood lattice of one base label")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank_value, required=True)
     p.add_argument("--w", required=True, metavar="LABEL")
     _add_common(p, ("json", "dot", "table"))
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("qbg", help="build the combinatorial quantum Bruhat graph")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank_value, required=True)
     p.add_argument(
         "--strict-qbg",
         action="store_true",
@@ -271,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_qbg)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_rank_value, required=True)
     p.add_argument("--strict-qbg", action="store_true")
     p.add_argument("--out", metavar="FILE", default=None)
     p.set_defaults(func=_cmd_verify)

@@ -79,8 +79,6 @@ __all__ = [
     "figure_shape_predicate",
     "SHAPE_TAGS",
     "hasse_edges",
-    "to_dot",
-    "to_json_dict",
 ]
 
 REPRESENTATIVE_DEGREES: tuple[Degree, ...] = (
@@ -403,25 +401,3 @@ def hasse_edges(lat: CNLattice) -> tuple[tuple[int, int], ...]:
         for i, j in itertools.permutations(range(len(up)), 2)
         if up[i] & down[j] == 1 << i | 1 << j
     )
-
-
-def to_dot(lat: CNLattice) -> str:
-    """Hasse diagram drawn bottom-up, one node per neighborhood value."""
-    names = [str(e) for e in lat.elements]
-    lines = [f'digraph lattice {{', '  rankdir=BT;', '  node [shape=box];']
-    lines.extend(f'  v{i} [label="{name}"];' for i, name in enumerate(names))
-    lines.extend(
-        f"  v{i} -> v{j} [arrowhead=none];" for i, j in hasse_edges(lat)
-    )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def to_json_dict(lat: CNLattice) -> dict:
-    return {
-        "schema": "oddflag.lattice/1",
-        "base": str(lat.base),
-        "elements": [[str(w) for w in e] for e in lat.elements],
-        "hasse": [list(p) for p in hasse_edges(lat)],
-        "shape": classify_shape(lat),
-    }

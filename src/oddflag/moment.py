@@ -33,8 +33,9 @@ root with ``weyl._reflect_letters`` and looks the result up by its
 letters.  ``verify`` ORs those reflections into masks and compares them
 with ``moment_masks`` at every rank.  ``build_moment_graph`` builds the
 graph as objects from the same reflections, for output only: the
-``moment-graph`` export, and the rank-2 reference figure and edge counts
-in ``verify``.  It keeps nothing between calls.
+``moment-graph`` subcommand, which ``cli`` writes as JSON, DOT or a table,
+and the rank-2 reference figure and edge counts in ``verify``.  It keeps
+nothing between calls.  This module renders nothing.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ __all__ = [
     "MomentGraph",
     "degree_of_root",
     "build_moment_graph",
-    "to_dot",
-    "to_json_dict",
-    "EDGE_COLORS",
 ]
 
 
@@ -102,15 +100,6 @@ class Degree(_Frozen):
 
     def __str__(self) -> str:
         return f"({self.d1},{self.d2})"
-
-
-# Edge style used by every DOT export, one color per degree class.
-EDGE_COLORS: Mapping[Degree, str] = {
-    Degree(1, 0): "green",
-    Degree(0, 1): "orange",
-    Degree(1, 1): "blue",
-    Degree(1, 2): "purple",
-}
 
 
 def degree_of_root(root: Root) -> Degree:
@@ -215,32 +204,3 @@ def _moment_masks(rank: _Rank) -> NeighbourMasks:
 
 
 _Rank._moment_masks = _Once(_moment_masks)
-
-
-def to_dot(g: MomentGraph, degree: Degree | None = None) -> str:
-    """Deterministic DOT text; optionally keep a single degree class."""
-    lines = [f"graph moment_n{g.n} {{", "  node [shape=plaintext];"]
-    lines.extend(f'  "{v}";' for v in g.vertices)
-    for e in g.edges:
-        if degree is not None and e.degree != degree:
-            continue
-        lines.append(f'  "{e.u}" -- "{e.v}" [color={EDGE_COLORS[e.degree]}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def to_json_dict(g: MomentGraph) -> dict:
-    return {
-        "schema": "oddflag.moment-graph/1",
-        "n": g.n,
-        "vertices": [str(v) for v in g.vertices],
-        "edges": [
-            {
-                "u": str(e.u),
-                "v": str(e.v),
-                "deg": [e.degree.d1, e.degree.d2],
-                "root": str(e.root),
-            }
-            for e in g.edges
-        ],
-    }

@@ -126,8 +126,11 @@ class SchubertUnion(_Frozen):
                 raise DomainError("a Schubert union has at least one component")
             if len({w.n for w in components}) != 1:
                 raise DomainError("components must share one rank")
+            # Read off the rank's masks, not bruhat_leq: its unbounded cache
+            # would keep these labels alive after their rank is evicted.
+            index, below, _covered, _level = _rank(components[0].n).masks
             for x, y in itertools.combinations(components, 2):
-                if bruhat_leq(x, y) or bruhat_leq(y, x):
+                if below[index[x]] >> index[y] & 1 or below[index[y]] >> index[x] & 1:
                     raise DomainError(f"components {x} and {y} are comparable")
         object.__setattr__(self, "components", components)
 

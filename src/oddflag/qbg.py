@@ -5,7 +5,9 @@ Bruhat cover.  A quantum edge u -> v of degree d requires the exact length
 gain 2*d1 + (2n-1)*d2 - 1 together with v lying below some component of
 the degree-d curve neighborhood of X(u); a strict mode instead requires v
 to BE a component.  Property O asks for strong connectivity and for the
-cycle-length gcd to equal the Fano index gcd(2, 2n-1) = 1.
+cycle-length gcd to equal the Fano index gcd(2, 2n-1) = 1.  This module
+only computes; the ``qbg`` subcommand of ``cli`` writes the graph and the
+verdict as JSON, DOT or a table.
 
 Both kinds of edge are read off the masks of ``weyl.bruhat_masks``: the
 classical targets of u are covered[u], and its quantum targets in degree
@@ -57,7 +59,7 @@ from collections import deque
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, VerificationError, _Frozen
-from .moment import EDGE_COLORS, Degree, moment_masks
+from .moment import Degree, moment_masks
 from .neighborhoods import gamma_closed_form
 from .weyl import FlagLabel, _bits, _check_rank, _checked, bruhat_masks, enumerate_labels, label
 from .weyl import bruhat_leq  # noqa: F401  perfbench/selftest.py checks qbg's alias
@@ -74,8 +76,6 @@ __all__ = [
     "PropertyOVerdict",
     "property_o_verdict",
     "moment_discrepancies",
-    "to_dot",
-    "to_json_dict",
 ]
 
 class ChernData(_Frozen):
@@ -311,44 +311,3 @@ def moment_discrepancies(n: int) -> tuple[tuple[FlagLabel, FlagLabel, Degree], .
     ]
     out.sort(key=lambda t: (index[t[0]], index[t[1]], t[2].key))
     return tuple(out)
-
-
-def to_dot(g: QBGraph) -> str:
-    """Directed DOT text; classical edges black, quantum by degree class."""
-    lines = [f"digraph qbg_n{g.n} {{", "  node [shape=plaintext];"]
-    lines.extend(f'  "{v}";' for v in g.vertices)
-    for e in g.edges:
-        if e.degree is None:
-            style = "color=black"
-        else:
-            color = EDGE_COLORS.get(e.degree, "purple")
-            style = f'color={color}, label="{e.degree}"'
-        lines.append(f'  "{e.u}" -> "{e.v}" [{style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def to_json_dict(g: QBGraph, verdict: PropertyOVerdict | None = None) -> dict:
-    edges = []
-    for e in g.edges:
-        entry: dict = {"u": str(e.u), "v": str(e.v), "kind": e.kind}
-        if e.degree is not None:
-            entry["deg"] = [e.degree.d1, e.degree.d2]
-        edges.append(entry)
-    out: dict = {
-        "schema": "oddflag.qbg/1",
-        "n": g.n,
-        "strict": g.strict,
-        "edges": edges,
-    }
-    if verdict is not None:
-        out["verdict"] = {
-            "strongly_connected": verdict.strongly_connected,
-            "gcd": verdict.gcd,
-            "fano_index": verdict.fano_index,
-            "holds": verdict.holds,
-            "witness_cycles": [
-                [str(w) for w in cycle] for cycle in verdict.witness_cycles
-            ],
-        }
-    return out

@@ -28,7 +28,7 @@ from .weyl import _check_rank, enumerate_labels, length, moment_roots, parse_lab
 from .weyl import top_label
 from .errors import DomainError, VerificationError, _Frozen
 
-__all__ = ["CheckResult", "run_suite", "suite_passed", "to_json_dict", "load_golden"]
+__all__ = ["CheckResult", "run_suite", "suite_passed", "load_golden"]
 
 # The single quantum edge present in the built graph at n=2 but absent
 # from the reference figure: it follows from the two-component value of
@@ -302,14 +302,3 @@ def run_suite(n_max: int, strict_qbg: bool = False) -> tuple[CheckResult, ...]:
 
 def suite_passed(results: tuple[CheckResult, ...]) -> bool:
     return all(r.ok for r in results)
-
-
-def to_json_dict(results: tuple[CheckResult, ...]) -> dict:
-    return {
-        "schema": "oddflag.verify/1",
-        "passed": suite_passed(results),
-        "checks": [
-            {"name": r.name, "n": r.n, "status": r.status, "detail": r.detail}
-            for r in results
-        ],
-    }

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from oddflag.cli import MAX_RANK, main
+from oddflag.moment import build_moment_graph
+from oddflag.qbg import build_qbg
 from oddflag.weyl import _rank, top_label
 
 
@@ -189,6 +191,27 @@ def test_signed_and_spaced_degree_parts_still_parse(capsys):
         assert code == 0 and out == want
 
 
+@pytest.mark.parametrize(
+    "flag, command, text",
+    [
+        ("--n", "enumerate", "1_2"),
+        ("--n", "enumerate", "\uff11\uff12"),  # full-width 12
+        ("--n-max", "verify", "\u0663"),  # Arabic-Indic 3
+    ],
+)
+def test_rank_flags_take_the_grammar_of_labels_and_degrees(capsys, flag, command, text):
+    code, out, err = run(capsys, command, flag, text)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: invalid int value: {text!r}" in err
+
+
+def test_a_spaced_or_signed_rank_still_parses(capsys):
+    _, want, _ = run(capsys, "enumerate", "--n", "3")
+    for text in (" 3", "+3", "3 "):
+        code, out, _ = run(capsys, "enumerate", "--n", text)
+        assert code == 0 and out == want
+
+
 def test_small_rank_reports_the_given_value(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "0")
     assert code == 2 and "got 0" in err
@@ -221,6 +244,69 @@ def test_ceiling_admits_the_documented_ranks(capsys):
     assert MAX_RANK >= 12
     code, out, _ = run(capsys, "enumerate", "--n", str(MAX_RANK))
     assert code == 0 and len(out.splitlines()) == 4 * MAX_RANK**2
+
+
+# Every subcommand in every format it offers.
+EVERY_FORMAT = [
+    ("enumerate", "--n", "3", "--format", "table"),
+    ("enumerate", "--n", "3", "--format", "json"),
+    ("moment-graph", "--n", "3", "--format", "json"),
+    ("moment-graph", "--n", "3", "--format", "dot"),
+    ("moment-graph", "--n", "3", "--format", "table"),
+    ("nbhd", "--n", "3", "--w", "2|1", "--d", "0,1", "--format", "table"),
+    ("nbhd", "--n", "3", "--w", "2|1", "--d", "0,1", "--oracle", "--format", "json"),
+    ("lattice", "--n", "3", "--w", "1|2", "--format", "json"),
+    ("lattice", "--n", "3", "--w", "1|2", "--format", "dot"),
+    ("lattice", "--n", "3", "--w", "1|2", "--format", "table"),
+    ("qbg", "--n", "3", "--format", "json"),
+    ("qbg", "--n", "3", "--format", "dot"),
+    ("qbg", "--n", "3", "--format", "table"),
+    ("qbg", "--n", "3", "--strict-qbg", "--format", "table"),
+    ("verify", "--n-max", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_FORMAT, ids=" ".join)
+def test_out_file_gets_the_bytes_of_stdout(tmp_path, capsys, argv):
+    code, want, _ = run(capsys, *argv)
+    assert code == 0 and want
+    target = tmp_path / "out"
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == want.encode()
+
+
+class _RecordingStdout:
+    """A stdout that keeps each string written to it as one chunk."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a in EVERY_FORMAT if a[0] in ("moment-graph", "qbg")], ids=" ".join
+)
+def test_graph_formats_write_at_least_one_chunk_per_edge(monkeypatch, argv):
+    # No format of a graph builds its whole text before writing it.
+    n = int(argv[2])
+    edges = (
+        build_moment_graph(n) if argv[0] == "moment-graph" else build_qbg(n, "--strict-qbg" in argv)
+    ).edges
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(list(argv)) == 0
+    assert len(stdout.chunks) >= len(edges) > 0
 
 
 # sha256 of stdout for fixed flags, recorded before letters became signed
@@ -327,6 +413,14 @@ PINNED_STDOUT_SHA256 = {
     # A verify whose cross-check covers ranks 2..12, recorded before the
     # search kept a base's cells between calls.
     "verify --n-max 12": "630429bf619396a2b58e8808cbb46449895c2a95eb0e451c6f12f584d53be5a7",
+    # The table and DOT texts no digest above covers, recorded while each
+    # graph module still built its own DOT text and every format was
+    # written whole.
+    "moment-graph --n 16 --format table": "aaa27140ce51d8b2f0e7baf7faff544f2f9c4c025a609fb62ca94bbafd7236a2",
+    "qbg --n 4 --format dot": "b94fb1b5fa74eab1fd164862c6535fb9c8f9faa108bb1a0e24d443cef32a9077",
+    "qbg --n 3 --strict-qbg --format dot": "2f9133735680a650952bbea416d56d9961ef42e2f280452169dbdaf678bb99e7",
+    "qbg --n 16 --format table": "ff2a5bc7eda9f0e3b93f612c620e73a90f1e7ea930022b0a35ad070580339d3d",
+    "enumerate --n 9": "659d0220ee9f6dd12f60df2564a265cefe48df49da93769b3e46d4091ae713c8",
 }
 
 

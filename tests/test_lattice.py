@@ -1,4 +1,5 @@
 import itertools
+import json
 import sys
 import threading
 from collections import Counter
@@ -16,8 +17,6 @@ from oddflag.lattice import (
     hasse_edges,
     is_distributive,
     is_lattice,
-    to_dot,
-    to_json_dict,
 )
 from oddflag.moment import Degree
 from oddflag.neighborhoods import SchubertUnion, degree_grid, gamma_closed_form, union_leq
@@ -607,12 +606,16 @@ def test_the_lattice_memo_holds_a_whole_rank():
         assert all(memo[w.a][w.b] is lat for w, lat in zip(labels, first))
 
 
-def test_dot_and_json_exports():
+def test_dot_and_json_exports(capsys):
     lat = build_cn_lattice(label(1, 2, 2))
-    dot = to_dot(lat)
+    argv = ["lattice", "--n", "2", "--w", "1|2", "--format"]
+    assert cli.main(argv + ["dot"]) == 0
+    dot = capsys.readouterr().out
     assert dot.count("->") == len(hasse_edges(lat))
-    assert to_dot(lat) == dot
-    payload = to_json_dict(lat)
+    assert cli.main(argv + ["dot"]) == 0
+    assert capsys.readouterr().out == dot
+    assert cli.main(argv + ["json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["base"] == "1|2"
     assert payload["shape"] == "diamond-plus-top"
     assert payload["elements"][3] == ["-3|2", "-2|1"]

@@ -11,8 +11,6 @@ from oddflag.moment import (
     build_moment_graph,
     degree_of_root,
     moment_masks,
-    to_dot,
-    to_json_dict,
 )
 from oddflag.verify import load_golden
 from oddflag.weyl import (
@@ -188,28 +186,38 @@ def test_even_graph_vertex_count():
         assert len(pairs) == (2 * n + 2) * 2 * n
 
 
-def test_dot_output():
-    g = build_moment_graph(2)
-    dot = to_dot(g)
+def _cli_out(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_dot_output(capsys):
+    dot = _cli_out(capsys, "moment-graph", "--n", "2", "--format", "dot")
     node_lines = [l for l in dot.splitlines() if l.endswith('";') and "--" not in l]
     assert len(node_lines) == 16
-    filtered = to_dot(g, Degree(1, 2))
-    assert sum(1 for l in filtered.splitlines() if "--" in l) == 4
-    assert to_dot(g) == dot  # byte determinism
+    # The (1,2) edges, drawn purple, join (a|b) and (-b|-a) for a, b != 1.
+    assert sum("color=purple" in l for l in dot.splitlines()) == 4
+    assert _cli_out(capsys, "moment-graph", "--n", "2", "--format", "dot") == dot
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 16])
 def test_the_json_export_is_the_payload_dump(capsys, n):
-    # The CLI writes each edge from a template; to_json_dict defines the
-    # payload.
-    assert main(["moment-graph", "--n", str(n), "--format", "json"]) == 0
-    want = json.dumps(to_json_dict(build_moment_graph(n)), indent=2) + "\n"
-    assert capsys.readouterr().out == want
+    # The CLI writes each edge from a template; the text must be the one
+    # json.dumps with indent=2 makes of the payload it holds.
+    out = _cli_out(capsys, "moment-graph", "--n", str(n), "--format", "json")
+    payload = json.loads(out)
+    assert json.dumps(payload, indent=2) + "\n" == out
+    g = build_moment_graph(n)
+    assert payload["edges"] == [
+        {"u": str(e.u), "v": str(e.v), "deg": [e.degree.d1, e.degree.d2], "root": str(e.root)}
+        for e in g.edges
+    ]
+    assert payload["vertices"] == [str(v) for v in g.vertices]
 
 
-def test_json_round_trip():
-    g = build_moment_graph(2)
-    payload = to_json_dict(g)
+def test_json_round_trip(capsys):
+    payload = json.loads(_cli_out(capsys, "moment-graph", "--n", "2", "--format", "json"))
+    assert payload["schema"] == "oddflag.moment-graph/1"
     assert payload["n"] == 2
     assert len(payload["vertices"]) == 16
     assert len(payload["edges"]) == 48

@@ -19,8 +19,6 @@ from oddflag.qbg import (
     moment_discrepancies,
     property_o_verdict,
     strongly_connected,
-    to_dot,
-    to_json_dict,
     witness_cycles,
 )
 from oddflag.verify import (
@@ -458,13 +456,20 @@ def test_a_cold_build_reads_each_reach_from_the_kept_mask():
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12, 16])
 def test_the_json_export_is_the_payload_dump(capsys, n, strict):
-    # The CLI writes each edge from a template; to_json_dict defines the
-    # payload.
+    # The CLI writes each edge from a template; the text must be the one
+    # json.dumps with indent=2 makes of the payload it holds.
     argv = ["qbg", "--n", str(n), "--format", "json"] + ["--strict-qbg"] * strict
     assert main(argv) == 0
-    verdict = None if strict else property_o_verdict(n)
-    want = json.dumps(to_json_dict(build_qbg(n, strict), verdict), indent=2) + "\n"
-    assert capsys.readouterr().out == want
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert json.dumps(payload, indent=2) + "\n" == out
+    assert payload["edges"] == [
+        {"u": str(e.u), "v": str(e.v), "kind": e.kind}
+        if e.degree is None
+        else {"u": str(e.u), "v": str(e.v), "kind": e.kind, "deg": [e.degree.d1, e.degree.d2]}
+        for e in build_qbg(n, strict).edges
+    ]
+    assert payload["strict"] is strict and ("verdict" in payload) is not strict
 
 
 def test_moment_discrepancies():
@@ -479,14 +484,23 @@ def test_moment_discrepancies():
         assert abs(length(u) - length(v)) >= 2
 
 
-def test_exports():
+def test_exports(capsys):
     g = build_qbg(2)
-    dot = to_dot(g)
+    assert main(["qbg", "--n", "2", "--format", "dot"]) == 0
+    dot = capsys.readouterr().out
     assert dot.count("->") == len(g.edges)
-    assert to_dot(g) == dot
-    payload = to_json_dict(g, property_o_verdict(2))
+    assert main(["qbg", "--n", "2", "--format", "dot"]) == 0
+    assert capsys.readouterr().out == dot
+    assert main(["qbg", "--n", "2", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    verdict = property_o_verdict(2)
     assert payload["n"] == 2 and not payload["strict"]
-    assert payload["verdict"]["holds"] is True
-    assert json.loads(json.dumps(payload)) == payload
+    assert payload["verdict"] == {
+        "strongly_connected": True,
+        "gcd": 1,
+        "fano_index": 1,
+        "holds": True,
+        "witness_cycles": [[str(w) for w in c] for c in verdict.witness_cycles],
+    }
     kinds = {e["kind"] for e in payload["edges"]}
     assert kinds == {"classical", "quantum"}

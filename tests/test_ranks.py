@@ -186,3 +186,18 @@ def test_a_suite_run_holds_at_most_two_ranks():
     assert info.currsize <= info.maxsize == 2
     gc.collect()
     assert first() is None
+
+
+def test_no_cache_keeps_the_labels_of_an_evicted_rank():
+    # A two-component value is checked for being an antichain when it is
+    # built; that check must not leave its labels in bruhat_leq's cache,
+    # which no rank eviction clears.
+    weyl.bruhat_leq.cache_clear()
+    weyl._rank.cache_clear()
+    value = gamma_closed_form(label(2, 1, 2), Degree(0, 1))
+    assert len(value.components) == 2
+    component = weakref.ref(value.components[0])
+    del value
+    assert suite_passed(run_suite(8))
+    gc.collect()
+    assert component() is None

@@ -75,15 +75,16 @@ def test_hot_call_gate_holds_after_build_qbg(monkeypatch):
                     monkeypatch.setattr(module, attr, value)
     caches = {"weyl.bruhat_leq": weyl.bruhat_leq}
     weyl.bruhat_leq.cache_clear()
-    # The graph's only Bruhat comparisons check the closed form's two
-    # two-component values, which its per-rank rows keep once built.
     weyl._rank.cache_clear()
 
     tracer = TRACED.Tracer()
     tracer.install()
     g = qbg.build_qbg(3)
+    # The build reads Bruhat masks and calls neither hot function, so the
+    # test calls both through their wrappers, once per vertex.
     for v in g.vertices:
         weyl.down_set(v)
+        weyl.bruhat_leq(g.vertices[0], v)
 
     summary = tracer.summary(caches)
     assert TRACED.check_summary(summary) == []
