@@ -31,7 +31,7 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 # Largest rank --n and --n-max accept.  verify --n-max 16 takes about 1 s
-# at a peak RSS of about 28 MB (qbg --n 16 about 0.1 s; 2 vCPUs, CPython
+# at a peak RSS of about 20 MB (qbg --n 16 about 0.1 s; 2 vCPUs, CPython
 # 3.11), so a larger rank is refused up front rather than left to run for an
 # unbounded time.
 MAX_RANK = 16

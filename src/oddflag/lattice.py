@@ -14,49 +14,38 @@ compares no labels; each value keeps its mask (``SchubertUnion._lower``).
 The same masks drop repeated values: two antichains with equal masks are
 equal, since an antichain is the set of maxima of its L.
 
-Every fact the module reads of an order matrix comes from one record,
-``_poset(order) -> (order, up, down, join, meet)``.  ``up[k]`` and
-``down[k]`` are the up-set and down-set of element k as bitmasks; the
-axioms are checked on them in O(k^2) mask operations, and the join and
-meet tables are read off them (see ``_poset``).  The record is a pure
-function of ``order``, so it is computed once per distinct order, in an
-``lru_cache`` bounded at 256 keys (``is_lattice``, ``is_distributive``
-and ``hasse_edges`` read only the ``order`` of what they are given, so
-they take any finite poset).  Its ``order`` is the first-seen tuple equal
-to the key, and ``CNLattice`` stores that one, so lattices with equal
-orders share one order tuple.  An invalid order raises on every call,
-since a call that raises caches nothing.  ``CNLattice`` still accepts
-list rows.
-
-Two facts stay lazy, each in its own ``lru_cache`` of 256 keys: the
-distributivity verdict, a function of ``order`` (both routes and their
-agreement), and the structural shape, a function of ``order`` and
-``witnesses``.  Both raise on some valid input (a non-lattice, an
-unrecognised shape), so they run only when a caller asks.  Two lattices
-with equal keys get equal facts, so every check still runs once for each
-distinct key.  The lattices have six orders at every rank from 2 to 16.
-``CNLattice`` still checks its base and its top on every instance.
-``classify_shape`` reads the shape that each lattice object keeps
-(``CNLattice._shape``): the cached structural shape is compared with the
-base-label predicate once per lattice object, and a mismatch keeps
-nothing, so it raises on every call.
+Every fact that depends on the order alone lives on one record per
+distinct order (``_Order``), shared by every lattice with that order: the
+checked axioms, the up-set and down-set rows as bitmasks, the bool
+``order`` matrix, the join and meet tables and their completeness, the
+distributivity verdict of both routes and the structural shape.  The
+records sit in an ``lru_cache`` of 256 keys on the up-set rows
+(``_order``), which ``build_cn_lattice`` computes straight from the
+lower-set masks.  ``CNLattice`` keeps its record, so the checks on a built
+lattice hash nothing; any other poset with an ``order`` (list rows too)
+reaches the same record through ``_poset``.  The lattices of each rank
+from 2 to 16 have six orders, so each order's checks run six times there.
+The verdict and the shape are computed on first read, since each raises
+on some valid order (a non-lattice, an unrecognised shape); a read that
+raises keeps nothing, so it raises again on every call.  A 3-chain's
+shape is named by the degree witnessing its middle, so the record holds
+the middle's index and ``CNLattice._shape`` reads ``witnesses[middle]``;
+it compares the shape with the base-label predicate once per lattice
+object and keeps it there.
 
 A lattice is a pure function of its base's letters and rank (a, b, n):
 the closed-form values, the lower-set masks and hence the order and the
 witnesses are all read off them.  So ``build_cn_lattice`` memoises the
 lattice on its rank object, in a dict keyed on the letters a, then b
-(``weyl._Rank.lattices``), and a repeated query returns the instance
-built by the first; the instance is immutable, so sharing it changes no
-answer.  The memo holds at most one lattice per label, 4n^2, and goes
-with its rank when ``weyl._rank`` evicts it, together with the labels and
-values its lattices hold.  The lattice is built from the label object of
-the rank's table (``weyl._Rank.by_letters``), so its base and top are the
-table's objects.  ``CNLattice`` finds them with ``list.index``, which
-tries identity first and falls back to equality, so a label from another
-build of the rank, kept by a caller across an eviction, is found as well.
-Every check still runs once per label: ``CNLattice`` checks its axioms,
-base and top when the memo builds it, and a build that raises keeps
-nothing.
+(``weyl._Rank.lattices``), and a repeated query returns the immutable
+instance built by the first.  The memo holds at most one lattice per
+label, 4n^2, and goes with its rank when ``weyl._rank`` evicts it.  The
+lattice is built from the label object of the rank's table
+(``weyl._Rank.by_letters``), so its base and top are the table's objects;
+``CNLattice`` finds them with ``list.index``, which tries identity and
+then equality, so a label kept by a caller across an eviction is found as
+well.  The base and top check runs once per label, when the memo builds
+the lattice, and a build that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -102,58 +91,104 @@ SHAPE_TAGS = (
 OrderMatrix = tuple[tuple[bool, ...], ...]
 Rows = tuple[int, ...]  # one bitmask per element
 BoundTable = tuple[tuple[int | None, ...], ...]
-Poset = tuple[OrderMatrix, Rows, Rows, BoundTable, BoundTable]
 
 
-@functools.lru_cache(maxsize=256)
-def _poset(order: OrderMatrix) -> Poset:
-    """The record ``(order, up, down, join, meet)`` of a partial order.
+class _Order:
+    """One distinct partial order and every fact that depends on it alone.
 
-    ``order`` is the first-seen tuple equal to the key.  Bit j of
-    ``up[i]`` and bit i of ``down[j]`` are set iff order[i][j].  Raises
-    ``DomainError`` unless the matrix is square, reflexive (bit i in
-    up[i]), antisymmetric (up[i] & down[i] is {i}) and transitive (up[j]
-    inside up[i] for every j in up[i]).
+    Built from the up-set rows: bit j of ``up[i]`` and bit i of ``down[j]``
+    are set iff element i lies below element j.  Raises ``DomainError``
+    unless the order is reflexive (bit i in up[i]), antisymmetric (up[i] &
+    down[i] is {i}) and transitive (up[j] inside up[i] for every j in
+    up[i]).  ``order`` is the same relation as a bool matrix.
 
     ``join`` and ``meet`` are the least-upper-bound and
     greatest-lower-bound tables, None where missing.  The upper bounds of
-    a and b form the set U = up[a] & up[b].  An element k is their least
-    upper bound iff up[k] == U.  If k is least, every member of U lies
-    above k, so U is inside up[k]; and k lies in U, which is an up-set (an
-    intersection of up-sets), so up[k] is inside U.  Conversely up[k] == U
-    puts k in U, below every member of U.  Antisymmetry makes k unique
-    (up[k] == up[k'] gives k <= k' <= k), so the join is ``by_up.get(U)``
-    and the meet is the same with down-sets.
+    a and b form the up-set U = up[a] & up[b], and k is their least upper
+    bound iff up[k] == U: a least k lies below all of U, so U is inside
+    up[k], and in U, an up-set, so up[k] is inside U; up[k] == U puts k in
+    U below all of it.  Antisymmetry makes k unique, so the join is
+    ``by_up.get(U)``; the meet is the same with down-sets.
     """
-    size = len(order)
-    if any(len(row) != size for row in order):
-        raise DomainError("order matrix must be square")
-    up = [0] * size
-    down = [0] * size
-    for i, row in enumerate(order):
-        for j, leq in enumerate(row):
-            if leq:
-                up[i] |= 1 << j
+
+    def __init__(self, up: Rows) -> None:
+        size = len(up)
+        down = [0] * size
+        for i, row in enumerate(up):
+            if not row >> i & 1:
+                raise DomainError("order must be reflexive")
+            for j in _bits(row):
                 down[j] |= 1 << i
-    for i in range(size):
-        if not up[i] >> i & 1:
-            raise DomainError("order must be reflexive")
-    for i in range(size):
-        both = up[i] & down[i] & ~(1 << i)
-        if both:
-            j = (both & -both).bit_length() - 1
-            raise DomainError(f"order not antisymmetric at ({i},{j})")
-    for i in range(size):
-        for j in _bits(up[i]):
-            missed = up[j] & ~up[i]
-            if missed:
-                k = (missed & -missed).bit_length() - 1
-                raise DomainError(f"order not transitive at ({i},{j},{k})")
-    by_up = {mask: k for k, mask in enumerate(up)}
-    by_down = {mask: k for k, mask in enumerate(down)}
-    join = tuple(tuple(by_up.get(ua & ub) for ub in up) for ua in up)
-    meet = tuple(tuple(by_down.get(da & db) for db in down) for da in down)
-    return order, tuple(up), tuple(down), join, meet
+        for i in range(size):
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise DomainError(f"order not antisymmetric at ({i},{j})")
+        for i in range(size):
+            for j in _bits(up[i]):
+                missed = up[j] & ~up[i]
+                if missed:
+                    k = (missed & -missed).bit_length() - 1
+                    raise DomainError(f"order not transitive at ({i},{j},{k})")
+        by_up = {mask: k for k, mask in enumerate(up)}
+        by_down = {mask: k for k, mask in enumerate(down)}
+        self.up, self.down = up, tuple(down)
+        self.order = tuple(tuple(bool(row >> j & 1) for j in range(size)) for row in up)
+        self.join = tuple(tuple(by_up.get(ua & ub) for ub in up) for ua in up)
+        self.meet = tuple(tuple(by_down.get(da & db) for db in down) for da in down)
+        self.complete = not any(None in row for row in self.join + self.meet)
+
+    @_Once
+    def distributive(self) -> bool:
+        """The verdict of both routes, which must agree (``is_distributive``)."""
+        if not self.complete:
+            raise DomainError("distributivity is only defined for lattices")
+        by_law = not _violates_triple_law(self.join, self.meet)
+        by_shape = not _sublattice_shapes(self.up, self.down, self.join, self.meet)
+        if by_law != by_shape:
+            raise VerificationError(
+                f"distributivity verdicts disagree: triple law {by_law}, "
+                f"sublattice hunt {by_shape}"
+            )
+        return by_law
+
+    @_Once
+    def shape(self) -> str | int:
+        """The structural shape tag; for a 3-chain, the index of its middle."""
+        up, down = self.up, self.down
+        size = len(up)
+        full = (1 << size) - 1
+        # A chain: every element is comparable with all the others.
+        chain = all(u | d == full for u, d in zip(up, down))
+        middles = [i for i in range(size) if up[i] != full and down[i] != full]
+        if size == 1:
+            return "trivial"
+        if size == 2:
+            return "2-chain"
+        if size == 3 and chain:
+            return middles[0]
+        if size == 4:
+            return "4-chain" if chain else "diamond"
+        # bottom < {m1, m2} incomparable, their join, then the top
+        pairs = itertools.combinations(middles, 2)
+        if size == 5 and sum((up[i] | down[i]) >> j & 1 for i, j in pairs) == 2:
+            return "diamond-plus-top"
+        raise VerificationError(f"unrecognized lattice shape of size {size}")
+
+
+_order = functools.lru_cache(maxsize=256)(_Order)  # keyed on the up-set rows
+
+
+def _poset(order) -> _Order:
+    """The record of an order matrix of truth values; it must be square."""
+    if any(len(row) != len(order) for row in order):
+        raise DomainError("order matrix must be square")
+    return _order(tuple(sum(1 << j for j, leq in enumerate(row) if leq) for row in order))
+
+
+def _facts(p) -> _Order:
+    """The record of p's order: the one a ``CNLattice`` keeps, else looked up."""
+    return p._record if p.__class__ is CNLattice else _poset(p.order)
 
 
 class CNLattice(_Frozen):
@@ -177,8 +212,12 @@ class CNLattice(_Frozen):
         order: OrderMatrix,
         witnesses: tuple[Degree, ...],
     ) -> None:
-        # _poset checks the partial-order axioms.
-        order, up, down, _join, _meet = _poset(tuple(map(tuple, order)))
+        if not len(elements) == len(order) == len(witnesses):
+            raise DomainError("elements, order rows and witnesses differ in number")
+        self._keep(base, elements, _poset(order), witnesses)
+
+    def _keep(self, base: FlagLabel, elements: tuple, record: _Order, witnesses: tuple) -> None:
+        """Check the base and the top on the record, then set the fields and keep it."""
         comps = [e.components for e in elements]
         try:
             bottom = comps.index((base,))
@@ -188,12 +227,10 @@ class CNLattice(_Frozen):
         except ValueError:
             raise VerificationError("lattice must contain its base and the top") from None
         full = (1 << len(comps)) - 1
-        if up[bottom] != full or down[top] != full:
+        if record.up[bottom] != full or record.down[top] != full:
             raise VerificationError("base must be the minimum and the top the maximum")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "witnesses", witnesses)
+        _Frozen.__init__(self, base, elements, record.order, witnesses)
+        object.__setattr__(self, "_record", record)  # outside equality, hash and repr
 
     @property
     def size(self) -> int:
@@ -206,7 +243,12 @@ class CNLattice(_Frozen):
         Kept on the object; it takes no part in equality, hashing or the
         repr.  A mismatch raises and keeps nothing, so it raises on every read.
         """
-        shape = _structural_shape(self.order, self.witnesses)
+        shape = self._record.shape
+        if shape.__class__ is int:  # a 3-chain, named by the degree witnessing its middle
+            wit = self.witnesses[shape]
+            shape = f"3-chain-via-{wit}"
+            if shape not in SHAPE_TAGS:
+                raise VerificationError(f"3-chain middle witnessed by unexpected degree {wit}")
         expected = figure_shape_predicate(self.base)
         if shape != expected:
             raise VerificationError(
@@ -243,18 +285,21 @@ def _lattice(a: int, b: int, n: int) -> CNLattice:
             elements.append(value)
             witnesses.append(d)
             lower.append(mask)
-    order = tuple([tuple([x & y == x for y in lower]) for x in lower])
-    return CNLattice(w, tuple(elements), order, tuple(witnesses))
-
-
-def _complete(join: BoundTable, meet: BoundTable) -> bool:
-    return all(None not in row for row in join) and all(None not in row for row in meet)
+    up = []
+    for x in lower:
+        row = 0
+        for j, y in enumerate(lower):
+            if x & y == x:
+                row |= 1 << j
+        up.append(row)
+    lat = CNLattice.__new__(CNLattice)
+    lat._keep(w, tuple(elements), _order(tuple(up)), tuple(witnesses))
+    return lat
 
 
 def is_lattice(lat: CNLattice) -> bool:
     """Every pair has a unique least upper and greatest lower bound."""
-    _order, _up, _down, join, meet = _poset(lat.order)
-    return _complete(join, meet)
+    return _facts(lat).complete
 
 
 def _violates_triple_law(join: BoundTable, meet: BoundTable) -> bool:
@@ -298,27 +343,12 @@ def _sublattice_shapes(
 def is_distributive(lat: CNLattice) -> bool:
     """Distributivity, decided twice: triple law and forbidden sublattices.
 
-    The verdict is decided once per order matrix (module docstring), from
-    the join and meet tables that the lattice test reads too.  The two
-    routes must agree; disagreement indicates a bug in one of them, not a
-    property of the input.
+    The verdict is decided once per order, on its record (module
+    docstring), from the join and meet tables that the lattice test reads
+    too.  The two routes must agree; disagreement indicates a bug in one
+    of them, not a property of the input.
     """
-    return _distributive(lat.order)
-
-
-@functools.lru_cache(maxsize=256)
-def _distributive(order: OrderMatrix) -> bool:
-    _order, up, down, join, meet = _poset(order)
-    if not _complete(join, meet):
-        raise DomainError("distributivity is only defined for lattices")
-    by_law = not _violates_triple_law(join, meet)
-    by_shape = not _sublattice_shapes(up, down, join, meet)
-    if by_law != by_shape:
-        raise VerificationError(
-            f"distributivity verdicts disagree: triple law {by_law}, "
-            f"sublattice hunt {by_shape}"
-        )
-    return by_law
+    return _facts(lat).distributive
 
 
 def figure_shape_predicate(w: FlagLabel) -> str:
@@ -346,42 +376,6 @@ def figure_shape_predicate(w: FlagLabel) -> str:
     return "diamond-plus-top"
 
 
-@functools.lru_cache(maxsize=256)
-def _structural_shape(order: OrderMatrix, witnesses: tuple[Degree, ...]) -> str:
-    _order, up, down, _join, _meet = _poset(order)
-    size = len(order)
-    full = (1 << size) - 1
-    # A chain: every element is comparable with all the others.
-    chain = all(u | d == full for u, d in zip(up, down))
-    if size == 1:
-        return "trivial"
-    if size == 2:
-        return "2-chain"
-    if size == 3 and chain:
-        middle = next(i for i in range(size) if up[i] != full and down[i] != full)
-        wit = witnesses[middle]
-        if wit == Degree(0, 1):
-            return "3-chain-via-(0,1)"
-        if wit == Degree(1, 0):
-            return "3-chain-via-(1,0)"
-        raise VerificationError(f"3-chain middle witnessed by unexpected degree {wit}")
-    if size == 4 and chain:
-        return "4-chain"
-    if size == 4:
-        return "diamond"
-    if size == 5 and not chain:
-        # bottom < {m1, m2} incomparable, their join, then the top
-        middles = [i for i in range(size) if up[i] != full and down[i] != full]
-        comparable = [
-            (i, j)
-            for i, j in itertools.combinations(middles, 2)
-            if (up[i] | down[i]) >> j & 1
-        ]
-        if len(comparable) == 2:
-            return "diamond-plus-top"
-    raise VerificationError(f"unrecognized lattice shape of size {size}")
-
-
 def classify_shape(lat: CNLattice) -> str:
     """Structural shape tag, checked against the base-label predicate.
 
@@ -395,7 +389,8 @@ def hasse_edges(lat: CNLattice) -> tuple[tuple[int, int], ...]:
 
     j covers i iff the interval up[i] & down[j] is exactly {i, j}.
     """
-    _order, up, down, _join, _meet = _poset(lat.order)
+    rec = _facts(lat)
+    up, down = rec.up, rec.down
     return tuple(
         (i, j)
         for i, j in itertools.permutations(range(len(up)), 2)

@@ -168,6 +168,9 @@ class SchubertUnion(_Frozen):
         Computed once per object and kept on it; it takes no part in
         equality, hashing or the repr.  ``union_leq``, the lattice order
         and the quantum graph read it; neither neighborhood route does.
+        A one-component union of the closed form gets it when its rows are
+        built (``_closed_form_rows``), since finding a label's place here
+        hashes the label.
         """
         index, below, _covered, _level = _rank(self.components[0].n).masks
         mask = 0
@@ -389,10 +392,16 @@ def _closed_form_rows(rank: weyl._Rank) -> dict[int, dict[int, tuple[SchubertUni
     min(d2,2)): (0,0), (0,1), (0,2), (1,0), (1,1), (1,2).  Columns (0,1) and
     (0,2) hold one object, since with d1 = 0 the sweep of column two ends
     at d2 = 1.  Every value is a union over the table's label objects, and
-    each one-component union is built once per label; the rules of
-    ``gamma_closed_form`` are written out here, one pass over the labels.
+    each one-component union is built once per label, with its lower-set
+    mask ``below[i]`` (``SchubertUnion._lower``) read at the label's place
+    i in the table; the rules of ``gamma_closed_form`` are written out
+    here, one pass over the labels.
     """
-    one = {ab: SchubertUnion((w,)) for ab, w in rank.by_letters.items()}
+    _index, below, _covered, _level = rank.masks
+    one = {}
+    for w, mask in zip(rank.labels, below):
+        one[w.a, w.b] = value = SchubertUnion((w,))
+        object.__setattr__(value, "_lower", mask)  # L(w), so no read hashes w
     top = one[-2, -3]
     two_sweep = SchubertUnion((*one[2, -3], *one[1, -2]))  # (2|b) at (0, d2 >= 1)
     two_bottom = SchubertUnion((*one[-3, 2], *one[-2, 1]))  # (1|2), (2|1) at (1,1)

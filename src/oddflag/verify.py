@@ -164,7 +164,9 @@ def _check_lattices(n: int) -> Outcome:
             shapes[str(w)] = classify_shape(lat)
         except VerificationError as exc:
             return "fail", str(exc)
-        if {gamma_closed_form(w, d) for d in sweep_grid} != set(lat.elements):
+        # Equal lower-set masks mean equal values (lattice module docstring).
+        swept = {gamma_closed_form(w, d)._lower for d in sweep_grid}
+        if swept != {value._lower for value in lat.elements}:
             return "fail", (
                 f"base {w}: the representative degrees miss values of the (3,3) sweep"
             )

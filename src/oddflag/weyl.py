@@ -116,7 +116,8 @@ class _Once:
     own and make every later attribute read of it slower.  A first read that raises
     keeps nothing, so the next read computes again.  It holds
     ``FlagLabel._length``, ``neighborhoods.SchubertUnion._lower`` and
-    ``_text``, ``lattice.CNLattice._shape``, and every table of a rank
+    ``_text``, ``lattice.CNLattice._shape``, the verdict and shape of a
+    lattice order's record (``lattice._Order``), and every table of a rank
     object: ``_Rank.labels``, ``by_letters`` and ``masks``, and those that
     higher modules attach (the moment masks, the search index and the
     closed form's rows).

@@ -481,14 +481,15 @@ class FinitePoset(_Frozen):
     """A finite poset given by its full order matrix; order[i][j] iff i <= j.
 
     The lattice checks read only ``order``, so they take these as they take
-    lattices.  ``lattice._poset`` checks the axioms, and the order is
-    stored as the tuple that it returns; list rows are accepted.
+    lattices, and reach the record of the order through ``lattice._poset``.
+    That checks the axioms, and the order is stored as the record's tuple;
+    list rows are accepted.
     """
 
     __slots__ = __match_args__ = ("order",)
 
     def __init__(self, order):
-        object.__setattr__(self, "order", _poset(tuple(map(tuple, order)))[0])
+        object.__setattr__(self, "order", _poset(order).order)
 
 
 def poset_from_covers(size, cover_pairs):

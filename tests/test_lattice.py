@@ -34,8 +34,9 @@ from helpers import (
 )
 
 
-# The per-order caches of the poset facts (lattice module docstring).
-CACHES = ("_poset", "_distributive", "_structural_shape")
+# The per-order cache of the order records, which hold every poset fact
+# (lattice module docstring).
+CACHES = ("_order",)
 
 
 def clear_caches():
@@ -97,9 +98,9 @@ def test_bound_tables_match_the_list_scan_oracle():
     posets += [build_cn_lattice(w) for n in (2, 3, 4) for w in enumerate_labels(n)]
     incomplete = 0
     for p in posets:
-        _order, _up, _down, join, meet = lattice._poset(p.order)
+        record = lattice._poset(p.order)
         oracle = bound_tables_oracle(p.order)
-        assert (join, meet) == tuple(tuple(map(tuple, table)) for table in oracle)
+        assert (record.join, record.meet) == tuple(tuple(map(tuple, table)) for table in oracle)
         incomplete += not is_lattice(p)
     assert incomplete > 0  # the sweep includes non-lattices, so None entries
 
@@ -156,10 +157,10 @@ def test_each_route_decides_on_its_own():
     bad = [m3_poset(), n5_poset(), pentagon_plus_atom]
     good = [build_cn_lattice(w) for n in (2, 3) for w in enumerate_labels(n)]
     for p in bad + good:
-        _order, up, down, join, meet = lattice._poset(p.order)
+        r = lattice._poset(p.order)
         expected = p in bad
-        assert lattice._violates_triple_law(join, meet) is expected
-        assert lattice._sublattice_shapes(up, down, join, meet) is expected
+        assert lattice._violates_triple_law(r.join, r.meet) is expected
+        assert lattice._sublattice_shapes(r.up, r.down, r.join, r.meet) is expected
 
 
 def test_triple_law_finds_the_pentagon_under_every_labelling():
@@ -171,57 +172,57 @@ def test_triple_law_finds_the_pentagon_under_every_labelling():
         moved = [[False] * 5 for _ in range(5)]
         for i, j in itertools.product(range(5), repeat=2):
             moved[perm[i]][perm[j]] = base[i][j]
-        _order, _up, _down, join, meet = lattice._poset(tuple(map(tuple, moved)))
-        assert lattice._violates_triple_law(join, meet), perm
+        record = lattice._poset(moved)
+        assert lattice._violates_triple_law(record.join, record.meet), perm
 
 
 @pytest.mark.parametrize("route", ["_violates_triple_law", "_sublattice_shapes"])
 def test_is_distributive_consults_both_routes(monkeypatch, route):
-    # The verdict is cached per order, so a cached verdict would skip both
-    # routes; clear it first.
-    lattice._distributive.cache_clear()
+    # The verdict is kept on the record of the order, so a kept verdict
+    # would skip both routes; clear the records and the lattice memo first.
+    clear_caches()
     monkeypatch.setattr(lattice, route, lambda *tables: True)
     with pytest.raises(VerificationError):
         is_distributive(build_cn_lattice(label(1, 2, 2)))
 
 
 def test_is_distributive_builds_the_tables_once():
-    # is_lattice and is_distributive read one poset record per order,
-    # which holds the rows and the tables.
+    # is_lattice and is_distributive read one record per order, which
+    # holds the rows, the tables and the verdict.
     clear_caches()
     posets = (build_cn_lattice(label(1, 2, 2)), m3_poset(), n5_poset())
     for p in posets + posets:
         is_lattice(p)
         is_distributive(p)
     assert len({p.order for p in posets}) == 3
-    assert lattice._poset.cache_info().misses == 3
+    assert lattice._order.cache_info().misses == 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_check_lattices_builds_one_row_pair_and_one_table_pair_per_base(n):
     # verify's lattice row calls is_lattice and then is_distributive; they
-    # read the poset record cached for the lattice's order, which holds
-    # the rows and the tables, and the axiom check builds the same record.
+    # read the record that each lattice keeps for its order, which holds
+    # the rows and the tables, and the build makes the same record.
     # The lattices of every rank have six orders
     # (test_lattice_orders_are_few), so a cold run computes six records,
     # however many bases share them.
     clear_caches()
     assert verify._check_lattices(n)[0] == "pass"
     assert len(enumerate_labels(n)) > 6
-    assert lattice._poset.cache_info().misses == 6
+    assert lattice._order.cache_info().misses == 6
 
 
 def test_threads_sharing_lattices_whose_tables_are_not_built_yet():
-    # The poset records, the verdicts and the shapes are cached per order
-    # and cleared before the threads start, so the first calls race on the
-    # cached builders.
+    # The order records are cleared and the lattices built again before
+    # the threads start, so the first calls race on each record's verdict
+    # and shape and on each lattice's checked shape.
     bases = enumerate_labels(3)
     want = [
         (is_lattice(lat), is_distributive(lat), classify_shape(lat))
         for lat in map(build_cn_lattice, bases)
     ]
-    shared = [build_cn_lattice(w) for w in bases]
     clear_caches()
+    shared = [build_cn_lattice(w) for w in bases]
     wrong = []
 
     def worker(k):
@@ -258,38 +259,65 @@ def test_lattice_orders_are_few():
     assert len(pairs) == 8
 
 
+def spy_on(monkeypatch, calls, owner, name):
+    """Count the calls of ``owner.name`` in ``calls[name]``."""
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_check_lattices_computes_each_fact_once_per_order(monkeypatch):
     # The guard on the lattice's cost: verify's lattice rows of ranks 2..8
-    # compute the poset record, each distributivity route and the shape
-    # once for each distinct key, not once per base.
+    # compute the order record, each distributivity route and the
+    # structural shape once for each distinct order, not once per base;
+    # only the check against the label predicate runs once per lattice.
     calls = Counter()
-
-    def spy(name):
-        real = getattr(lattice, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return counted
-
     routes = ("_violates_triple_law", "_sublattice_shapes")
-    for name in routes:
-        monkeypatch.setattr(lattice, name, spy(name))
+    for name in routes + ("figure_shape_predicate",):
+        spy_on(monkeypatch, calls, lattice, name)
+    spy_on(monkeypatch, calls, lattice._Order.shape, "func")
     clear_caches()
     for n in range(2, 9):
         assert verify._check_lattices(n)[0] == "pass"
     lats = [build_cn_lattice(w) for n in range(2, 9) for w in enumerate_labels(n)]
     orders = {lat.order for lat in lats}
     pairs = {(lat.order, lat.witnesses) for lat in lats}
-    misses = {name: getattr(lattice, name).cache_info().misses for name in CACHES}
-    assert misses == {
-        "_poset": len(orders),
-        "_distributive": len(orders),
-        "_structural_shape": len(pairs),
+    assert lattice._order.cache_info().misses == len(orders)
+    assert calls == {
+        **{name: len(orders) for name in routes},
+        "func": len(orders),
+        "figure_shape_predicate": len(lats),
     }
-    assert calls == {name: len(orders) for name in routes}
     assert len(lats) > 100 * len(pairs)
+
+
+def test_ranks_2_to_16_make_one_record_per_order(monkeypatch):
+    # Building every lattice of ranks 2..16 and reading its verdict and
+    # shape makes one record per distinct order, six in all.  Once the
+    # records exist, lattices built again and read for the first time
+    # hash no Degree: a 3-chain's shape reads the witness of its middle.
+    clear_caches()
+    records = set()
+    for n in range(2, 17):
+        for w in enumerate_labels(n):
+            lat = build_cn_lattice(w)
+            is_distributive(lat), classify_shape(lat)
+            records.add(lat._record)
+    assert len(records) == lattice._order.cache_info().misses == 6
+    calls = Counter()
+    spy_on(monkeypatch, calls, Degree, "__hash__")
+    weyl._rank.cache_clear()
+    lats = [build_cn_lattice(w) for n in (3, 16) for w in enumerate_labels(n)]
+    assert all(is_distributive(lat) for lat in lats)
+    shapes = {classify_shape(lat) for lat in lats}
+    assert {"3-chain-via-(0,1)", "3-chain-via-(1,0)"} <= shapes
+    assert {lat._record for lat in lats} == records
+    assert calls == {}
+    assert lattice._order.cache_info().misses == 6
 
 
 def test_posets_take_list_rows_and_invalid_orders_raise_every_time():
@@ -314,26 +342,17 @@ def test_a_second_shape_query_reads_the_kept_shape(monkeypatch):
     # The first query of a lattice object computes its shape and checks it
     # against the label; the shape is kept on the object, so a second
     # query runs neither.
+    # The structural shape is read once per order, off its record.
     calls = Counter()
-
-    def spy(name):
-        real = getattr(lattice, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return counted
-
-    names = ("_structural_shape", "figure_shape_predicate")
-    for name in names:
-        monkeypatch.setattr(lattice, name, spy(name))
-    weyl._rank.cache_clear()
+    spy_on(monkeypatch, calls, lattice, "figure_shape_predicate")
+    spy_on(monkeypatch, calls, lattice._Order.shape, "func")
+    clear_caches()
     lats = [build_cn_lattice(w) for w in enumerate_labels(3)]
+    want = {"figure_shape_predicate": len(lats), "func": len({lat.order for lat in lats})}
     first = [classify_shape(lat) for lat in lats]
-    assert calls == {name: len(lats) for name in names}
+    assert calls == want
     assert [classify_shape(lat) for lat in lats] == first
-    assert calls == {name: len(lats) for name in names}
+    assert calls == want
     assert first == [figure_shape_predicate(w) for w in enumerate_labels(3)]
 
 
@@ -348,6 +367,19 @@ def test_a_mismatched_shape_raises_on_every_query_and_keeps_nothing(monkeypatch)
             assert "_shape" not in vars(lat)
     assert classify_shape(lat) == "diamond-plus-top"
     assert vars(lat)["_shape"] == "diamond-plus-top"
+
+
+def test_a_three_chain_is_named_by_the_witness_of_its_middle():
+    # The record holds the middle's index; the lattice reads its witness.
+    lat = build_cn_lattice(label(-3, 2, 3))
+    assert lat._record.shape == 1 and lat.witnesses[1] == Degree(0, 1)
+    for wit, message in [
+        (Degree(1, 0), r"is a 3-chain-via-\(1,0\) but its label predicts 3-chain-via-\(0,1\)"),
+        (Degree(1, 1), r"middle witnessed by unexpected degree \(1,1\)"),
+    ]:
+        moved = CNLattice(lat.base, lat.elements, lat.order, (lat.witnesses[0], wit, lat.witnesses[2]))
+        with pytest.raises(VerificationError, match=message):
+            classify_shape(moved)
 
 
 def test_a_kept_shape_changes_no_equality_hash_or_repr():
@@ -466,6 +498,18 @@ def test_cn_lattice_rejects_a_missing_or_misplaced_extreme():
         lattice.CNLattice(lat.base, lat.elements, flipped, lat.witnesses)
 
 
+@pytest.mark.parametrize("cut", ["elements", "order", "witnesses"])
+def test_cn_lattice_refuses_lengths_that_differ(cut):
+    # The 3-chain of (-3|2): one field cut to its first entry used to build,
+    # and its shape query then raised a bare IndexError.
+    lat = build_cn_lattice(label(-3, 2, 3))
+    assert lat.size == 3 and classify_shape(lat) == "3-chain-via-(0,1)"
+    fields = {name: getattr(lat, name) for name in ("elements", "order", "witnesses")}
+    fields[cut] = fields[cut][:1]
+    with pytest.raises(DomainError, match="differ in number"):
+        CNLattice(lat.base, **fields)
+
+
 def test_cn_lattice_finds_an_equal_top_and_refuses_a_missing_one():
     # The top is found from the end of the elements, by identity or, as
     # list.index does, by equality: an equal copy of the top label serves.
@@ -539,7 +583,8 @@ def test_memoised_lattices_equal_fresh_builds(n):
         assert lat == lattice._lattice(w.a, w.b, n), w
         assert build_cn_lattice(w) is lat
         lats.append(lat)
-        assert lat.order is lattice._poset(lat.order)[0], w
+        assert lat.order is lattice._poset(lat.order).order, w
+        assert lat._record is lattice._poset(lat.order), w
     # Lattices with equal orders share their rows.
     assert len({tuple(map(id, lat.order)) for lat in lats}) == len({lat.order for lat in lats})
 

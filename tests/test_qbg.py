@@ -426,9 +426,12 @@ def test_a_cold_build_computes_each_length_once(n):
 def test_a_cold_build_reads_each_reach_from_the_kept_mask():
     # A fresh interpreter with the rank-12 Bruhat masks and closed-form rows
     # built and the graph cold.  The non-strict reach is the union's kept
-    # lower-set mask, so the build hashes a label only for each distinct
-    # union whose mask it reads first.  An index lookup per component per
-    # (label, degree) hashed 1,199 labels here; the guard allows half.
+    # lower-set mask.  The rows' one-component unions got theirs when the
+    # rows were built, so the build hashes a label only for the components
+    # of the two two-component values, whose masks it reads first: 4 in
+    # all, where an index lookup per component per (label, degree) hashed
+    # 1,199 labels and one per distinct union 315.  One probe hash, made
+    # before the build, shows that the spy is installed.
     code = (
         "from oddflag import qbg, weyl\n"
         "rank = weyl._rank(12)\n"
@@ -439,8 +442,10 @@ def test_a_cold_build_reads_each_reach_from_the_kept_mask():
         "    calls.append(w)\n"
         "    return real(w)\n"
         "weyl.FlagLabel.__hash__ = spy\n"
+        "hash(rank.labels[0])\n"
+        "probe = len(calls)\n"
         "qbg.build_qbg(12)\n"
-        "print(len(calls))\n"
+        "print(probe, len(calls) - probe)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -450,7 +455,9 @@ def test_a_cold_build_reads_each_reach_from_the_kept_mask():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert 0 < int(proc.stdout) <= 1199 // 2
+    probe, hashes = map(int, proc.stdout.split())
+    assert probe == 1
+    assert hashes <= 4
 
 
 @pytest.mark.parametrize("strict", [False, True])
