@@ -16,22 +16,23 @@ equal, since an antichain is the set of maxima of its L.
 
 Every fact that depends on the order alone lives on one record per
 distinct order (``_Order``), shared by every lattice with that order: the
-checked axioms, the up-set and down-set rows as bitmasks, the bool
-``order`` matrix, the join and meet tables and their completeness, the
-distributivity verdict of both routes and the structural shape.  The
-records sit in an ``lru_cache`` of 256 keys on the up-set rows
-(``_order``), which ``build_cn_lattice`` computes straight from the
-lower-set masks.  ``CNLattice`` keeps its record, so the checks on a built
-lattice hash nothing; any other poset with an ``order`` (list rows too)
-reaches the same record through ``_poset``.  The lattices of each rank
-from 2 to 16 have six orders, so each order's checks run six times there.
-The verdict and the shape are computed on first read, since each raises
-on some valid order (a non-lattice, an unrecognised shape); a read that
-raises keeps nothing, so it raises again on every call.  A 3-chain's
-shape is named by the degree witnessing its middle, so the record holds
-the middle's index and ``CNLattice._shape`` reads ``witnesses[middle]``;
-it compares the shape with the base-label predicate once per lattice
-object and keeps it there.
+up-set and down-set rows as bitmasks, the bool ``order`` matrix, the join
+and meet tables and their completeness, the distributivity verdict of
+both routes and the structural shape.  The records sit in an
+``lru_cache`` of 256 keys on the up-set rows (``_order``).  A lattice is
+given by its elements alone: ``CNLattice`` computes the up-set rows from
+the elements' lower-set masks, looks up the record and keeps it, and
+reads its ``order`` off the record, so the order can never disagree with
+the elements and the checks on a built lattice hash nothing.  There is
+no route for other posets.  The lattices of each rank from 2 to 16 have
+six orders, so each order's checks run six times there.  The verdict and
+the shape are computed on first read, since each raises on some valid
+order (a non-lattice, an unrecognised shape); a read that raises keeps
+nothing, so it raises again on every call.  A 3-chain's shape is named
+by the degree witnessing its middle, so the record holds the middle's
+index and ``CNLattice._shape`` reads ``witnesses[middle]``; it compares
+the shape with the base-label predicate once per lattice object and
+keeps it there.
 
 A lattice is a pure function of its base's letters and rank (a, b, n):
 the closed-form values, the lower-set masks and hence the order and the
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterable
 
 from .errors import DomainError, VerificationError, _Frozen
 from .moment import Degree
@@ -97,10 +99,12 @@ class _Order:
     """One distinct partial order and every fact that depends on it alone.
 
     Built from the up-set rows: bit j of ``up[i]`` and bit i of ``down[j]``
-    are set iff element i lies below element j.  Raises ``DomainError``
-    unless the order is reflexive (bit i in up[i]), antisymmetric (up[i] &
-    down[i] is {i}) and transitive (up[j] inside up[i] for every j in
-    up[i]).  ``order`` is the same relation as a bool matrix.
+    are set iff element i lies below element j.  ``CNLattice`` derives the
+    rows from inclusion of lower-set masks, which is reflexive and
+    transitive, so no axiom is checked here.  It is antisymmetric unless
+    two elements are equal: they lie below each other and have equal
+    up-set rows, and that raises ``DomainError``.  ``order`` is the same
+    relation as a bool matrix.
 
     ``join`` and ``meet`` are the least-upper-bound and
     greatest-lower-bound tables, None where missing.  The upper bounds of
@@ -115,22 +119,11 @@ class _Order:
         size = len(up)
         down = [0] * size
         for i, row in enumerate(up):
-            if not row >> i & 1:
-                raise DomainError("order must be reflexive")
             for j in _bits(row):
                 down[j] |= 1 << i
-        for i in range(size):
-            both = up[i] & down[i] & ~(1 << i)
-            if both:
-                j = (both & -both).bit_length() - 1
-                raise DomainError(f"order not antisymmetric at ({i},{j})")
-        for i in range(size):
-            for j in _bits(up[i]):
-                missed = up[j] & ~up[i]
-                if missed:
-                    k = (missed & -missed).bit_length() - 1
-                    raise DomainError(f"order not transitive at ({i},{j},{k})")
         by_up = {mask: k for k, mask in enumerate(up)}
+        if len(by_up) != size:
+            raise DomainError("lattice elements must be distinct")
         by_down = {mask: k for k, mask in enumerate(down)}
         self.up, self.down = up, tuple(down)
         self.order = tuple(tuple(bool(row >> j & 1) for j in range(size)) for row in up)
@@ -179,45 +172,36 @@ class _Order:
 _order = functools.lru_cache(maxsize=256)(_Order)  # keyed on the up-set rows
 
 
-def _poset(order) -> _Order:
-    """The record of an order matrix of truth values; it must be square."""
-    if any(len(row) != len(order) for row in order):
-        raise DomainError("order matrix must be square")
-    return _order(tuple(sum(1 << j for j, leq in enumerate(row) if leq) for row in order))
-
-
-def _facts(p) -> _Order:
-    """The record of p's order: the one a ``CNLattice`` keeps, else looked up."""
-    return p._record if p.__class__ is CNLattice else _poset(p.order)
-
-
 class CNLattice(_Frozen):
     """The poset of curve neighborhoods of one base label.
 
     ``elements[i]`` is witnessed by ``witnesses[i]``, the first
-    representative degree producing it; ``order[i][j]`` holds iff
-    elements[i] is contained in elements[j].
+    representative degree producing it.  The order is derived, not given:
+    ``order[i][j]`` holds iff elements[i] is contained in elements[j],
+    read off the elements' lower-set masks.  Elements and witnesses are
+    stored as tuples, whatever sequences they are given as.
     """
 
     base: FlagLabel
     elements: tuple[SchubertUnion, ...]
-    order: OrderMatrix
     witnesses: tuple[Degree, ...]
-    __match_args__ = ("base", "elements", "order", "witnesses")
+    __match_args__ = ("base", "elements", "witnesses")
 
     def __init__(
-        self,
-        base: FlagLabel,
-        elements: tuple[SchubertUnion, ...],
-        order: OrderMatrix,
-        witnesses: tuple[Degree, ...],
+        self, base: FlagLabel, elements: Iterable[SchubertUnion], witnesses: Iterable[Degree]
     ) -> None:
-        if not len(elements) == len(order) == len(witnesses):
-            raise DomainError("elements, order rows and witnesses differ in number")
-        self._keep(base, elements, _poset(order), witnesses)
-
-    def _keep(self, base: FlagLabel, elements: tuple, record: _Order, witnesses: tuple) -> None:
-        """Check the base and the top on the record, then set the fields and keep it."""
+        elements, witnesses = tuple(elements), tuple(witnesses)
+        if len(elements) != len(witnesses):
+            raise DomainError("elements and witnesses differ in number")
+        lower = [e._lower for e in elements]
+        up = []
+        for x in lower:
+            row = 0
+            for j, y in enumerate(lower):
+                if x & y == x:
+                    row |= 1 << j
+            up.append(row)
+        record = _order(tuple(up))
         comps = [e.components for e in elements]
         try:
             bottom = comps.index((base,))
@@ -229,8 +213,13 @@ class CNLattice(_Frozen):
         full = (1 << len(comps)) - 1
         if record.up[bottom] != full or record.down[top] != full:
             raise VerificationError("base must be the minimum and the top the maximum")
-        _Frozen.__init__(self, base, elements, record.order, witnesses)
+        _Frozen.__init__(self, base, elements, witnesses)
         object.__setattr__(self, "_record", record)  # outside equality, hash and repr
+
+    @property
+    def order(self) -> OrderMatrix:
+        """The containment matrix, held by the record of the order."""
+        return self._record.order
 
     @property
     def size(self) -> int:
@@ -275,9 +264,7 @@ def build_cn_lattice(w: FlagLabel) -> CNLattice:
 
 def _lattice(a: int, b: int, n: int) -> CNLattice:
     w = _rank(n).by_letters[a, b]
-    elements: list[SchubertUnion] = []
-    witnesses: list[Degree] = []
-    lower: list[int] = []
+    elements, witnesses, lower = [], [], []  # the values, their first degrees, their masks
     for d in REPRESENTATIVE_DEGREES:
         value = gamma_closed_form(w, d)
         mask = value._lower
@@ -285,21 +272,12 @@ def _lattice(a: int, b: int, n: int) -> CNLattice:
             elements.append(value)
             witnesses.append(d)
             lower.append(mask)
-    up = []
-    for x in lower:
-        row = 0
-        for j, y in enumerate(lower):
-            if x & y == x:
-                row |= 1 << j
-        up.append(row)
-    lat = CNLattice.__new__(CNLattice)
-    lat._keep(w, tuple(elements), _order(tuple(up)), tuple(witnesses))
-    return lat
+    return CNLattice(w, elements, witnesses)
 
 
 def is_lattice(lat: CNLattice) -> bool:
     """Every pair has a unique least upper and greatest lower bound."""
-    return _facts(lat).complete
+    return lat._record.complete
 
 
 def _violates_triple_law(join: BoundTable, meet: BoundTable) -> bool:
@@ -348,7 +326,7 @@ def is_distributive(lat: CNLattice) -> bool:
     too.  The two routes must agree; disagreement indicates a bug in one
     of them, not a property of the input.
     """
-    return _facts(lat).distributive
+    return lat._record.distributive
 
 
 def figure_shape_predicate(w: FlagLabel) -> str:
@@ -389,7 +367,7 @@ def hasse_edges(lat: CNLattice) -> tuple[tuple[int, int], ...]:
 
     j covers i iff the interval up[i] & down[j] is exactly {i, j}.
     """
-    rec = _facts(lat)
+    rec = lat._record
     up, down = rec.up, rec.down
     return tuple(
         (i, j)

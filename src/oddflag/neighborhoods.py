@@ -71,22 +71,29 @@ one, so by induction every certified cell equals the recursion's.  A cell
 that fails raises ``VerificationError``; there is no second route.
 
 A cell R[e] depends on the base and on e, never on the degree asked, so
-one base's grid serves every degree.  ``gamma_bfs`` keeps the grid of the
-last base asked in a one-entry memo, ``_base_grid``, keyed on the index
-object and the base: a call fills only the cells its window lacks, and
+one base's grid serves every degree.  The search index keeps the grid of
+the last base asked on itself, as one attribute ``last`` holding the pair
+(base, grid): a call fills only the cells its window lacks, and
 ``cross_check``, which asks every degree of one base in a row, fills each
-base's grid once.  Only certified cells are stored, so a cell that fails
-is never kept and a repeated call raises again at the same cell.  Threads
-may share a grid.  A thread fills its window in (d1, d2) order, so every
-cell a new cell reads is already in the dict, stored whole and never
-removed; the new cell is written once, with ``setdefault``, after the
-cells it reads.  The window test reads its own window's cells by key and
-never iterates the dict, which may hold more cells and grow meanwhile.
+base's grid once.  The grid lives and dies with its index, so it never
+serves another index and goes with its rank when the rank is evicted.
+Only certified cells are stored, so a cell that fails is never kept and a
+repeated call raises again at the same cell.
+
+Threads may share the index and a grid.  A call on another base replaces
+the pair whole, with one assignment, and goes on with the grid it made;
+a thread still working on the old pair keeps its own reference to that
+grid, so no thread ever reads a grid of the wrong base, and at worst a
+grid is filled twice.  Within one grid, a thread fills its window in
+(d1, d2) order, so every cell a new cell reads is already in the dict,
+stored whole and never removed; the new cell is written once, with
+``setdefault``, after the cells it reads.  The window test reads its own
+window's cells by key and never iterates the dict, which may hold more
+cells and grow meanwhile.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Iterable, Sequence
 
@@ -110,8 +117,9 @@ __all__ = [
 class SchubertUnion(_Frozen):
     """A finite union of Schubert varieties, recorded by its maximal labels.
 
-    Components must form a nonempty Bruhat antichain of a single rank;
-    they are stored in canonical (length, rank a, rank b) order.
+    Components must be labels (``FlagLabel``) forming a nonempty Bruhat
+    antichain of a single rank; they are stored in canonical (length,
+    rank a, rank b) order.
     """
 
     components: tuple[FlagLabel, ...]
@@ -120,6 +128,9 @@ class SchubertUnion(_Frozen):
     def __init__(self, components: Iterable[FlagLabel]) -> None:
         if type(components) is not tuple:
             components = tuple(components)
+        for w in components:
+            if w.__class__ is not FlagLabel:
+                raise DomainError(f"components must be labels, got {w!r}")
         if len(components) != 1:  # no check below can fail on one label
             components = tuple(sorted(set(components), key=lambda w: w.sort_key))
             if not components:
@@ -220,8 +231,10 @@ class _SearchIndex:
     come from ``weyl.bruhat_masks``.  ``steps`` holds, for each class c,
     ``(c, DN)``: the bitmasks ``DN[x]`` of N_c(below[x]) (module
     docstring).  ``reach`` is the componentwise
-    largest class, (1, 2) for every moment graph.  No attribute changes
-    after ``__init__``, so threads may share the index.
+    largest class, (1, 2) for every moment graph.  ``last`` holds the last
+    base asked and its grid of certified cells, replaced whole when another
+    base is asked; no other attribute changes after ``__init__``, so
+    threads may share the index (module docstring).
     """
 
     def __init__(self, labels: Sequence[FlagLabel], near: NeighbourMasks) -> None:
@@ -238,6 +251,7 @@ class _SearchIndex:
         self.steps = tuple(steps)
         classes = [c for c, _dn in self.steps]
         self.reach = (max(c1 for c1, _ in classes), max(c2 for _, c2 in classes))
+        self.last: tuple[int, dict[tuple[int, int], _Cell]] = (-1, {})
 
     def reached(
         self,
@@ -312,9 +326,14 @@ class _SearchIndex:
     def neighborhood(self, w: int, d1: int, d2: int) -> SchubertUnion:
         """Bruhat maxima of the labels reached from base w within (d1, d2).
 
-        Reads and extends the cells of base w kept by ``_base_grid``.
+        Reads and extends the grid of base w kept in ``last``, or starts
+        a new one there when the last base asked was another.
         """
-        _reached, maxima = self.reached(w, d1, d2, _base_grid(self, w))
+        base, grid = self.last
+        if base != w:
+            grid = {}
+            self.last = (w, grid)
+        _reached, maxima = self.reached(w, d1, d2, grid)
         return SchubertUnion(tuple(self.labels[x] for x in maxima))
 
 
@@ -324,17 +343,6 @@ def _search_index(rank: weyl._Rank) -> _SearchIndex:
 
 
 weyl._Rank._search_index = weyl._Once(_search_index)
-
-
-@functools.lru_cache(maxsize=1)
-def _base_grid(index: _SearchIndex, w: int) -> dict[tuple[int, int], _Cell]:
-    """The cells of base w filled so far on ``index``, for the last base asked.
-
-    Keyed on the index object itself, which the memo holds, so its identity
-    is not reused and a grid never serves another index.
-    ``_SearchIndex.reached`` stores only certified cells in it.
-    """
-    return {}
 
 
 def gamma_bfs(w: FlagLabel, d: Degree) -> SchubertUnion:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from oddflag.errors import DomainError, _Frozen
-from oddflag.lattice import _poset
+from oddflag.lattice import _order
 from oddflag.moment import Degree, MomentEdge, MomentGraph, build_moment_graph
 from oddflag.neighborhoods import SchubertUnion, gamma_closed_form, maximal_union
 from oddflag.weyl import (
@@ -477,19 +477,54 @@ def degree_join(d, e):
     return Degree(max(d.d1, e.d1), max(d.d2, e.d2))
 
 
+def _poset(order):
+    """The shared record of an order matrix of truth values, after checking the axioms.
+
+    The matrix must be square, and the order reflexive (bit i in up[i]),
+    antisymmetric (up[i] & down[i] is {i}) and transitive (up[j] inside
+    up[i] for every j in up[i]); list rows are accepted.  The record is the
+    one ``lattice._order`` keeps for the up-set rows, which checks none of
+    this, since a ``CNLattice`` derives its rows from an inclusion order.
+    """
+    size = len(order)
+    if any(len(row) != size for row in order):
+        raise DomainError("order matrix must be square")
+    up = tuple(sum(1 << j for j, leq in enumerate(row) if leq) for row in order)
+    down = [0] * size
+    for i, row in enumerate(up):
+        if not row >> i & 1:
+            raise DomainError("order must be reflexive")
+        for j in _bits(row):
+            down[j] |= 1 << i
+    for i in range(size):
+        both = up[i] & down[i] & ~(1 << i)
+        if both:
+            j = (both & -both).bit_length() - 1
+            raise DomainError(f"order not antisymmetric at ({i},{j})")
+    for i in range(size):
+        for j in _bits(up[i]):
+            missed = up[j] & ~up[i]
+            if missed:
+                k = (missed & -missed).bit_length() - 1
+                raise DomainError(f"order not transitive at ({i},{j},{k})")
+    return _order(up)
+
+
 class FinitePoset(_Frozen):
     """A finite poset given by its full order matrix; order[i][j] iff i <= j.
 
-    The lattice checks read only ``order``, so they take these as they take
-    lattices, and reach the record of the order through ``lattice._poset``.
-    That checks the axioms, and the order is stored as the record's tuple;
-    list rows are accepted.
+    ``_poset`` checks the axioms; the order is stored as the record's
+    tuple (list rows are accepted), and the record is kept as ``_record``,
+    outside equality, hash and repr, which is all the library's lattice
+    checks read.  So they take these as they take lattices.
     """
 
-    __slots__ = __match_args__ = ("order",)
+    __match_args__ = ("order",)
 
     def __init__(self, order):
-        object.__setattr__(self, "order", _poset(order).order)
+        record = _poset(order)
+        object.__setattr__(self, "order", record.order)
+        object.__setattr__(self, "_record", record)
 
 
 def poset_from_covers(size, cover_pairs):

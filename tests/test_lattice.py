@@ -24,6 +24,7 @@ from oddflag.verify import load_golden
 from oddflag.weyl import enumerate_labels, label, parse_label, top_label
 from helpers import (
     FinitePoset,
+    _poset,
     bound_tables_oracle,
     degree_join,
     hasse_edges_oracle,
@@ -98,7 +99,7 @@ def test_bound_tables_match_the_list_scan_oracle():
     posets += [build_cn_lattice(w) for n in (2, 3, 4) for w in enumerate_labels(n)]
     incomplete = 0
     for p in posets:
-        record = lattice._poset(p.order)
+        record = p._record
         oracle = bound_tables_oracle(p.order)
         assert (record.join, record.meet) == tuple(tuple(map(tuple, table)) for table in oracle)
         incomplete += not is_lattice(p)
@@ -157,7 +158,7 @@ def test_each_route_decides_on_its_own():
     bad = [m3_poset(), n5_poset(), pentagon_plus_atom]
     good = [build_cn_lattice(w) for n in (2, 3) for w in enumerate_labels(n)]
     for p in bad + good:
-        r = lattice._poset(p.order)
+        r = p._record
         expected = p in bad
         assert lattice._violates_triple_law(r.join, r.meet) is expected
         assert lattice._sublattice_shapes(r.up, r.down, r.join, r.meet) is expected
@@ -172,7 +173,7 @@ def test_triple_law_finds_the_pentagon_under_every_labelling():
         moved = [[False] * 5 for _ in range(5)]
         for i, j in itertools.product(range(5), repeat=2):
             moved[perm[i]][perm[j]] = base[i][j]
-        record = lattice._poset(moved)
+        record = _poset(moved)
         assert lattice._violates_triple_law(record.join, record.meet), perm
 
 
@@ -320,22 +321,29 @@ def test_ranks_2_to_16_make_one_record_per_order(monkeypatch):
     assert lattice._order.cache_info().misses == 6
 
 
+def _base_not_minimum():
+    """The 4-chain of (2|1) at rank 2 with (1|2), below the base, put first."""
+    lat = build_cn_lattice(label(2, 1, 2))
+    below = SchubertUnion((label(1, 2, 2),))
+    return lat.base, (below, *lat.elements), (Degree(0, 0), *lat.witnesses)
+
+
 def test_posets_take_list_rows_and_invalid_orders_raise_every_time():
     chain = FinitePoset([[True, True], [False, True]])
     assert chain.order == ((True, True), (False, True))
     assert is_lattice(chain) and is_distributive(chain)
     lat = build_cn_lattice(label(1, 2, 2))
-    listed = CNLattice(lat.base, lat.elements, [list(r) for r in lat.order], lat.witnesses)
+    listed = CNLattice(lat.base, list(lat.elements), list(lat.witnesses))
     assert listed == lat
     assert classify_shape(listed) == "diamond-plus-top" and is_distributive(listed)
     # A raised check caches nothing, so it raises again on every call.
     for _ in range(2):
         with pytest.raises(DomainError, match="antisymmetric"):
-            lattice._poset(((True, True), (True, True)))
+            FinitePoset(((True, True), (True, True)))
         with pytest.raises(DomainError, match="only defined for lattices"):
             is_distributive(poset_from_covers(3, [(0, 1), (0, 2)]))
         with pytest.raises(VerificationError, match="minimum"):
-            CNLattice(lat.base, lat.elements[::-1], lat.order, lat.witnesses)
+            CNLattice(*_base_not_minimum())
 
 
 def test_a_second_shape_query_reads_the_kept_shape(monkeypatch):
@@ -377,19 +385,52 @@ def test_a_three_chain_is_named_by_the_witness_of_its_middle():
         (Degree(1, 0), r"is a 3-chain-via-\(1,0\) but its label predicts 3-chain-via-\(0,1\)"),
         (Degree(1, 1), r"middle witnessed by unexpected degree \(1,1\)"),
     ]:
-        moved = CNLattice(lat.base, lat.elements, lat.order, (lat.witnesses[0], wit, lat.witnesses[2]))
+        moved = CNLattice(lat.base, lat.elements, (lat.witnesses[0], wit, lat.witnesses[2]))
         with pytest.raises(VerificationError, match=message):
             classify_shape(moved)
 
 
 def test_a_kept_shape_changes_no_equality_hash_or_repr():
     lat = build_cn_lattice(label(1, 2, 3))
-    fresh = CNLattice(lat.base, lat.elements, lat.order, lat.witnesses)
+    fresh = CNLattice(lat.base, lat.elements, lat.witnesses)
     classify_shape(lat)
     assert "_shape" in vars(lat) and "_shape" not in vars(fresh)
     assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
-    # List rows are made tuples before the record is read.
-    assert CNLattice(lat.base, lat.elements, tuple(map(list, lat.order)), lat.witnesses) == lat
+
+
+def test_list_elements_and_witnesses_are_stored_as_tuples():
+    # A list input used to be stored as a list: the value was unhashable
+    # and unequal to the lattice built from tuples.
+    lat = build_cn_lattice(label(1, 2, 3))
+    listed = CNLattice(lat.base, list(lat.elements), list(lat.witnesses))
+    assert type(listed.elements) is tuple and type(listed.witnesses) is tuple
+    assert listed == lat and hash(listed) == hash(lat) and repr(listed) == repr(lat)
+    assert {lat: 1}[listed] == 1
+    assert listed._record is lat._record
+
+
+def test_the_order_is_derived_from_the_elements():
+    # The (1|2) lattice at rank 3 is a diamond plus a top.  Its order comes
+    # from the elements, so no call can hand it another one (a 5-chain
+    # used to be accepted, and then judged distributive with no shape).
+    lat = build_cn_lattice(label(1, 2, 3))
+    chain = tuple(tuple(i <= j for j in range(5)) for i in range(5))
+    with pytest.raises(TypeError):
+        CNLattice(lat.base, lat.elements, chain, lat.witnesses)
+    with pytest.raises(AttributeError, match="cannot assign to field 'order'"):
+        lat.order = chain
+    assert lat.order != chain and classify_shape(lat) == "diamond-plus-top"
+    assert lat.__match_args__ == ("base", "elements", "witnesses")
+
+
+def test_repeated_elements_raise_every_time():
+    # Two equal elements lie below each other, the one way an inclusion
+    # order fails antisymmetry; an equal copy is caught as the same object.
+    lat = build_cn_lattice(label(1, 2, 3))
+    for again in (lat.elements[1], SchubertUnion(lat.elements[1].components)):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="lattice elements must be distinct"):
+                CNLattice(lat.base, (*lat.elements, again), (*lat.witnesses, Degree(2, 2)))
 
 
 def test_classify_shape_examples():
@@ -461,14 +502,14 @@ def test_join_degree_bound():
 
 def test_finite_poset_rejects_bad_matrices():
     with pytest.raises(DomainError):
-        lattice._poset(((True, True), (True, True)))  # not antisymmetric
+        FinitePoset(((True, True), (True, True)))  # not antisymmetric
     with pytest.raises(DomainError):
-        lattice._poset(((False,),))  # not reflexive
+        FinitePoset(((False,),))  # not reflexive
     with pytest.raises(DomainError, match="square"):
-        lattice._poset(((True, False), (True,)))
+        FinitePoset(((True, False), (True,)))
     # 0 <= 1 and 1 <= 2 but not 0 <= 2: reflexive and antisymmetric only.
     with pytest.raises(DomainError, match=r"not transitive at \(0,1,2\)"):
-        lattice._poset(
+        FinitePoset(
             ((True, True, False), (False, True, True), (False, False, True))
         )
 
@@ -483,28 +524,26 @@ def test_cn_lattice_rejects_a_missing_or_misplaced_extreme():
         return lattice.CNLattice(
             lat.base,
             tuple(lat.elements[i] for i in keep),
-            tuple(tuple(lat.order[i][j] for j in keep) for i in keep),
             tuple(lat.witnesses[i] for i in keep),
         )
 
     for k in (0, lat.elements.index(top)):
         with pytest.raises(VerificationError, match="must contain its base and the top"):
             without(k)
-    # The reversed order is a partial order too, with the base on top.
-    flipped = tuple(zip(*lat.order))
+    # A label below the base makes the base no minimum.
     with pytest.raises(
         VerificationError, match="base must be the minimum and the top the maximum"
     ):
-        lattice.CNLattice(lat.base, lat.elements, flipped, lat.witnesses)
+        lattice.CNLattice(*_base_not_minimum())
 
 
-@pytest.mark.parametrize("cut", ["elements", "order", "witnesses"])
+@pytest.mark.parametrize("cut", ["elements", "witnesses"])
 def test_cn_lattice_refuses_lengths_that_differ(cut):
     # The 3-chain of (-3|2): one field cut to its first entry used to build,
     # and its shape query then raised a bare IndexError.
     lat = build_cn_lattice(label(-3, 2, 3))
     assert lat.size == 3 and classify_shape(lat) == "3-chain-via-(0,1)"
-    fields = {name: getattr(lat, name) for name in ("elements", "order", "witnesses")}
+    fields = {name: getattr(lat, name) for name in ("elements", "witnesses")}
     fields[cut] = fields[cut][:1]
     with pytest.raises(DomainError, match="differ in number"):
         CNLattice(lat.base, **fields)
@@ -519,19 +558,21 @@ def test_cn_lattice_finds_an_equal_top_and_refuses_a_missing_one():
     copy = weyl.FlagLabel(top.a, top.b, 3)
     assert copy == top and copy is not top
     elements = (*lat.elements[:-1], SchubertUnion((copy,)))
-    rebuilt = CNLattice(lat.base, elements, lat.order, lat.witnesses)
+    rebuilt = CNLattice(lat.base, elements, lat.witnesses)
     assert rebuilt == lat and rebuilt.elements[-1].components[0] is copy
-    moved = (elements[-1], *elements[:-1])
+    # Moved first, the top is still found, and the derived order moves with it.
     perm = (lat.size - 1, *range(lat.size - 1))
-    order = tuple(tuple(lat.order[i][j] for j in perm) for i in perm)
-    assert CNLattice(lat.base, moved, order, lat.witnesses).size == lat.size
+    moved = CNLattice(lat.base, [elements[i] for i in perm], [lat.witnesses[i] for i in perm])
+    assert moved.order == tuple(tuple(lat.order[i][j] for j in perm) for i in perm)
     below = SchubertUnion((label(-3, 2, 3),))
     with pytest.raises(VerificationError, match="must contain its base and the top"):
-        CNLattice(lat.base, (*lat.elements[:-1], below), lat.order, lat.witnesses)
+        CNLattice(lat.base, (*lat.elements[:-1], below), lat.witnesses)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", range(2, 17))
 def test_order_matches_the_union_leq_oracle(n):
+    # The independent check that the order derived from the masks is
+    # containment: the oracle compares the components with bruhat_leq.
     for w in enumerate_labels(n):
         lat = build_cn_lattice(w)
         els = lat.elements
@@ -583,8 +624,8 @@ def test_memoised_lattices_equal_fresh_builds(n):
         assert lat == lattice._lattice(w.a, w.b, n), w
         assert build_cn_lattice(w) is lat
         lats.append(lat)
-        assert lat.order is lattice._poset(lat.order).order, w
-        assert lat._record is lattice._poset(lat.order), w
+        # The derived order passes the axioms, and its record is the kept one.
+        assert lat._record is _poset(lat.order), w
     # Lattices with equal orders share their rows.
     assert len({tuple(map(id, lat.order)) for lat in lats}) == len({lat.order for lat in lats})
 

@@ -1,9 +1,11 @@
 import functools
+import gc
 import itertools
 import random
 import re
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -601,6 +603,24 @@ def test_cross_check_fills_each_base_grid_once(n, monkeypatch):
     assert len(filled) == 9 * 4 * n * n
     assert len(set(filled)) == len(filled)
 
+
+
+def test_an_evicted_rank_drops_its_search_index_and_grid():
+    # The last base's grid lives on the search index, so nothing outside
+    # the rank keeps the index alive: after two other ranks are asked, the
+    # rank store evicts rank 8 and its index goes with it.  The other
+    # ranks run no search, which would replace a one-entry memo anyway.
+    weyl._rank.cache_clear()
+    w = label(1, 2, 8)
+    gamma_bfs(w, Degree(1, 1))
+    index = weakref.ref(weyl._rank(8)._search_index)
+    base, grid = index().last
+    assert base == index().index[w] and (1, 1) in grid
+    del grid
+    for n in (2, 3):
+        enumerate_labels(n)
+    gc.collect()
+    assert index() is None
 
 def _outcome(call, *args):
     """The value of ``call(*args)``, or the message of its ``VerificationError``."""

@@ -96,8 +96,8 @@ def test_objects_kept_across_an_eviction_give_the_answers_of_a_rebuild():
     assert new_lat == old_lat and new_lat is not old_lat
     assert new_lat.base is new[new.index(old_lat.base)]
     # CNLattice finds its base and its top by equality across the builds.
-    assert CNLattice(old_lat.base, new_lat.elements, new_lat.order, new_lat.witnesses) == new_lat
-    assert CNLattice(new_lat.base, old_lat.elements, old_lat.order, old_lat.witnesses) == old_lat
+    assert CNLattice(old_lat.base, new_lat.elements, new_lat.witnesses) == new_lat
+    assert CNLattice(new_lat.base, old_lat.elements, old_lat.witnesses) == old_lat
     assert top_label(n) in old_lat.elements[-1].components
     assert (is_distributive(old_lat), classify_shape(old_lat)) == (
         is_distributive(new_lat),

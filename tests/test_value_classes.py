@@ -20,7 +20,6 @@ import tracemalloc
 import pytest
 
 import oddflag
-from oddflag import lattice
 from oddflag.errors import DomainError, VerificationError, _Frozen
 from oddflag.lattice import CNLattice, build_cn_lattice
 from oddflag.moment import Degree, MomentEdge, MomentGraph
@@ -35,7 +34,7 @@ from oddflag.qbg import (
 )
 from oddflag.verify import CheckResult
 from oddflag.weyl import FlagLabel, Root, label, top_label
-from helpers import FinitePoset
+from helpers import FinitePoset, _poset
 
 W = FlagLabel(1, 2, 2)
 V = FlagLabel(2, 1, 2)
@@ -91,10 +90,10 @@ CASES = [
     ),
     (
         CNLattice,
-        ("base", "elements", "order", "witnesses"),
-        (TOP, (TOP_VALUE,), ((True,),), (Degree(0, 0),)),
+        ("base", "elements", "witnesses"),
+        (TOP, (TOP_VALUE,), (Degree(0, 0),)),
         f"CNLattice(base={TOP_REPR}, elements=(SchubertUnion(components=({TOP_REPR},)),), "
-        "order=((True,),), witnesses=(Degree(d1=0, d2=0),))",
+        "witnesses=(Degree(d1=0, d2=0),))",
     ),
     (
         ChernData,
@@ -264,7 +263,6 @@ PLAIN = (
     MomentEdge,
     MomentGraph,
     CrossCheckReport,
-    FinitePoset,
     ChernData,
     QBGEdge,
     PropertyOVerdict,
@@ -305,8 +303,10 @@ def _message(call):
     raise AssertionError("no error raised")
 
 
-LATTICE = build_cn_lattice(label(1, 2, 2))
-TRANSPOSED = tuple(zip(*LATTICE.order))
+# The 4-chain of (2|1) at rank 2 with (1|2), which lies below its base.
+LATTICE = build_cn_lattice(label(2, 1, 2))
+BELOW_BASE = (SchubertUnion((W,)), *LATTICE.elements)
+BELOW_WITNESSES = (Degree(0, 0), *LATTICE.witnesses)
 
 VALIDATION = [
     (lambda: FlagLabel(1, 2, 1), DomainError, "rank must be an integer >= 2, got 1"),
@@ -332,34 +332,41 @@ VALIDATION = [
         "components must share one rank",
     ),
     (lambda: SchubertUnion([V, W]), DomainError, "components 1|2 and 2|1 are comparable"),
-    (lambda: lattice._poset(((True, True),)), DomainError, "order matrix must be square"),
-    (lambda: lattice._poset(((False,),)), DomainError, "order must be reflexive"),
+    (lambda: SchubertUnion((5,)), DomainError, "components must be labels, got 5"),
+    (lambda: SchubertUnion(("x", "y")), DomainError, "components must be labels, got 'x'"),
+    (lambda: _poset(((True, True),)), DomainError, "order matrix must be square"),
+    (lambda: _poset(((False,),)), DomainError, "order must be reflexive"),
     (
-        lambda: lattice._poset(((True, True), (True, True))),
+        lambda: _poset(((True, True), (True, True))),
         DomainError,
         "order not antisymmetric at (0,1)",
     ),
     (
-        lambda: lattice._poset(
+        lambda: _poset(
             ((True, True, False), (False, True, True), (False, False, True))
         ),
         DomainError,
         "order not transitive at (0,1,2)",
     ),
     (
-        lambda: CNLattice(W, (TOP_VALUE,), ((True,),), (Degree(0, 0),)),
+        lambda: CNLattice(W, (TOP_VALUE,), (Degree(0, 0),)),
         VerificationError,
         "lattice must contain its base and the top",
     ),
     (
-        lambda: CNLattice(LATTICE.base, LATTICE.elements, TRANSPOSED, LATTICE.witnesses),
+        lambda: CNLattice(LATTICE.base, BELOW_BASE, BELOW_WITNESSES),
         VerificationError,
         "base must be the minimum and the top the maximum",
     ),
     (
-        lambda: CNLattice(TOP, (TOP_VALUE,), ((False,),), (Degree(0, 0),)),
+        lambda: CNLattice(TOP, (TOP_VALUE, TOP_VALUE), (Degree(0, 0), Degree(1, 0))),
         DomainError,
-        "order must be reflexive",
+        "lattice elements must be distinct",
+    ),
+    (
+        lambda: CNLattice(TOP, (TOP_VALUE,), ()),
+        DomainError,
+        "elements and witnesses differ in number",
     ),
 ]
 
