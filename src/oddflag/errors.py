@@ -21,7 +21,9 @@ class _Frozen:
     ``Name(field=value, ...)`` repr, equality with objects of the same
     class only, the hash of the tuple of fields, and refuses assignment and
     deletion.  A class that checks or normalises its input writes its own
-    ``__init__``, which sets the fields with ``object.__setattr__``.
+    ``__init__``, which sets the fields with ``object.__setattr__``;
+    ``moment.Degree``, which shares its small values, does so in
+    ``__new__``.
     Classes compared or hashed in hot loops spell out their own ``__eq__``
     and ``__hash__``.
 
@@ -30,9 +32,10 @@ class _Frozen:
     values hold their fields and nothing else; a class that keeps one
     (through ``weyl._Once``, or the quantum graph's index adjacency)
     declares no slots and keeps it in its dict.  A copy or an unpickled
-    value is rebuilt through the class's ``__init__`` from its fields
+    value is rebuilt through the class's constructor from its fields
     (``__reduce__``), since restoring state would assign to it: it is
-    validated again and carries no kept attribute.
+    validated again and carries no kept attribute.  A copy of a small
+    degree is its shared object.
     """
 
     __slots__ = ()

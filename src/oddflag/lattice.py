@@ -178,8 +178,9 @@ class CNLattice(_Frozen):
     ``elements[i]`` is witnessed by ``witnesses[i]``, the first
     representative degree producing it.  The order is derived, not given:
     ``order[i][j]`` holds iff elements[i] is contained in elements[j],
-    read off the elements' lower-set masks.  Elements and witnesses are
-    stored as tuples, whatever sequences they are given as.
+    read off the elements' lower-set masks, so every element must have the
+    base's rank.  Elements and witnesses are stored as tuples, whatever
+    sequences they are given as.
     """
 
     base: FlagLabel
@@ -193,6 +194,10 @@ class CNLattice(_Frozen):
         elements, witnesses = tuple(elements), tuple(witnesses)
         if len(elements) != len(witnesses):
             raise DomainError("elements and witnesses differ in number")
+        n = base.n
+        for e in elements:
+            if e.components[0].n != n:
+                raise DomainError(f"rank mismatch: {n} vs {e.n}")
         lower = [e._lower for e in elements]
         up = []
         for x in lower:
@@ -207,7 +212,7 @@ class CNLattice(_Frozen):
             bottom = comps.index((base,))
             # The top comes last in a built lattice, so search from the end:
             # each earlier tuple would cost a FlagLabel.__eq__ call.
-            top = len(comps) - 1 - comps[::-1].index((top_label(base.n),))
+            top = len(comps) - 1 - comps[::-1].index((top_label(n),))
         except ValueError:
             raise VerificationError("lattice must contain its base and the top") from None
         full = (1 << len(comps)) - 1

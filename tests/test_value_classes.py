@@ -7,9 +7,10 @@ values iterate in a fixed order), refuses assignment and deletion, and
 raises the same validation messages.  The records that check nothing are
 built by the base's constructor, which refuses a value that is extra,
 missing, unknown or given twice.  A copy or a pickled value is rebuilt
-through the class's ``__init__``, and the classes that keep no computed
-attribute store their fields in slots, with no instance dict.  The
-test-side ``helpers.FinitePoset`` is held to the same contract.
+through the class's constructor, and the classes that keep no computed
+attribute store their fields in slots, with no instance dict.  Equal
+small degrees are one shared object; every other value is built anew.
+The test-side ``helpers.FinitePoset`` is held to the same contract.
 """
 
 import copy
@@ -215,7 +216,10 @@ def test_a_differing_field_makes_values_unequal(first, second):
 def test_equal_values_hash_as_the_tuple_of_their_fields(cls, names, values, text):
     obj = cls(*values)
     copy = cls(**dict(zip(names, values)))
-    assert obj is not copy and obj == copy
+    # Each small Degree is one shared object (moment.Degree); every other
+    # value is built anew.
+    assert (obj is copy) if cls is Degree else (obj is not copy)
+    assert obj == copy
     assert hash(obj) == hash(copy) == hash(values)
     assert {obj: 1}[copy] == 1
 
@@ -278,21 +282,63 @@ def test_plain_value_classes_have_no_instance_dict():
         assert type(obj).__slots__ == type(obj).__match_args__
 
 
-def test_a_degree_takes_at_most_64_bytes():
-    # Without slots each Degree also carries the per-instance attribute
-    # store behind a __dict__.  Small parts are shared ints, and the list
-    # is made first, so only the Degrees themselves are counted.
-    count = 20_000
-    kept = [None] * count
+def _traced_degrees(parts):
+    """The degrees built from ``parts`` and the bytes they left allocated.
+
+    The list is made first, so only the Degrees themselves are counted.
+    """
+    kept = [None] * len(parts)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for i in range(count):
-            kept[i] = Degree(i % 7, i % 5)
+        for i, (d1, d2) in enumerate(parts):
+            kept[i] = Degree(d1, d2)
         used = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    return kept, used
+
+
+def test_a_degree_takes_at_most_64_bytes():
+    # Counts, not time: 20,000 degrees up to (3,3), as many as the
+    # benchmark's query-mix builds, are at most 16 shared objects and
+    # allocate nothing.
+    count = 20_000
+    kept, used = _traced_degrees([(i % 4, i // 4 % 4) for i in range(count)])
+    assert len({id(d) for d in kept}) <= 16
+    assert used / count < 1, used / count
+    # A degree outside the pool is built fresh.  Without slots each one
+    # also carries the per-instance attribute store behind a __dict__;
+    # small parts are shared ints.
+    kept, used = _traced_degrees([(8 + i % 7, i % 5) for i in range(count)])
+    assert len({id(d) for d in kept}) == count
     assert used / count <= 64, used / count
+
+
+def test_the_degree_pool_checks_first_and_shares_only_small_degrees():
+    one, other = Degree(1, 1), Degree(0, 1)  # both in the pool
+    # (True, 1) equals and hashes as (1, 1), so the parts are checked first.
+    for call, message in [
+        (lambda: Degree(True, 1), "degrees are ints, got (True,1)"),
+        (lambda: Degree(0, True), "degrees are ints, got (0,True)"),
+        (lambda: Degree(1.0, 0), "degrees are ints, got (1.0,0)"),
+        (lambda: Degree(-1, 0), "degrees are nonnegative, got (-1,0)"),
+    ]:
+        assert _message(call) == (DomainError, message)
+    for d in (one, other):
+        clones = [Degree(d.d1, d.d2), Degree(d2=d.d2, d1=d.d1), copy.copy(d), copy.deepcopy(d)]
+        clones += [
+            pickle.loads(pickle.dumps(d, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        assert all(clone is d for clone in clones)
+    assert Degree(1, 0) + Degree(0, 1) is one
+    big = Degree(100, 3)
+    again = Degree(100, 3)
+    assert big is not again and big == again
+    assert hash(big) == hash(again) == hash((100, 3))
+    assert big.key == (100, 3) and Degree(1, 3) <= big
+    assert copy.deepcopy(big) is not big and copy.deepcopy(big) == big
 
 
 def _message(call):
@@ -367,6 +413,15 @@ VALIDATION = [
         lambda: CNLattice(TOP, (TOP_VALUE,), ()),
         DomainError,
         "elements and witnesses differ in number",
+    ),
+    (
+        lambda: CNLattice(
+            LATTICE.base,
+            (*LATTICE.elements, SchubertUnion((label(1, 2, 3),))),
+            (*LATTICE.witnesses, Degree(2, 2)),
+        ),
+        DomainError,
+        "rank mismatch: 2 vs 3",
     ),
 ]
 
