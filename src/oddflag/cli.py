@@ -355,10 +355,14 @@ _DASH_VALUE_OPTIONS = ("--w", "--d")
 
 
 def _attach_dash_values(argv: Sequence[str]) -> list[str]:
-    """Rewrite ``--w -2|1`` as ``--w=-2|1`` (likewise for ``--d``)."""
+    """Rewrite ``--w -2|1`` as ``--w=-2|1`` (likewise for ``--d``).
+
+    An argument that starts with ``--`` is another option, never a label or
+    a degree, so it stays apart and argparse reports the missing value.
+    """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _DASH_VALUE_OPTIONS:
+        if out and out[-1] in _DASH_VALUE_OPTIONS and not arg.startswith("--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -39,15 +39,18 @@ The gain is the anticanonical degree minus one.  The test oracle
 ``uncut_qbg_edges`` (tests/helpers.py) still tries every degree.
 
 Property O takes one forward and one backward breadth-first search
-(``_depths``) from one vertex r, over the adjacency written as label
-indices, which the cached build keeps beside the graph, so a verdict
-hashes no label.  The graph is strongly connected iff both reach every
-vertex.  Its period p, the gcd of its closed walks' lengths, is then the
-gcd g over edges u -> v of depth(u) + 1 - depth(v), with the forward depths.
-With a path v -> r of length m, the walks r -> u -> v -> r and r -> v -> r
-are closed, of lengths depth(u) + 1 + m and depth(v) + m, so p divides
-their difference, the edge's term.  The terms of a closed walk's edges
-sum to its length, since the depths telescope away, so g divides it.
+(``_depths``) from vertex 0, (1|2), over the adjacency written as one
+tuple of target-index tuples in label order, which the cached build
+keeps beside the graph, so a verdict hashes no label.  The graph is
+strongly connected iff both reach every vertex.  Its period p, the gcd
+of its closed walks' lengths, is then the gcd g over edges u -> v of
+depth(u) + 1 - depth(v), with the forward depths.  With a path v -> 0 of
+length m, the walks 0 -> u -> v -> 0 and 0 -> v -> 0 are closed, of
+lengths depth(u) + 1 + m and depth(v) + m, so p divides their
+difference, the edge's term.  The terms of a closed walk's edges sum to
+its length, since the depths telescope away, so g divides it.  A caller
+reads the verdict's ``strongly_connected`` and ``gcd``; the module
+searches no other graph.
 """
 
 from __future__ import annotations
@@ -55,8 +58,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections import deque
-from collections.abc import Hashable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import DomainError, VerificationError, _Frozen
 from .moment import Degree, moment_masks
@@ -70,8 +72,6 @@ __all__ = [
     "QBGEdge",
     "QBGraph",
     "build_qbg",
-    "strongly_connected",
-    "digraph_period",
     "witness_cycles",
     "PropertyOVerdict",
     "property_o_verdict",
@@ -94,14 +94,7 @@ def chern_data(n: int) -> ChernData:
     """Coefficients (2, 2n-1) on the two divisor classes; index gcd = 1."""
     _check_rank(n)
     div2 = label(-2, 3, n) if n == 2 else label(-2, -4, n)
-    return ChernData(
-        n=n,
-        a1=2,
-        a2=2 * n - 1,
-        div1=label(-3, -2, n),
-        div2=div2,
-        fano_index=math.gcd(2, 2 * n - 1),
-    )
+    return ChernData(n, 2, 2 * n - 1, label(-3, -2, n), div2, math.gcd(2, 2 * n - 1))
 
 
 class QBGEdge(_Frozen):
@@ -120,8 +113,9 @@ class QBGEdge(_Frozen):
 class QBGraph(_Frozen):
     """The quantum Bruhat graph of rank n under one edge rule (``strict``).
 
-    A built graph also keeps ``_targets``, its adjacency as label indices,
-    outside equality, hashing and the repr (``_build_qbg``).
+    A built graph also keeps ``_targets``, its adjacency as one tuple of
+    target-index tuples in label order, outside equality, hashing and the
+    repr (``_build_qbg``).
     """
 
     n: int
@@ -155,9 +149,9 @@ def _build_qbg(n: int, strict: bool) -> QBGraph:
     """The graph, with its adjacency as label indices kept for the verdict.
 
     Built anew on every call; ``build_qbg`` keeps one per rank and rule.
-    The graph's private ``_targets`` maps each vertex's index in
-    ``enumerate_labels(n)`` to the indices of its edges' targets, in edge
-    order; ``property_o_verdict`` searches it.  Each label's length was
+    The graph's private ``_targets`` holds, at each vertex's index in
+    ``enumerate_labels(n)``, the tuple of its edges' target indices, in
+    edge order; ``property_o_verdict`` searches it.  Each label's length was
     computed once, by the enumeration's sort.
     """
     vertices = enumerate_labels(n)
@@ -180,66 +174,42 @@ def _build_qbg(n: int, strict: bool) -> QBGraph:
             targets[i].extend(js)
             edges.extend(QBGEdge(u, vertices[j], d) for j in js)
     g = QBGraph(n, strict, vertices, tuple(edges))
-    object.__setattr__(g, "_targets", {i: tuple(js) for i, js in enumerate(targets)})
+    object.__setattr__(g, "_targets", tuple(map(tuple, targets)))
     return g
 
 
-def _depths(succ: Mapping[Hashable, Sequence[Hashable]], root: Hashable) -> dict[Hashable, int]:
-    """Breadth-first depths from root of the vertices it reaches."""
-    depth = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+def _depths(succ: Sequence[Sequence[int]]) -> list[int]:
+    """Breadth-first depths from vertex 0; -1 where the search does not reach."""
+    depth = [-1] * len(succ)
+    depth[0] = 0
+    order = [0]
+    for u in order:
         for v in succ[u]:
-            if v not in depth:
+            if depth[v] < 0:
                 depth[v] = depth[u] + 1
-                queue.append(v)
+                order.append(v)
     return depth
 
 
-def _period(succ: Mapping[Hashable, Sequence[Hashable]]) -> int | None:
+def _period(succ: Sequence[Sequence[int]]) -> int | None:
     """The gcd of the edges' depth terms, or None if not strongly connected.
 
-    One forward and one backward search from the first key (module
-    docstring).  Every successor must be a key.
+    ``succ[i]`` lists the target indices of vertex i; one forward and one
+    backward search from vertex 0 (module docstring).  A graph with no
+    closed walk gives 0.
     """
-    verts = list(succ)
-    if not verts:
-        raise DomainError("empty graph")
-    pred: dict[Hashable, list[Hashable]] = {v: [] for v in verts}
-    try:
-        for u in verts:
-            for v in succ[u]:
-                pred[v].append(u)
-    except KeyError as exc:
-        raise DomainError(f"successor {exc.args[0]} is not a vertex") from None
-    depth = _depths(succ, verts[0])
-    if len(depth) != len(verts) or len(_depths(pred, verts[0])) != len(verts):
+    pred: list[list[int]] = [[] for _ in succ]
+    for u, vs in enumerate(succ):
+        for v in vs:
+            pred[v].append(u)
+    depth = _depths(succ)
+    if -1 in depth or -1 in _depths(pred):
         return None
     g = 0
-    for u, vs in succ.items():
+    for u, vs in enumerate(succ):
         rise = depth[u] + 1
         for v in vs:
             g = math.gcd(g, rise - depth[v])
-    return g
-
-
-def strongly_connected(succ: Mapping[Hashable, Sequence[Hashable]]) -> bool:
-    """One component spans all keys: forward and backward searches do."""
-    return _period(succ) is not None
-
-
-def digraph_period(succ: Mapping[Hashable, Sequence[Hashable]]) -> int:
-    """Gcd of the lengths of all closed walks of a strongly connected graph.
-
-    Computed from breadth-first depths: every edge (u, v) contributes
-    depth(u) + 1 - depth(v) to the gcd.
-    """
-    g = _period(succ)
-    if g is None:
-        raise DomainError("period is defined for strongly connected graphs")
-    if g == 0:
-        raise DomainError("graph has no closed walks")
     return g
 
 
@@ -285,14 +255,7 @@ def property_o_verdict(n: int) -> PropertyOVerdict:
                 raise VerificationError(f"witness edge {u} -> {v} missing at n={n}")
     gcd = _period(succ)
     sc = gcd is not None
-    return PropertyOVerdict(
-        n=n,
-        strongly_connected=sc,
-        gcd=gcd,
-        fano_index=data.fano_index,
-        holds=sc and gcd == data.fano_index,
-        witness_cycles=cycles,
-    )
+    return PropertyOVerdict(n, sc, gcd, data.fano_index, sc and gcd == data.fano_index, cycles)
 
 
 def moment_discrepancies(n: int) -> tuple[tuple[FlagLabel, FlagLabel, Degree], ...]:

@@ -165,6 +165,21 @@ def test_barred_first_letter_in_space_separated_form(capsys):
     assert code == 0 and json.loads(out)["base"] == "-3|2"
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--w", "--d", "1,0"], "--w"),
+        (["--w", "1|2", "--d", "--oracle"], "--d"),
+    ],
+)
+def test_an_option_is_never_taken_as_a_label_or_degree(capsys, args, flag):
+    # A value starting with "--" is the next option, so --w or --d keeps
+    # no value and argparse names the option that lacks one.
+    code, out, err = run(capsys, "nbhd", "--n", "3", *args)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: expected one argument" in err
+
+
 def test_negative_degree_is_a_domain_error(capsys):
     code, _, err = run(capsys, "nbhd", "--n", "2", "--w", "1|2", "--d", "-1,0")
     assert code == 2 and "nonnegative" in err and "expected one argument" not in err
